@@ -67,4 +67,21 @@ from .triangles import (
     validate_gt,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Asm", "asm_inversion_number", "asm_to_gog", "bottom_row_one_column", "format_asm",
+    "gog_to_asm", "is_valid_asm", "parse_asm", "validate_asm",
+    "GogamDiagonals", "BijectionState", "BijectionStateError", "InvalidGogamInput",
+    "Rule", "StepRecord", "TrapezoidDiagonals", "covering_subtraction_map",
+    "extract_diagonals", "forward_step", "gog_to_gogam_n2", "gogam_to_gog_n2",
+    "inverse_step", "magog_row_statistic", "statistic_x11",
+    "FamilySpec", "Report", "asm_number", "count", "generate", "generate_asms",
+    "verify",
+    "DiagonalTable", "bender_knuth", "bender_knuth_sweep", "is_gogam", "schutzenberger",
+    "schutzenberger_diagonal",
+    "Ssyt", "complement_reverse", "reading_word", "rsk_insertion_tableau",
+    "schutzenberger_via_words", "tableau_to_triangle", "triangle_to_tableau",
+    "Family", "GtTriangle", "Inversion", "ShapeError", "Violation", "covered_cells",
+    "covering_count", "format_triangle", "inversions", "is_gog", "is_gog_trapezoid_n2k",
+    "is_magog", "is_magog_trapezoid_n2k", "is_trapezoid", "is_valid_gt",
+    "parse_triangle", "validate_gt",
+]

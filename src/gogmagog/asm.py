@@ -9,10 +9,17 @@ up, are the rows of the corresponding Gog triangle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .triangles import GtTriangle, ShapeError, is_gog
+from .triangles import (
+    GtTriangle,
+    ShapeError,
+    _format_sized_rows,
+    _parse_sized_rows,
+    _rows_from_json,
+    _rows_to_json,
+    is_gog,
+)
 
 
 @dataclass(frozen=True)
@@ -157,37 +164,16 @@ def bottom_row_one_column(a: Asm) -> int:
 
 
 def format_asm(a: Asm) -> str:
-    lines = [str(a.n)]
-    lines += [" ".join(str(x) for x in row) for row in a.rows]
-    return "\n".join(lines) + "\n"
+    return _format_sized_rows(a.rows)
 
 
 def parse_asm(text: str) -> Asm:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ShapeError("empty matrix file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ShapeError(f"first line must be the size, got {lines[0]!r}") from None
-    if len(lines) != n + 1:
-        raise ShapeError(f"expected {n} rows after the size line, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            rows.append(tuple(int(tok) for tok in ln.split()))
-        except ValueError:
-            raise ShapeError(f"non-integer entry in row {ln!r}") from None
-    return Asm(tuple(rows))
+    return Asm(_parse_sized_rows(text, "matrix"))
 
 
 def asm_to_json(a: Asm) -> str:
-    return json.dumps({"n": a.n, "rows": [list(r) for r in a.rows]})
+    return _rows_to_json("rows", a.rows)
 
 
 def asm_from_json(text: str) -> Asm:
-    data = json.loads(text)
-    a = Asm(tuple(tuple(r) for r in data["rows"]))
-    if a.n != data.get("n", a.n):
-        raise ShapeError("size field does not match the row data")
-    return a
+    return _rows_from_json(text, "rows", Asm)

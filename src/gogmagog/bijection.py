@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .schutzenberger import is_gogam
-from .triangles import Family, GtTriangle, inversions, is_gog, is_trapezoid, is_valid_gt
+from .triangles import (
+    Family,
+    GtTriangle,
+    _covering_walk,
+    inversions,
+    is_gog,
+    is_trapezoid,
+    is_valid_gt,
+)
 
 
 class BijectionStateError(RuntimeError):
@@ -56,6 +64,36 @@ class StepRecord:
 
 
 Trace = tuple[StepRecord, ...]
+
+
+def _two_diagonals(t: GtTriangle) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(u, v) with ``u[m]`` the cell (n-m, n-m) of the rightmost diagonal
+    and ``v[m-1]`` the cell (n-m+1, n-m) of the second one."""
+    n = t.n
+    u = tuple(t[n - m, n - m] for m in range(n))
+    v = tuple(t[n - m + 1, n - m] for m in range(1, n))
+    return u, v
+
+
+def _diagonal_bound_violations(
+    n: int, u: tuple[int, ...], v: tuple[int, ...]
+) -> list[str]:
+    """The three (n,2) inequality families on the diagonals (u, v):
+
+    u[0] <= n;  u[0] - u[i] + v[i-1] <= n-1;  and for i < j
+    u[0] - u[i] + v[i-1] - v[j-1] + 1 <= j - 1.
+    """
+    bad = []
+    if u[0] > n:
+        bad.append(f"top corner {u[0]} exceeds {n}")
+    for i in range(1, len(u)):
+        if u[0] - u[i] + v[i - 1] > n - 1:
+            bad.append(f"single-dip bound broken at depth {i}")
+    for i in range(1, len(u)):
+        for j in range(i + 1, len(u)):
+            if u[0] - u[i] + v[i - 1] - v[j - 1] + 1 > j - 1:
+                bad.append(f"double-dip bound broken at depths ({i},{j})")
+    return bad
 
 
 @dataclass(frozen=True)
@@ -103,10 +141,7 @@ class BijectionState:
     @classmethod
     def from_triangle(cls, t: GtTriangle) -> "BijectionState":
         """Full-size state of a (n,2)-trapezoid-shaped triangle."""
-        n = t.n
-        u = tuple(t[n - m, n - m] for m in range(n))
-        v = tuple(t[n - m + 1, n - m] for m in range(1, n))
-        state = cls(n, u, v)
+        state = cls(t.n, *_two_diagonals(t))
         if state.materialize() != t:
             raise InvalidGogamInput(
                 "triangle is not constant left of its two rightmost diagonals"
@@ -114,25 +149,12 @@ class BijectionState:
         return state
 
     def check_invariants(self) -> list[str]:
-        """Growth conditions plus the three inequality families.
-
-        u[0] <= n;  u[0] - u[i] + v[i] <= n-1;  and for i < j
-        u[0] - u[i] + v[i] - v[j] + 1 <= j - 1.
-        """
+        """Growth conditions plus the three inequality families of
+        `_diagonal_bound_violations`."""
         bad = []
         if not is_valid_gt(self.materialize()):
             bad.append("materialized triangle is not Gelfand-Tsetlin")
-        u, v, k = self.u, self.v, self.k
-        if u[0] > self.n:
-            bad.append(f"u0 = {u[0]} exceeds {self.n}")
-        for i in range(1, k):
-            if u[0] - u[i] + v[i - 1] > self.n - 1:
-                bad.append(f"u0 - u{i} + v{i} = {u[0] - u[i] + v[i - 1]} > n-1")
-        for i in range(1, k):
-            for j in range(i + 1, k):
-                if u[0] - u[i] + v[i - 1] - v[j - 1] + 1 > j - 1:
-                    bad.append(f"chain bound broken at (i,j) = ({i},{j})")
-        return bad
+        return bad + _diagonal_bound_violations(self.n, self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -172,25 +194,11 @@ class GogamDiagonals:
 
     @classmethod
     def from_triangle(cls, t: GtTriangle) -> "GogamDiagonals":
-        n = t.n
-        alpha = tuple(t[n - i, n - i] for i in range(n))
-        beta = tuple(t[n - i + 1, n - i] for i in range(1, n))
-        return cls(n, alpha, beta)
+        return cls(t.n, *_two_diagonals(t))
 
     def check(self) -> list[str]:
         """Violations of the trapezoid-level membership inequalities."""
-        n, alpha, beta = self.n, self.alpha, self.beta
-        bad = []
-        if alpha[0] > n:
-            bad.append(f"top corner {alpha[0]} exceeds {n}")
-        for i in range(1, n):
-            if alpha[0] - alpha[i] + beta[i - 1] > n - 1:
-                bad.append(f"single-dip bound broken at depth {i}")
-        for i in range(1, n):
-            for j in range(i + 1, n):
-                if alpha[0] - alpha[i] + beta[i - 1] - beta[j - 1] + 1 > j - 1:
-                    bad.append(f"double-dip bound broken at depths ({i},{j})")
-        return bad
+        return _diagonal_bound_violations(self.n, self.alpha, self.beta)
 
 
 def extract_diagonals(t: GtTriangle) -> TrapezoidDiagonals:
@@ -198,9 +206,8 @@ def extract_diagonals(t: GtTriangle) -> TrapezoidDiagonals:
     n = t.n
     if not (is_gog(t) and is_trapezoid(t, Family.GOG, 2)):
         raise ValueError("input is not a (n,2) Gog trapezoid")
-    a = tuple(t[n - j, n - j] for j in range(1, n))
-    b = tuple(t[n - j + 1, n - j] for j in range(2, n))
-    diags = TrapezoidDiagonals(n, a, b)
+    u, v = _two_diagonals(t)
+    diags = TrapezoidDiagonals(n, u[1:], v[1:])
     prev = n
     for j in range(1, n):
         if diags.a[j - 1] > prev:
@@ -457,19 +464,12 @@ def covering_subtraction_map(t: GtTriangle) -> GtTriangle:
     if not (is_gog(t) and is_trapezoid(t, Family.GOG, 1)):
         raise ValueError("input is not a (n,1) Gog trapezoid")
     invs = set(inversions(t))
-    rows_top_down = []
-    for i in range(n, 0, -1):
-        row = []
-        for j in range(1, i + 1):
-            drop = 0
-            p = 1
-            while j - p >= 1:
-                if (i - p, j - p) in invs:
-                    drop += 1
-                p += 1
-            row.append(t[i, j] - drop)
-        rows_top_down.append(tuple(row))
-    return GtTriangle(tuple(rows_top_down))
+    return GtTriangle(
+        tuple(
+            tuple(t[i, j] - _covering_walk(invs, i, j) for j in range(1, i + 1))
+            for i in range(n, 0, -1)
+        )
+    )
 
 
 def statistic_x11(t: GtTriangle) -> int:

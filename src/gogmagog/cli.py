@@ -12,8 +12,18 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
-from .asm import asm_from_json, asm_to_gog, asm_to_json, format_asm, gog_to_asm, parse_asm, validate_asm
+from .asm import (
+    Asm,
+    asm_from_json,
+    asm_to_gog,
+    asm_to_json,
+    format_asm,
+    gog_to_asm,
+    parse_asm,
+    validate_asm,
+)
 from .bijection import (
     InvalidGogamInput,
     gog_to_gogam_n2,
@@ -21,7 +31,7 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .enumeration import SUITES, FamilySpec, count, generate, verify
+from .enumeration import SUITES, FamilySpec, generate, generate_asms, verify
 from .schutzenberger import is_gogam, schutzenberger
 from .tableaux import format_tableau, triangle_to_tableau
 from .triangles import (
@@ -47,54 +57,60 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_triangle(path: str) -> GtTriangle:
+def _load(kind: str, path: str) -> GtTriangle | Asm:
+    """The matrix (kind "asm") or triangle in ``path``, text or JSON."""
     text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return triangle_from_json(text)
-    return parse_triangle(text)
-
-
-def _load_asm(path: str):
-    text = _read_text(path)
-    if text.lstrip().startswith("{"):
-        return asm_from_json(text)
-    return parse_asm(text)
-
-
-def _emit_triangle(t: GtTriangle, as_json: bool) -> None:
-    sys.stdout.write(triangle_to_json(t) + "\n" if as_json else format_triangle(t))
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    problems: list[str] = []
-    if args.kind == "asm":
-        problems = list(validate_asm(_load_asm(args.file)))
+    if kind == "asm":
+        parse_text, parse_json = parse_asm, asm_from_json
     else:
-        t = _load_triangle(args.file)
-        problems = [str(v) for v in validate_gt(t)]
-        if not problems:
-            if args.kind == "gog" and not is_gog(t):
-                problems.append("not a Gog triangle (rows or pinned top row)")
-            elif args.kind == "magog" and not is_magog(t):
-                problems.append("diagonal bound broken: not a Magog triangle")
-            elif args.kind == "gogam" and not is_gogam(t):
-                problems.append("involution image is not Magog: not a GOGAm triangle")
-        if not problems and args.trapezoid is not None and args.kind != "gt":
-            fam = Family(args.kind)
-            if not is_trapezoid(t, fam, args.trapezoid):
-                problems.append(f"not a ({t.n},{args.trapezoid}) {args.kind} trapezoid")
+        parse_text, parse_json = parse_triangle, triangle_from_json
+    return parse_json(text) if text.lstrip().startswith("{") else parse_text(text)
+
+
+def _emit(obj: GtTriangle | Asm, as_json: bool) -> None:
+    if isinstance(obj, Asm):
+        text = asm_to_json(obj) + "\n" if as_json else format_asm(obj)
+    else:
+        text = triangle_to_json(obj) + "\n" if as_json else format_triangle(obj)
+    sys.stdout.write(text)
+
+
+def _problems(kind: str, obj: GtTriangle | Asm, trapezoid: int | None = None) -> list[str]:
+    """Why ``obj`` is not of ``kind`` (and, if given, not a trapezoid of
+    that width); empty when it is."""
+    if kind == "asm":
+        return validate_asm(obj)
+    problems = [str(v) for v in validate_gt(obj)]
+    if not problems:
+        if kind == "gog" and not is_gog(obj):
+            problems.append("not a Gog triangle (rows or pinned top row)")
+        elif kind == "magog" and not is_magog(obj):
+            problems.append("diagonal bound broken: not a Magog triangle")
+        elif kind == "gogam" and not is_gogam(obj):
+            problems.append("involution image is not Magog: not a GOGAm triangle")
+    if not problems and trapezoid is not None and kind != "gt":
+        if not is_trapezoid(obj, Family(kind), trapezoid):
+            problems.append(f"not a ({obj.n},{trapezoid}) {kind} trapezoid")
+    return problems
+
+
+def _report_problems(problems: list[str]) -> int:
     for p in problems:
         print(p, file=sys.stderr)
     return 1 if problems else 0
 
 
-_CONVERSIONS = {
+def _cmd_validate(args: argparse.Namespace) -> int:
+    obj = _load(args.kind, args.file)
+    return _report_problems(_problems(args.kind, obj, args.trapezoid))
+
+
+_TRAPEZOID_CONVERSIONS = {("gog", "gogam"), ("gogam", "gog")}
+_CONVERSIONS = _TRAPEZOID_CONVERSIONS | {
     ("gog", "asm"),
     ("asm", "gog"),
     ("magog", "gogam"),
     ("gogam", "magog"),
-    ("gog", "gogam"),
-    ("gogam", "gog"),
     ("gt", "ssyt"),
 }
 
@@ -104,79 +120,68 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if pair not in _CONVERSIONS:
         print(f"unsupported conversion {args.src} -> {args.dst}", file=sys.stderr)
         return 2
+    obj = _load(args.src, args.file)
+    if pair not in _TRAPEZOID_CONVERSIONS:
+        # the trapezoid maps validate their own input
+        problems = _problems(args.src, obj)
+        if problems:
+            return _report_problems(problems)
     if pair == ("asm", "gog"):
-        _emit_triangle(asm_to_gog(_load_asm(args.file)), args.json)
+        _emit(asm_to_gog(obj), args.json)
         return 0
-    t = _load_triangle(args.file)
     if pair == ("gog", "asm"):
-        a = gog_to_asm(t)
-        sys.stdout.write(asm_to_json(a) + "\n" if args.json else format_asm(a))
+        _emit(gog_to_asm(obj), args.json)
         return 0
     if pair == ("gt", "ssyt"):
-        sys.stdout.write(format_tableau(triangle_to_tableau(t)))
+        sys.stdout.write(format_tableau(triangle_to_tableau(obj)))
         return 0
     if pair in (("magog", "gogam"), ("gogam", "magog")):
-        _emit_triangle(schutzenberger(t), args.json)
+        _emit(schutzenberger(obj), args.json)
         return 0
     # the trapezoid bijection
     if args.trapezoid != 2:
         print("gog <-> gogam conversion requires --trapezoid 2", file=sys.stderr)
         return 2
+    bijection = gog_to_gogam_n2 if pair == ("gog", "gogam") else gogam_to_gog_n2
     try:
-        out = gog_to_gogam_n2(t)[0] if pair == ("gog", "gogam") else gogam_to_gog_n2(t)[0]
+        out = bijection(obj)[0]
     except (ValueError, InvalidGogamInput) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    _emit_triangle(out, args.json)
+    _emit(out, args.json)
     return 0
 
 
 def _cmd_schutzenberger(args: argparse.Namespace) -> int:
-    t = _load_triangle(args.file)
-    problems = validate_gt(t)
+    t = _load("gt", args.file)
+    problems = _problems("gt", t)
     if problems:
-        for v in problems:
-            print(str(v), file=sys.stderr)
-        return 1
-    _emit_triangle(schutzenberger(t), args.json)
+        return _report_problems(problems)
+    _emit(schutzenberger(t), args.json)
     return 0
 
 
-def _family_spec(args: argparse.Namespace) -> FamilySpec:
-    return FamilySpec(Family(args.kind), args.n, k=args.k, bound=args.bound)
+def _members(args: argparse.Namespace) -> Iterator[GtTriangle | Asm]:
+    if args.kind == "asm":
+        return generate_asms(args.n)
+    return generate(FamilySpec(Family(args.kind), args.n, k=args.k, bound=args.bound))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.kind == "asm":
-        from .enumeration import generate_asms
-
-        total = sum(1 for _ in generate_asms(args.n))
-    else:
-        total = count(_family_spec(args))
-    print(total)
+    print(sum(1 for _ in _members(args)))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.kind == "asm":
-        from .enumeration import generate_asms
-
-        for a in generate_asms(args.n):
-            if args.json:
-                sys.stdout.write(asm_to_json(a) + "\n")
-            else:
-                sys.stdout.write(format_asm(a) + "\n")
-        return 0
-    for t in generate(_family_spec(args)):
-        if args.json:
-            sys.stdout.write(triangle_to_json(t) + "\n")
-        else:
-            sys.stdout.write(format_triangle(t) + "\n")
+    for obj in _members(args):
+        _emit(obj, args.json)
+        if not args.json:
+            sys.stdout.write("\n")  # blank line between text blocks
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(args.suite, args.n, threads=args.threads)
+    report = verify(args.suite, args.n)
     if args.json:
         print(report.to_json())
     else:
@@ -253,21 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None, help="trapezoid width")
         p.add_argument("--bound", type=int, default=None, help="entry bound for raw gt")
         p.add_argument("--json", action="store_true")
-        if name == "enumerate":
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="accepted for interface stability; output order is "
-                "canonical regardless",
-            )
         p.set_defaults(fn=_cmd_count if name == "count" else _cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("stats", help="rule and statistic tables for (n,2) trapezoids")

@@ -10,15 +10,13 @@ onto by definition; a filtering generator over bounded triangles exists
 as the cross-check.
 
 `verify` runs one of the named property suites up to a given size and
-returns a structured report; every suite is deterministic, and sharding
-over sizes only changes wall time, never the report.
+returns a structured report; every suite is deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -180,15 +178,11 @@ def _generate_magog(n: int, k: int | None) -> Iterator[GtTriangle]:
         yield from _descend(top, n, ok)
 
 
-def _lex_key(t: GtTriangle) -> tuple[tuple[int, ...], ...]:
-    return t.rows_top_down()
-
-
 def _generate_gogam(n: int, k: int | None) -> Iterator[GtTriangle]:
     # the involution maps the Magog family onto the GOGAm family; sort to
     # keep the advertised lexicographic emission order
     images = [schutzenberger(t) for t in _generate_magog(n, k)]
-    images.sort(key=_lex_key)
+    images.sort(key=lambda t: t.rows)
     yield from images
 
 
@@ -279,12 +273,6 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "Report") -> None:
-        self.checks += other.checks
-        self.failures.extend(other.failures)
-        for key, val in other.histogram.items():
-            self.histogram[key] = self.histogram.get(key, 0) + val
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -339,13 +327,9 @@ def _suite_counts(n: int, report: Report) -> None:
             )
 
 
-def _bounded_gt(n: int, bound: int) -> Iterator[GtTriangle]:
-    yield from _generate_gt(n, bound)
-
-
 def _suite_involution(n: int, report: Report) -> None:
     bound = n + 1
-    for t in _bounded_gt(n, bound):
+    for t in _generate_gt(n, bound):
         report.checks += 1
         s = schutzenberger(t)
         if schutzenberger(s) != t:
@@ -356,7 +340,7 @@ def _suite_involution(n: int, report: Report) -> None:
 
 def _suite_oracle(n: int, report: Report) -> None:
     bound = n + 1
-    for t in _bounded_gt(n, bound):
+    for t in _generate_gt(n, bound):
         report.checks += 1
         if schutzenberger(t) != schutzenberger_via_words(t):
             report.failures.append(f"oracle disagreement on {_fail_payload(t)}")
@@ -386,7 +370,7 @@ def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:
 
 def _suite_lemma1(n: int, report: Report) -> None:
     bound = n + 1
-    for t in _bounded_gt(n, bound):
+    for t in _generate_gt(n, bound):
         report.checks += 1
         table = schutzenberger_diagonal(t)
         brute = _brute_diagonal(t)
@@ -595,26 +579,16 @@ SUITES: dict[str, Callable[[int, Report], None]] = {
 }
 
 
-def verify(suite: str, n_max: int, threads: int = 1) -> Report:
+def verify(suite: str, n_max: int) -> Report:
     """Run a named property suite for every size 1..n_max."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[suite]
+    if n_max < 1:
+        raise ValueError(f"verify needs n_max >= 1, got {n_max}")
     start = time.monotonic()
-    total = Report(suite, n_max)
-    sizes = list(range(1, n_max + 1))
-    if threads > 1:
-        def run(n: int) -> Report:
-            rep = Report(suite, n)
-            fn(n, rep)
-            return rep
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep in pool.map(run, sizes):
-                total.merge(rep)
-    else:
-        for n in sizes:
-            fn(n, total)
-    total.failures.sort()
-    total.millis = int((time.monotonic() - start) * 1000)
-    return total
+    report = Report(suite, n_max)
+    for n in range(1, n_max + 1):
+        SUITES[suite](n, report)
+    report.failures.sort()
+    report.millis = int((time.monotonic() - start) * 1000)
+    return report

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
+
+_T = TypeVar("_T")
 
 
 class ShapeError(ValueError):
@@ -86,9 +88,6 @@ class GtTriangle:
         if not (1 <= i <= self.n):
             raise IndexError(f"no row {i} in a size-{self.n} triangle")
         return self.rows[self.n - i]
-
-    def rows_top_down(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
 
     def replace_row(self, i: int, entries: Iterable[int]) -> "GtTriangle":
         new = tuple(int(x) for x in entries)
@@ -238,32 +237,32 @@ def covered_cells(inv: Inversion, n: int) -> list[tuple[int, int]]:
 def covering_count(t: GtTriangle, i: int, j: int) -> int:
     """Number of inversions of ``t`` covering the cell (i, j)."""
     t[i, j]  # bounds check
-    invs = set(inversions(t))
-    count = 0
-    p = 1
-    while j - p >= 1:
-        if (i - p, j - p) in invs:
-            count += 1
-        p += 1
-    return count
+    return _covering_walk(set(inversions(t)), i, j)
+
+
+def _covering_walk(invs: set[Inversion], i: int, j: int) -> int:
+    """Inversions among ``invs`` on the ray NW of the cell (i, j)."""
+    return sum(1 for p in range(1, j) if (i - p, j - p) in invs)
 
 
 # --- text / JSON formats ---------------------------------------------------
 #
 # Text: line 1 is n, then rows top-down (row n first), space-separated.
 # JSON: {"n": int, "rows_top_down": [[...], ...]}.
+# Matrices use the same layouts (JSON key "rows"); the private helpers
+# below serve both and leave the shape check to the constructor.
 
 
-def format_triangle(t: GtTriangle) -> str:
-    lines = [str(t.n)]
-    lines += [" ".join(str(x) for x in row) for row in t.rows]
+def _format_sized_rows(rows: tuple[tuple[int, ...], ...]) -> str:
+    lines = [str(len(rows))]
+    lines += [" ".join(str(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def parse_triangle(text: str) -> GtTriangle:
+def _parse_sized_rows(text: str, noun: str) -> tuple[tuple[int, ...], ...]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ShapeError("empty triangle file")
+        raise ShapeError(f"empty {noun} file")
     try:
         n = int(lines[0])
     except ValueError:
@@ -276,16 +275,41 @@ def parse_triangle(text: str) -> GtTriangle:
             rows.append(tuple(int(tok) for tok in ln.split()))
         except ValueError:
             raise ShapeError(f"non-integer entry in row {ln!r}") from None
-    return GtTriangle(tuple(rows))
+    return tuple(rows)
+
+
+def _rows_to_json(key: str, rows: tuple[tuple[int, ...], ...]) -> str:
+    return json.dumps({"n": len(rows), key: [list(r) for r in rows]})
+
+
+def _rows_from_json(text: str, key: str, make: Callable[..., _T]) -> _T:
+    """``make(rows)`` from a JSON object holding ``key``; entries must be
+    JSON integers, and an ``n`` field must match the object's size."""
+    data = json.loads(text)
+    rows = data.get(key) if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        raise ShapeError(f"JSON input needs a {key!r} list of rows")
+    for row in rows:
+        if not all(type(x) is int for x in row):  # bool is an int subclass
+            raise ShapeError(f"non-integer entry in row {row!r}")
+    obj = make(tuple(tuple(r) for r in rows))
+    n = data.get("n", obj.n)
+    if type(n) is not int or n != obj.n:
+        raise ShapeError("size field does not match the row data")
+    return obj
+
+
+def format_triangle(t: GtTriangle) -> str:
+    return _format_sized_rows(t.rows)
+
+
+def parse_triangle(text: str) -> GtTriangle:
+    return GtTriangle(_parse_sized_rows(text, "triangle"))
 
 
 def triangle_to_json(t: GtTriangle) -> str:
-    return json.dumps({"n": t.n, "rows_top_down": [list(r) for r in t.rows]})
+    return _rows_to_json("rows_top_down", t.rows)
 
 
 def triangle_from_json(text: str) -> GtTriangle:
-    data = json.loads(text)
-    t = GtTriangle(tuple(tuple(r) for r in data["rows_top_down"]))
-    if t.n != data.get("n", t.n):
-        raise ShapeError("size field does not match the row data")
-    return t
+    return _rows_from_json(text, "rows_top_down", GtTriangle)

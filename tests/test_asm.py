@@ -2,6 +2,7 @@ import pytest
 
 from gogmagog.asm import (
     Asm,
+    asm_from_json,
     asm_inversion_number,
     asm_to_gog,
     bottom_row_one_column,
@@ -11,7 +12,7 @@ from gogmagog.asm import (
     validate_asm,
 )
 from gogmagog.enumeration import FamilySpec, generate, generate_asms
-from gogmagog.triangles import Family, inversions
+from gogmagog.triangles import Family, ShapeError, inversions
 
 from conftest import tri
 
@@ -116,3 +117,19 @@ class TestStatistic:
 
 def test_text_round_trip():
     assert parse_asm(format_asm(ASM5)) == ASM5
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "rows": [[0, 1], [1.5, 0]]}',
+        '{"n": 2, "rows": [[0, 1], [true, 0]]}',
+        '{"n": 2}',
+        '{"n": 2, "rows": [[0, 1], 1]}',
+        '"rows"',
+    ],
+    ids=["float", "bool", "no-rows", "flat-row", "string"],
+)
+def test_json_rejects_malformed_rows(text):
+    with pytest.raises(ShapeError):
+        asm_from_json(text)

@@ -193,12 +193,27 @@ class TestGogamDiagonals:
     def test_equivalent_to_general_membership_on_trapezoid_shapes(self):
         # on (n,2)-trapezoid-shaped triangles the diagonal inequalities
         # decide membership exactly like the chain formula
-        from gogmagog.enumeration import _generate_gt
+        from gogmagog.enumeration import _descend, _weakly_increasing
 
-        for t in _generate_gt(4, 4):
-            if not is_trapezoid(t, Family.GOGAM, 2):
-                continue
-            assert (GogamDiagonals.from_triangle(t).check() == []) == is_gogam(t)
+        def shapes(n):
+            # cells with i - j >= 2 pinned to 1, every entry at most n
+            # (a GOGAm corner is at most n and dominates every entry)
+            for right in _weakly_increasing(min(n, 2), 1, n):
+                top = (1,) * (n - len(right)) + right
+                yield from _descend(top, n, lambda i, j, val, row: i - j < 2 or val == 1)
+
+        # shape counts match filtering every triangle bounded by n;
+        # member counts are the (n,2) trapezoid numbers
+        counts = {2: (4, 2), 3: (27, 7), 4: (236, 35), 5: (2375, 219), 6: (26090, 1594)}
+        for n, (want_shapes, want_gogam) in counts.items():
+            seen = members = 0
+            for t in shapes(n):
+                assert is_trapezoid(t, Family.GOGAM, 2)
+                member = is_gogam(t)
+                assert (GogamDiagonals.from_triangle(t).check() == []) == member
+                seen += 1
+                members += member
+            assert (seen, members) == (want_shapes, want_gogam)
 
 
 class TestStatistics:

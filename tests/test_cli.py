@@ -79,6 +79,42 @@ def test_convert_gog_asm_round_trip(capsys, tmp_path):
     assert back == (FIXTURES / "gog_52.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "src, dst, text",
+    [
+        ("gog", "asm", "5\n1 2 2 3 6\n1 2 2 5\n2 2 4\n2 4\n3\n"),
+        ("magog", "gogam", "5\n1 2 2 3 6\n1 2 2 5\n2 2 4\n2 4\n3\n"),
+        ("magog", "gogam", "2\n1 2\n3\n"),
+        ("gogam", "magog", "3\n1 1 4\n1 4\n4\n"),
+        ("gt", "ssyt", "2\n1 2\n3\n"),
+        ("asm", "gog", "2\n1 1\n0 0\n"),
+    ],
+    ids=["gog-asm", "magog-gogam", "magog-gogam-not-gt", "gogam-magog", "gt-ssyt", "asm-gog"],
+)
+def test_convert_rejects_source_of_another_kind(capsys, tmp_path, src, dst, text):
+    f = tmp_path / "source.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "convert", "--from", src, "--to", dst, str(f))
+    assert code == 1 and out == "" and err
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("gt", '{"n": 2, "rows_top_down": [[1.9, 2.5], [true]]}'),
+        ("gog", '{"n": 2}'),
+        ("asm", '{"n": 2, "rows": [[0, 1], [1.5, 0]]}'),
+        ("asm", '{"n": 2}'),
+    ],
+    ids=["gt-coerced", "gog-no-rows", "asm-coerced", "asm-no-rows"],
+)
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, kind, text):
+    f = tmp_path / "source.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "validate", "--kind", kind, str(f))
+    assert code == 2 and out == "" and err
+
+
 def test_convert_needs_trapezoid_flag(capsys):
     code, _, err = run(
         capsys, "convert", "--from", "gog", "--to", "gogam", str(FIXTURES / "gog_52.txt")
@@ -125,9 +161,23 @@ def test_verify_json(capsys):
     assert data["failures"] == []
 
 
-def test_verify_threads_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "involution", "--n", "3", "--threads", "2")
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "involution", "--n", "3", "--threads", "2"),
+        ("enumerate", "--kind", "gog", "--n", "2", "--threads", "2"),
+    ],
+    ids=["verify", "enumerate"],
+)
+def test_threads_flag_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_empty_range(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "counts", "--n", "0")
+    assert code == 2 and out == "" and err
 
 
 def test_stats_table(capsys):

@@ -170,6 +170,24 @@ class TestFormats:
     def test_json_round_trip(self):
         assert triangle_from_json(triangle_to_json(GOG5)) == GOG5
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "rows_top_down": [[1.9, 2.5], [true]]}',
+            '{"n": 2, "rows_top_down": [[1, 2], [true]]}',
+            '{"n": 2, "rows_top_down": [[1, 2], ["2"]]}',
+            '{"n": true, "rows_top_down": [[1]]}',
+            '{"n": 2}',
+            '{"n": 2, "rows_top_down": [1, 2]}',
+            '{"n": 2, "rows_top_down": "12"}',
+            "[[1, 2], [2]]",
+        ],
+        ids=["float", "bool", "string", "bool-size", "no-rows", "flat", "text", "list"],
+    )
+    def test_json_rejects_malformed_rows(self, text):
+        with pytest.raises(ShapeError):
+            triangle_from_json(text)
+
     def test_parse_rejects_wrong_row_count(self):
         with pytest.raises(ShapeError):
             parse_triangle("2\n1 2\n")
