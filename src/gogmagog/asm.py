@@ -110,7 +110,7 @@ def asm_to_gog(a: Asm) -> GtTriangle:
                 f"want {i}; input is not a valid ASM"
             )
         rows_top_down.append(cols)
-    return GtTriangle(tuple(rows_top_down))
+    return GtTriangle._trusted(tuple(rows_top_down))
 
 
 def gog_to_asm(t: GtTriangle) -> Asm:

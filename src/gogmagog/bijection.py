@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .schutzenberger import is_gogam
 from .triangles import (
@@ -69,10 +70,8 @@ Trace = tuple[StepRecord, ...]
 def _two_diagonals(t: GtTriangle) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(u, v) with ``u[m]`` the cell (n-m, n-m) of the rightmost diagonal
     and ``v[m-1]`` the cell (n-m+1, n-m) of the second one."""
-    n = t.n
-    u = tuple(t[n - m, n - m] for m in range(n))
-    v = tuple(t[n - m + 1, n - m] for m in range(1, n))
-    return u, v
+    rows = t.rows
+    return tuple(row[-1] for row in rows), tuple(row[-2] for row in rows[:-1])
 
 
 def _diagonal_bound_violations(
@@ -110,8 +109,8 @@ class BijectionState:
     v: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(int(x) for x in self.u))
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
+        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "v", tuple(self.v))
         if len(self.v) != max(len(self.u) - 1, 0):
             raise ValueError("second diagonal must be one entry shorter")
 
@@ -124,19 +123,11 @@ class BijectionState:
         return self.n - self.k + 1
 
     def materialize(self) -> GtTriangle:
+        u, v = self.u, self.v
         k, c = self.k, self.constant
-        rows_top_down = []
-        for r in range(k, 0, -1):
-            row = []
-            for j in range(1, r + 1):
-                if j == r:
-                    row.append(self.u[k - r])
-                elif j == r - 1:
-                    row.append(self.v[k - r])
-                else:
-                    row.append(c)
-            rows_top_down.append(tuple(row))
-        return GtTriangle(tuple(rows_top_down))
+        rows_top_down = [(c,) * (k - m - 2) + (v[m], u[m]) for m in range(k - 1)]
+        rows_top_down.append((u[k - 1],))
+        return GtTriangle._trusted(tuple(rows_top_down))
 
     @classmethod
     def from_triangle(cls, t: GtTriangle) -> "BijectionState":
@@ -152,9 +143,33 @@ class BijectionState:
         """Growth conditions plus the three inequality families of
         `_diagonal_bound_violations`."""
         bad = []
-        if not is_valid_gt(self.materialize()):
+        if not _is_gt_state(self.n, self.u, self.v):
             bad.append("materialized triangle is not Gelfand-Tsetlin")
         return bad + _diagonal_bound_violations(self.n, self.u, self.v)
+
+
+def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether the materialized state (n, u, v) is Gelfand-Tsetlin, read
+    off the diagonals in O(k).
+
+    With c = n - k + 1, a row at depth m holds c, ..., c, v[m], u[m], so
+    the interlacing inequalities reduce to v[m-1] <= u[m] <= u[m-1] and
+    c <= v[m] <= v[m-1]; c itself appears (and must be positive) once
+    k >= 3.
+    """
+    k = len(u)
+    c = n - k + 1
+    if k >= 3 and c < 1:
+        return False
+    if min(u) < 1 or (v and min(v) < 1):
+        return False
+    for m in range(1, k):
+        if not (v[m - 1] <= u[m] <= u[m - 1]):
+            return False
+    for m in range(1, k - 1):
+        if not (c <= v[m] <= v[m - 1]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -221,10 +236,6 @@ def extract_diagonals(t: GtTriangle) -> TrapezoidDiagonals:
     return diags
 
 
-def _materialized_is_gt(n: int, u: list[int], v: list[int]) -> bool:
-    return is_valid_gt(BijectionState(n, tuple(u), tuple(v)).materialize())
-
-
 def forward_step(
     state: BijectionState, b_k: int, a_k: int
 ) -> tuple[BijectionState, StepRecord]:
@@ -254,7 +265,7 @@ def forward_step(
         new_v = [x - 1 for x in v] + [v_k]
     elif v_k == u_k:  # c < v_k
         dec_u = [x - 1 for x in u] + [u_k]
-        if _materialized_is_gt(n, dec_u, v + [v_k]):
+        if _is_gt_state(n, dec_u, v + [v_k]):
             rule = Rule.IIIA
             new_u = dec_u
             new_v = v + [v_k]
@@ -329,7 +340,7 @@ def gog_to_gogam_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
     out = state.materialize()
     if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):
         raise BijectionStateError("forward image failed the GOGAm test")
-    if out[1, 1] != t[1, 1]:
+    if out.rows[-1] != t.rows[-1]:
         raise BijectionStateError("bottom entry was not preserved")
     return out, tuple(trace)
 
@@ -448,7 +459,7 @@ def gogam_to_gog_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
         rows[n - k - 1][n - k - 1] = emitted[k][1]  # cell (n-k, n-k)
         if k >= 2:
             rows[n - k][n - k - 1] = emitted[k][0]  # cell (n-k+1, n-k)
-    gog = GtTriangle(tuple(tuple(r) for r in reversed(rows)))
+    gog = GtTriangle._trusted(tuple(tuple(r) for r in reversed(rows)))
     if not (is_gog(gog) and is_trapezoid(gog, Family.GOG, 2)):
         raise InvalidGogamInput("recovered triangle is not a (n,2) Gog trapezoid")
     return gog, tuple(trace)
@@ -464,9 +475,9 @@ def covering_subtraction_map(t: GtTriangle) -> GtTriangle:
     if not (is_gog(t) and is_trapezoid(t, Family.GOG, 1)):
         raise ValueError("input is not a (n,1) Gog trapezoid")
     invs = set(inversions(t))
-    return GtTriangle(
+    return GtTriangle._trusted(
         tuple(
-            tuple(t[i, j] - _covering_walk(invs, i, j) for j in range(1, i + 1))
+            tuple(x - _covering_walk(invs, i, j) for j, x in enumerate(t.rows[n - i], 1))
             for i in range(n, 0, -1)
         )
     )

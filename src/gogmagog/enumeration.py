@@ -120,7 +120,7 @@ def _descend(
 
     def rec(i: int) -> Iterator[GtTriangle]:
         if i == 0:
-            yield GtTriangle(tuple(rows_top_down))
+            yield GtTriangle._trusted(tuple(rows_top_down))
             return
         above = rows_top_down[-1]
         row: list[int] = []
@@ -219,6 +219,8 @@ def generate_asms(n: int) -> Iterator[Asm]:
     Column partial sums stay in {0,1} and every finished row sums to 1;
     those two prunes are exactly the alternating-sign conditions.
     """
+    if n < 1:
+        raise ValueError("size must be at least 1")
     cols = [0] * n
     rows: list[tuple[int, ...]] = []
 
@@ -250,7 +252,7 @@ def generate_asms(n: int) -> Iterator[Asm]:
 
         yield from place(0, 0)
 
-    yield from fill(0)
+    return fill(0)
 
 
 def count(spec: FamilySpec) -> int:

@@ -20,6 +20,26 @@ from dataclasses import dataclass
 from .triangles import GtTriangle, validate_gt
 
 
+def _reflect(rows: list[list[int]], k: int) -> None:
+    """Reflect every entry of row k inside its neighbour interval, in
+    place; ``rows`` is the top-down row list, so row k is ``rows[n-k]``.
+
+    Undefined neighbours drop out of the interval bounds.
+    """
+    n = len(rows)
+    above = rows[n - k - 1]  # row k+1
+    row = rows[n - k]
+    below = rows[n - k + 1] if k >= 2 else ()  # row k-1
+    for j in range(k):  # 0-based column
+        lo = above[j]
+        if j >= 1 and below[j - 1] > lo:
+            lo = below[j - 1]
+        hi = above[j + 1]
+        if j <= k - 2 and below[j] < hi:
+            hi = below[j]
+        row[j] = lo + hi - row[j]
+
+
 def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     """Reflect every entry of row k inside its neighbour interval.
 
@@ -30,16 +50,9 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     n = t.n
     if not (1 <= k <= n - 1):
         raise ValueError(f"row index must be in 1..{n - 1}, got {k}")
-    new_row = []
-    for j in range(1, k + 1):
-        lo = t[k + 1, j]
-        if k >= 2 and j >= 2:
-            lo = max(lo, t[k - 1, j - 1])
-        hi = t[k + 1, j + 1]
-        if j <= k - 1:
-            hi = min(hi, t[k - 1, j])
-        new_row.append(lo + hi - t[k, j])
-    return t.replace_row(k, new_row)
+    rows = [list(r) for r in t.rows]
+    _reflect(rows, k)
+    return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
 def bender_knuth_sweep(t: GtTriangle, j: int) -> GtTriangle:
@@ -47,9 +60,10 @@ def bender_knuth_sweep(t: GtTriangle, j: int) -> GtTriangle:
     n = t.n
     if not (1 <= j <= n - 1):
         raise ValueError(f"sweep length must be in 1..{n - 1}, got {j}")
+    rows = [list(r) for r in t.rows]
     for k in range(1, j + 1):
-        t = bender_knuth(t, k)
-    return t
+        _reflect(rows, k)
+    return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
 def schutzenberger(t: GtTriangle) -> GtTriangle:
@@ -58,10 +72,13 @@ def schutzenberger(t: GtTriangle) -> GtTriangle:
     The longest sweep is applied first; this is the composition order
     under which the result is an involution agreeing with both the word
     oracle and the diagonal formula (checked by the import self-test).
+    All n(n-1)/2 reflections run in place on one copy of the rows.
     """
+    rows = [list(r) for r in t.rows]
     for j in range(t.n - 1, 0, -1):
-        t = bender_knuth_sweep(t, j)
-    return t
+        for k in range(1, j + 1):
+            _reflect(rows, k)
+    return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -90,14 +107,15 @@ def schutzenberger_diagonal(t: GtTriangle) -> DiagonalTable:
     a telescoped form of the chain sum; each step weight is <= 0, and
     the dynamic program runs over (step, column) with suffix maxima.
     """
-    n = t.n
-    corner = t[n, n]
+    rows = t.rows
+    n = len(rows)
+    corner = rows[0][-1]
     values = [0] * n
     chains: list[tuple[int, ...]] = [(n,)] * n
     values[n - 1] = corner
 
-    def w(m: int, c: int) -> int:
-        return t[c + m, c] - t[c + m - 1, c]
+    def w(m: int, c: int) -> int:  # x[c+m, c] - x[c+m-1, c]
+        return rows[n - c - m][c - 1] - rows[n - c - m + 1][c - 1]
 
     # f[m][c]: optimum over chains of m steps ending at column c, with
     # column range 1 <= c <= n - m; back[m][c] remembers the previous column.
@@ -144,10 +162,11 @@ def is_gogam(t: GtTriangle) -> bool:
     """
     if validate_gt(t):
         return False
-    if t[t.n, t.n] > t.n:
+    n = t.n
+    if t.rows[0][-1] > n:
         return False
     table = schutzenberger_diagonal(t)
-    return all(table.values[k - 1] <= k for k in range(1, t.n + 1))
+    return all(table.values[k - 1] <= k for k in range(1, n + 1))
 
 
 # The composition order of the sweeps is fixed empirically: both orders

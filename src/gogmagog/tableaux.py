@@ -83,7 +83,7 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
             raise ValueError(f"letter <= {i} appears above tableau row {i}")
         shape = (counts[:i] + [0] * i)[:i]
         rows_top_down.append(tuple(reversed(shape)))
-    return GtTriangle(tuple(rows_top_down))
+    return GtTriangle._trusted(tuple(rows_top_down))
 
 
 def reading_word(s: Ssyt) -> Word:

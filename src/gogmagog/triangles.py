@@ -16,9 +16,10 @@ plane partitions); trapezoids pin everything far from the right edge.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
 
@@ -73,29 +74,31 @@ class GtTriangle:
                     f"entries, got {len(row)}"
                 )
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "GtTriangle":
+        """Wrap rows the library built itself: a non-empty top-down tuple
+        of int tuples of lengths n, n-1, ..., 1.  No coercion, no checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        if not (1 <= j <= i <= self.n):
-            raise IndexError(f"no cell ({i},{j}) in a size-{self.n} triangle")
-        return self.rows[self.n - i][j - 1]
+        n = len(self.rows)
+        if not (1 <= j <= i <= n):
+            raise IndexError(f"no cell ({i},{j}) in a size-{n} triangle")
+        return self.rows[n - i][j - 1]
 
     def row(self, i: int) -> tuple[int, ...]:
         """Row i (1-based, row n is the top row)."""
-        if not (1 <= i <= self.n):
-            raise IndexError(f"no row {i} in a size-{self.n} triangle")
-        return self.rows[self.n - i]
-
-    def replace_row(self, i: int, entries: Iterable[int]) -> "GtTriangle":
-        new = tuple(int(x) for x in entries)
-        if len(new) != i:
-            raise ShapeError(f"row {i} must have {i} entries, got {len(new)}")
-        rows = list(self.rows)
-        rows[self.n - i] = new
-        return GtTriangle(tuple(rows))
+        n = len(self.rows)
+        if not (1 <= i <= n):
+            raise IndexError(f"no row {i} in a size-{n} triangle")
+        return self.rows[n - i]
 
 
 class Inversion(NamedTuple):
@@ -112,17 +115,17 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
     of the offending pair, so enumeration failures stay diagnosable.
     """
     bad = []
-    n = t.n
+    rows = t.rows
+    n = len(rows)
     for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            x = t[i, j]
+        for j, x in enumerate(rows[n - i], 1):
             if x < 1:
                 bad.append(Violation(i, j, f"entry {x} is not positive"))
     for i in range(1, n):
-        for j in range(1, i + 1):
-            x = t[i, j]
-            lo = t[i + 1, j]
-            hi = t[i + 1, j + 1]
+        above = rows[n - i - 1]  # row i+1
+        for j, x in enumerate(rows[n - i], 1):
+            lo = above[j - 1]
+            hi = above[j]
             if x < lo:
                 bad.append(
                     Violation(i, j, f"{x} < {lo} breaks x[{i+1},{j}] <= x[{i},{j}]")
@@ -142,11 +145,10 @@ def is_gog(t: GtTriangle) -> bool:
     """Strictly increasing rows below the top, top row pinned to 1..n."""
     if validate_gt(t):
         return False
-    n = t.n
-    if any(t[n, j] != j for j in range(1, n + 1)):
+    rows = t.rows
+    if rows[0] != tuple(range(1, len(rows) + 1)):
         return False
-    for i in range(2, n):
-        row = t.row(i)
+    for row in rows[1:-1]:
         if any(a >= b for a, b in zip(row, row[1:])):
             return False
     return True
@@ -156,7 +158,9 @@ def is_magog(t: GtTriangle) -> bool:
     """Diagonal bound x[i,i] <= i for every i."""
     if validate_gt(t):
         return False
-    return all(t[i, i] <= i for i in range(1, t.n + 1))
+    rows = t.rows
+    n = len(rows)
+    return all(rows[n - i][-1] <= i for i in range(1, n + 1))
 
 
 def is_trapezoid(t: GtTriangle, family: Family, k: int) -> bool:
@@ -167,17 +171,14 @@ def is_trapezoid(t: GtTriangle, family: Family, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"trapezoid width must be >= 1, got {k}")
-    if family is Family.GOG:
-        pin = lambda i, j: j
-    elif family in (Family.MAGOG, Family.GOGAM):
-        pin = lambda i, j: 1
-    else:
+    if family not in (Family.GOG, Family.MAGOG, Family.GOGAM):
         raise ValueError(f"no trapezoid condition for family {family}")
-    n = t.n
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            if i - j >= k and t[i, j] != pin(i, j):
-                return False
+    rows = t.rows
+    n = len(rows)
+    pins = tuple(range(1, n + 1)) if family is Family.GOG else (1,) * n
+    for i in range(k + 1, n + 1):
+        if rows[n - i][: i - k] != pins[: i - k]:  # cells (i, 1) .. (i, i-k)
+            return False
     return True
 
 
@@ -253,6 +254,11 @@ def _covering_walk(invs: set[Inversion], i: int, j: int) -> int:
 # below serve both and leave the shape check to the constructor.
 
 
+# ASCII decimal only: int() alone would also read "1_0", "+3" and
+# non-ASCII digits such as U+0663.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _format_sized_rows(rows: tuple[tuple[int, ...], ...]) -> str:
     lines = [str(len(rows))]
     lines += [" ".join(str(x) for x in row) for row in rows]
@@ -263,18 +269,17 @@ def _parse_sized_rows(text: str, noun: str) -> tuple[tuple[int, ...], ...]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ShapeError(f"empty {noun} file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ShapeError(f"first line must be the size, got {lines[0]!r}") from None
+    if not _INTEGER.fullmatch(lines[0].strip()):
+        raise ShapeError(f"first line must be the size, got {lines[0]!r}")
+    n = int(lines[0])
     if len(lines) != n + 1:
         raise ShapeError(f"expected {n} rows after the size line, got {len(lines) - 1}")
     rows = []
     for ln in lines[1:]:
-        try:
-            rows.append(tuple(int(tok) for tok in ln.split()))
-        except ValueError:
-            raise ShapeError(f"non-integer entry in row {ln!r}") from None
+        tokens = ln.split()
+        if not all(map(_INTEGER.fullmatch, tokens)):
+            raise ShapeError(f"non-integer entry in row {ln!r}")
+        rows.append(tuple(map(int, tokens)))
     return tuple(rows)
 
 

@@ -3,10 +3,13 @@
 Each test prints a single PASS line once its assertions hold, so a
 verbose run reads as a checklist.  The heavy criteria state explicit
 wall-clock budgets (five minutes for the size-6 counts, ten minutes for
-the full size-7 trapezoid sweep) and the tests enforce them.
+the full size-7 trapezoid sweep) and the tests enforce them.  Criteria
+5 and 6 also run at n = 8 in the opt-in slow tier (``pytest -m slow``).
 """
 
 import time
+
+import pytest
 
 from gogmagog.asm import bottom_row_one_column, gog_to_asm
 from gogmagog.bijection import Rule, gog_to_gogam_n2
@@ -141,3 +144,18 @@ def test_criterion_10_braid_failure_witness():
 
     assert chain(t, (1, 2, 1)) != chain(t, (2, 1, 2))
     _passed(10, "stored size-4 witness breaks the braid relation")
+
+
+@pytest.mark.slow
+def test_criterion_05_n2_bijection_n8():
+    report = verify("bijection-n2", 8)
+    assert report.ok and report.failures == []
+    assert report.histogram["trapezoids-8"] == 113_945
+    _passed(5, f"forward/inverse bijection over the (8,2) trapezoids ({report.millis} ms)")
+
+
+@pytest.mark.slow
+def test_criterion_06_trace_lemmas_n8():
+    report = verify("rule-trace-lemmas", 8)
+    assert report.ok, report.failures
+    _passed(6, f"rule-sequence lemmas up to n=8 ({report.checks} checks, {report.millis} ms)")

@@ -133,3 +133,13 @@ def test_text_round_trip():
 def test_json_rejects_malformed_rows(text):
     with pytest.raises(ShapeError):
         asm_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2\n0 1\n1 0_0\n", "2\n0 1\n\u0661 0\n", "\u0662\n0 1\n1 0\n", "2\n0 +1\n1 0\n"],
+    ids=["underscore", "arabic-indic-entry", "arabic-indic-size", "plus-sign"],
+)
+def test_text_rejects_non_ascii_decimal(text):
+    with pytest.raises(ShapeError):
+        parse_asm(text)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from gogmagog.bijection import (
@@ -17,7 +19,7 @@ from gogmagog.bijection import (
 )
 from gogmagog.enumeration import FamilySpec, generate
 from gogmagog.schutzenberger import is_gogam, schutzenberger
-from gogmagog.triangles import Family, GtTriangle, is_magog, is_trapezoid
+from gogmagog.triangles import Family, GtTriangle, is_magog, is_trapezoid, is_valid_gt
 
 from conftest import tri
 
@@ -232,3 +234,40 @@ class TestStatistics:
                 out, _ = gog_to_gogam_n2(t)
                 assert statistic_x11(out) == statistic_x11(t)
                 assert magog_row_statistic(schutzenberger(out)) == statistic_x11(t)
+
+
+class TestStateInvariants:
+    NOT_GT = "materialized triangle is not Gelfand-Tsetlin"
+
+    def test_direct_check_matches_materialized_reference(self):
+        """The O(k) check on (n, u, v) against validating the materialized
+        triangle, over every state with n <= 4, 1 <= k <= n and entries
+        0..n+1."""
+        states = gt = 0
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for entries in product(range(n + 2), repeat=2 * k - 1):
+                    state = BijectionState(n, entries[:k], entries[k:])
+                    ref = is_valid_gt(state.materialize())
+                    assert (self.NOT_GT not in state.check_invariants()) == ref
+                    states += 1
+                    gt += ref
+        assert (states, gt) == (291_260, 959)
+
+    def test_direct_check_past_k_equals_n(self):
+        """k = n+1, n+2 with n <= 2, where the constant n-k+1 drops below 1
+        (it shows in the triangle once k >= 3)."""
+        states = gt = 0
+        for n in range(1, 3):
+            for k in range(n + 1, n + 3):
+                for entries in product(range(n + 2), repeat=2 * k - 1):
+                    state = BijectionState(n, entries[:k], entries[k:])
+                    ref = is_valid_gt(state.materialize())
+                    assert (self.NOT_GT not in state.check_invariants()) == ref
+                    states += 1
+                    gt += ref
+        assert (states, gt) == (17_678, 4)
+
+    def test_failure_string_comes_first(self):
+        problems = BijectionState(3, (3, 4, 1), (2, 1)).check_invariants()
+        assert problems[0] == self.NOT_GT

@@ -199,3 +199,24 @@ def test_usage_error_status(capsys):
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "validate", "--kind", "gog", "/nonexistent/file.txt")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_asm_family_rejects_bad_size(capsys, command, n):
+    code, out, err = run(capsys, command, "--kind", "asm", "--n", n)
+    assert code == 2 and out == ""
+    assert err.strip() and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["gt", "asm"])
+@pytest.mark.parametrize(
+    "text",
+    ["2\n1 2\n1_0\n", "2\n1 2\n\u0663\n", "\u0662\n1 2\n1\n", "2\n1 +2\n1\n"],
+    ids=["underscore", "arabic-indic-entry", "arabic-indic-size", "plus-sign"],
+)
+def test_text_entries_must_be_ascii_decimal(capsys, tmp_path, kind, text):
+    f = tmp_path / "source.txt"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--kind", kind, str(f))
+    assert code == 2 and out == "" and err

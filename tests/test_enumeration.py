@@ -85,3 +85,9 @@ def test_report_json_shape():
     data = json.loads(verify("counts", 2).to_json())
     assert set(data) == {"suite", "n", "checks", "failures", "histogram", "millis"}
     assert data["suite"] == "counts" and data["failures"] == []
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_asm_generation_rejects_bad_size(n):
+    with pytest.raises(ValueError):
+        generate_asms(n)  # raised at the call, before any iteration

@@ -8,7 +8,7 @@ from gogmagog.schutzenberger import (
     schutzenberger_diagonal,
 )
 from gogmagog.tableaux import schutzenberger_via_words
-from gogmagog.triangles import is_magog, is_valid_gt, parse_triangle
+from gogmagog.triangles import GtTriangle, is_magog, is_valid_gt, parse_triangle
 
 from conftest import FIXTURES, gt_triangles, random_gt, tri
 
@@ -118,3 +118,50 @@ class TestGogam:
         for n, bound in ((2, 4), (3, 5), (4, 5)):
             for t in gt_triangles(n, bound):
                 assert is_gogam(t) == is_magog(schutzenberger(t))
+
+
+def _bender_knuth_reference(t, k):
+    """The cell-by-cell definition of `bender_knuth`, through ``t[i, j]``."""
+    new_row = []
+    for j in range(1, k + 1):
+        lo = t[k + 1, j]
+        if k >= 2 and j >= 2:
+            lo = max(lo, t[k - 1, j - 1])
+        hi = t[k + 1, j + 1]
+        if j <= k - 1:
+            hi = min(hi, t[k - 1, j])
+        new_row.append(lo + hi - t[k, j])
+    rows = list(t.rows)
+    rows[t.n - k] = tuple(new_row)
+    return GtTriangle(tuple(rows))
+
+
+class TestInPlaceReflections:
+    """The in-place routes against their definitions, over every GT
+    triangle with n <= 4 and entries <= n+1 (2,896 triangles)."""
+
+    def test_reflection_matches_cell_reference(self):
+        for n in range(2, 5):
+            for t in gt_triangles(n, n + 1):
+                for k in range(1, n):
+                    assert bender_knuth(t, k) == _bender_knuth_reference(t, k)
+
+    def test_involution_is_the_longest_first_fold_of_sweeps(self):
+        checked = 0
+        for n in range(1, 5):
+            for t in gt_triangles(n, n + 1):
+                by_sweeps = by_cells = t
+                for j in range(n - 1, 0, -1):
+                    by_sweeps = bender_knuth_sweep(by_sweeps, j)
+                    for k in range(1, j + 1):
+                        by_cells = _bender_knuth_reference(by_cells, k)
+                assert schutzenberger(t) == by_sweeps == by_cells
+                checked += 1
+        assert checked == 2896
+
+    def test_input_is_left_untouched(self):
+        t = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
+        rows = t.rows
+        schutzenberger(t)
+        bender_knuth_sweep(t, 4)
+        assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))

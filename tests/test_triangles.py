@@ -5,6 +5,7 @@ from gogmagog.triangles import (
     GtTriangle,
     Inversion,
     ShapeError,
+    Violation,
     covered_cells,
     covering_count,
     format_triangle,
@@ -196,8 +197,90 @@ class TestFormats:
         with pytest.raises(ShapeError):
             parse_triangle("1\nx\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2\n1 2\n1_0\n",
+            "2\n1 2\n\u0663\n",
+            "\u0662\n1 2\n1\n",
+            "1_0\n1\n",
+            "2\n1 +2\n1\n",
+            "2\n1 2\n1.0\n",
+        ],
+        ids=["underscore", "arabic-indic-entry", "arabic-indic-size", "underscore-size",
+             "plus-sign", "decimal-point"],
+    )
+    def test_parse_accepts_only_ascii_decimal(self, text):
+        with pytest.raises(ShapeError):
+            parse_triangle(text)
+
+    def test_parse_accepts_negative_and_padded_tokens(self):
+        t = parse_triangle(" 2 \n-1   07\n 3\n")
+        assert t.rows == ((-1, 7), (3,))
+
     def test_getitem_is_one_based(self):
         assert GT5[5, 5] == 6
         assert GT5[1, 1] == 3
         with pytest.raises(IndexError):
             GT5[5, 6]
+
+
+def _validate_gt_reference(t):
+    """The cell-by-cell definition of `validate_gt`, through ``t[i, j]``."""
+    bad = []
+    n = t.n
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            x = t[i, j]
+            if x < 1:
+                bad.append(Violation(i, j, f"entry {x} is not positive"))
+    for i in range(1, n):
+        for j in range(1, i + 1):
+            x, lo, hi = t[i, j], t[i + 1, j], t[i + 1, j + 1]
+            if x < lo:
+                bad.append(Violation(i, j, f"{x} < {lo} breaks x[{i+1},{j}] <= x[{i},{j}]"))
+            if x > hi:
+                bad.append(Violation(i, j, f"{x} > {hi} breaks x[{i},{j}] <= x[{i+1},{j+1}]"))
+    return bad
+
+
+def test_validate_gt_matches_cell_reference_on_perturbations():
+    """Every single-entry +-1 perturbation of every GT triangle with
+    n <= 4 and entries <= n+1 gets the reference's violations, in order;
+    the 2,896 triangles have 56,848 perturbations, 33,974 of them broken."""
+    perturbed = broken = 0
+    for n in range(1, 5):
+        for t in gt_triangles(n, n + 1):
+            assert validate_gt(t) == [] == _validate_gt_reference(t)
+            for r in range(n):
+                for c in range(n - r):
+                    for delta in (-1, 1):
+                        rows = [list(row) for row in t.rows]
+                        rows[r][c] += delta
+                        p = GtTriangle(tuple(tuple(row) for row in rows))
+                        got = validate_gt(p)
+                        assert got == _validate_gt_reference(p)
+                        perturbed += 1
+                        broken += bool(got)
+    assert (perturbed, broken) == (56_848, 33_974)
+
+
+def test_family_tests_match_cell_reference():
+    """`is_gog`, `is_magog` and `is_trapezoid` read rows directly; their
+    definitions through ``t[i, j]`` must agree on every GT triangle with
+    n <= 4 and entries <= n+1."""
+    for n in range(1, 5):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+        for t in gt_triangles(n, n + 1):
+            gog = all(t[n, j] == j for j in range(1, n + 1)) and all(
+                t[i, j] < t[i, j + 1] for i in range(2, n) for j in range(1, i)
+            )
+            assert is_gog(t) == gog
+            assert is_magog(t) == all(t[i, i] <= i for i in range(1, n + 1))
+            for k in range(1, n + 1):
+                assert is_trapezoid(t, Family.GOG, k) == all(
+                    t[i, j] == j for i, j in cells if i - j >= k
+                )
+                assert is_trapezoid(t, Family.MAGOG, k) == all(
+                    t[i, j] == 1 for i, j in cells if i - j >= k
+                )
