@@ -15,6 +15,7 @@ from .triangles import (
     GtTriangle,
     ShapeError,
     _format_sized_rows,
+    _int_rows,
     _parse_sized_rows,
     _rows_from_json,
     _rows_to_json,
@@ -29,7 +30,7 @@ class Asm:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = _int_rows(self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:

@@ -32,7 +32,6 @@ from .triangles import (
     inversions,
     is_gog,
     is_trapezoid,
-    is_valid_gt,
 )
 
 
@@ -74,6 +73,30 @@ def _two_diagonals(t: GtTriangle) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row[-1] for row in rows), tuple(row[-2] for row in rows[:-1])
 
 
+def _diagonal_bounds_hold(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether all three families of `_diagonal_bound_violations` hold,
+    in O(k): the double-dip bound holds for every i < j exactly when it
+    holds for the largest v[i-1] - u[i] with i < j."""
+    top = u[0]
+    if top > n:
+        return False
+    if len(u) == 1:
+        return True
+    dip = v[0] - u[1]  # running max of v[i-1] - u[i] over i < j
+    if top + dip > n - 1:
+        return False
+    for j in range(2, len(u)):
+        vj = v[j - 1]
+        if top + dip - vj + 1 > j - 1:
+            return False
+        d = vj - u[j]
+        if top + d > n - 1:
+            return False
+        if d > dip:
+            dip = d
+    return True
+
+
 def _diagonal_bound_violations(
     n: int, u: tuple[int, ...], v: tuple[int, ...]
 ) -> list[str]:
@@ -81,7 +104,12 @@ def _diagonal_bound_violations(
 
     u[0] <= n;  u[0] - u[i] + v[i-1] <= n-1;  and for i < j
     u[0] - u[i] + v[i-1] - v[j-1] + 1 <= j - 1.
+
+    Every broken bound is listed, but the O(k^2) listing only runs
+    once the O(k) `_diagonal_bounds_hold` has found one.
     """
+    if _diagonal_bounds_hold(n, u, v):
+        return []
     bad = []
     if u[0] > n:
         bad.append(f"top corner {u[0]} exceeds {n}")
@@ -109,10 +137,23 @@ class BijectionState:
     v: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        if len(self.v) != max(len(self.u) - 1, 0):
+        u, v = tuple(self.u), tuple(self.v)
+        if not all(type(x) is int for x in (self.n, *u, *v)):  # bool is an int subclass
+            raise ValueError("size and diagonal entries must be integers")
+        if len(v) != max(len(u) - 1, 0):
             raise ValueError("second diagonal must be one entry shorter")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    @classmethod
+    def _trusted(cls, n: int, u: tuple[int, ...], v: tuple[int, ...]) -> "BijectionState":
+        """A state the steps built themselves: int tuples with
+        len(v) == len(u) - 1.  No coercion, no checks."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "u", u)
+        object.__setattr__(state, "v", v)
+        return state
 
     @property
     def k(self) -> int:
@@ -290,7 +331,7 @@ def forward_step(
     else:  # pragma: no cover - the guards above are exhaustive
         raise BijectionStateError(f"no rule matches (b,a) = ({b_k},{a_k}) at step {k}")
 
-    new_state = BijectionState(n, tuple(new_u), tuple(new_v))
+    new_state = BijectionState._trusted(n, tuple(new_u), tuple(new_v))
     problems = new_state.check_invariants()
     if problems:
         raise BijectionStateError(
@@ -407,7 +448,7 @@ def inverse_step(
             f"stripped diagonal pair ({v_k},{u_k}) matches no rule at step {k}"
         )
 
-    shrunk = BijectionState(n, tuple(old_u), tuple(old_v))
+    shrunk = BijectionState._trusted(n, tuple(old_u), tuple(old_v))
     problems = shrunk.check_invariants()
     if problems:
         raise InvalidGogamInput(f"undoing rule {rule.value} broke invariants: {problems}")
@@ -431,7 +472,8 @@ def gogam_to_gog_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
         if t != GtTriangle(((1,),)):
             raise InvalidGogamInput("the only size-1 GOGAm trapezoid is [1]")
         return t, ()
-    if not (is_valid_gt(t) and is_trapezoid(t, Family.GOGAM, 2) and is_gogam(t)):
+    # is_gogam is False on input that is not Gelfand-Tsetlin
+    if not (is_trapezoid(t, Family.GOGAM, 2) and is_gogam(t)):
         raise InvalidGogamInput("input is not a (n,2) GOGAm trapezoid")
     state = BijectionState.from_triangle(t)
     emitted: dict[int, tuple[int, int]] = {}

@@ -16,8 +16,9 @@ that never constructs the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .triangles import GtTriangle, validate_gt
+from .triangles import GtTriangle, _is_gt_rows
 
 
 def _reflect(rows: list[list[int]], k: int) -> None:
@@ -96,6 +97,38 @@ class DiagonalTable:
     chains: tuple[tuple[int, ...], ...]
 
 
+def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(k, f)`` for k = n-1 down to 1, where ``f[c-1]`` is the
+    best sum over chains of m = n-k steps whose last column is c, for
+    c = 1..k (see `schutzenberger_diagonal`).
+
+    Step m at column c weighs x[c+m, c] - x[c+m-1, c]; a chain reaches
+    column c at step m from any column in (c, k+1] at step m-1, so each
+    step takes a running suffix maximum of the previous ``f``.
+    """
+    n = len(rows)
+    if n == 1:
+        return
+    # m = 1: the chain starts at column n, any column c < n follows
+    f = [rows[n - c - 1][c - 1] - rows[n - c][c - 1] for c in range(1, n)]
+    yield n - 1, f
+    for k in range(n - 2, 0, -1):
+        g = [0] * k
+        best = f[k]
+        for c in range(k, 0, -1):
+            x = f[c]
+            if x > best:
+                best = x
+            # row index k - c holds row c + m, with m = n - k
+            g[c - 1] = best + rows[k - c][c - 1] - rows[k - c + 1][c - 1]
+        f = g
+        yield k, f
+
+
+def _last_index(xs: list[int], x: int) -> int:
+    return len(xs) - 1 - xs[::-1].index(x)
+
+
 def schutzenberger_diagonal(t: GtTriangle) -> DiagonalTable:
     """Closed-form rightmost diagonal of the involution image.
 
@@ -106,49 +139,26 @@ def schutzenberger_diagonal(t: GtTriangle) -> DiagonalTable:
 
     a telescoped form of the chain sum; each step weight is <= 0, and
     the dynamic program runs over (step, column) with suffix maxima.
+    Ties between witness columns go to the largest column.
     """
     rows = t.rows
     n = len(rows)
     corner = rows[0][-1]
-    values = [0] * n
+    values = [corner] * n
     chains: list[tuple[int, ...]] = [(n,)] * n
-    values[n - 1] = corner
-
-    def w(m: int, c: int) -> int:  # x[c+m, c] - x[c+m-1, c]
-        return rows[n - c - m][c - 1] - rows[n - c - m + 1][c - 1]
-
-    # f[m][c]: optimum over chains of m steps ending at column c, with
-    # column range 1 <= c <= n - m; back[m][c] remembers the previous column.
-    f: list[list[int | None]] = [[None] * (n + 2)]
-    back: list[list[int]] = [[0] * (n + 2)]
-    for m in range(1, n):
-        fm: list[int | None] = [None] * (n + 2)
-        bm = [0] * (n + 2)
-        if m == 1:
-            for c in range(1, n):
-                fm[c] = w(1, c)
-                bm[c] = n
-        else:
-            prev = f[m - 1]
-            best_val: int | None = None
-            best_arg = 0
-            for c in range(n - m, 0, -1):
-                cand = c + 1  # columns in (c, n-m+1] feed step m at column c
-                if cand <= n - m + 1 and prev[cand] is not None:
-                    if best_val is None or prev[cand] > best_val:
-                        best_val, best_arg = prev[cand], cand
-                if best_val is not None:
-                    fm[c] = best_val + w(m, c)
-                    bm[c] = best_arg
-        f.append(fm)
-        back.append(bm)
-        k = n - m
-        val, arg = max((fm[c], c) for c in range(1, n - m + 1) if fm[c] is not None)
-        values[k - 1] = corner + val
-        chain = [arg]
-        for mm in range(m, 1, -1):
-            arg = back[mm][arg]
-            chain.append(arg)
+    fs: list[list[int]] = []  # fs[m-1] is f after m steps
+    for k, f in _chain_optima(rows):
+        fs.append(f)
+        best = max(f)
+        values[k - 1] = corner + best
+        col = _last_index(f, best) + 1
+        chain = [col]
+        # walk back one step at a time: the chain came from the best
+        # column right of col in the previous f, the largest on a tie
+        for prev in reversed(fs[:-1]):
+            seg = prev[col:]
+            col += _last_index(seg, max(seg)) + 1
+            chain.append(col)
         chain.append(n)
         chains[k - 1] = tuple(reversed(chain))
     return DiagonalTable(n, tuple(values), tuple(chains))
@@ -159,14 +169,18 @@ def is_gogam(t: GtTriangle) -> bool:
 
     Checked through the diagonal formula: the corner is at most n and
     every diagonal value of the image is bounded by its row index.
+    Stops at the first row index whose bound breaks.
     """
-    if validate_gt(t):
+    rows = t.rows
+    if not _is_gt_rows(rows):
         return False
-    n = t.n
-    if t.rows[0][-1] > n:
+    corner = rows[0][-1]
+    if corner > len(rows):
         return False
-    table = schutzenberger_diagonal(t)
-    return all(table.values[k - 1] <= k for k in range(1, n + 1))
+    for k, f in _chain_optima(rows):
+        if corner + max(f) > k:
+            return False
+    return True
 
 
 # The composition order of the sweeps is fixed empirically: both orders

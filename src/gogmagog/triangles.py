@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import le
 from typing import Callable, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
@@ -54,14 +55,15 @@ class GtTriangle:
     ``rows[0]`` is row n (n entries), ``rows[-1]`` is row 1 (one entry).
     Entry access is 1-based through ``t[i, j]`` so that indices match the
     usual mathematical labelling; the 0-based layout is internal.
-    The constructor only enforces the triangular shape.  Value-level
-    constraints (positivity, interlacing) are checked by `validate_gt`.
+    The constructor only enforces integer entries and the triangular
+    shape.  Value-level constraints (positivity, interlacing) are
+    checked by `validate_gt`.
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = _int_rows(self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0:
@@ -101,6 +103,16 @@ class GtTriangle:
         return self.rows[n - i]
 
 
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples; every entry must be an ``int``
+    (not a float, bool or string), so nothing is truncated silently."""
+    rows = tuple(tuple(row) for row in rows)
+    for row in rows:
+        if not all(type(x) is int for x in row):  # bool is an int subclass
+            raise ShapeError(f"non-integer entry in row {list(row)!r}")
+    return rows
+
+
 class Inversion(NamedTuple):
     """Cell (i, j) whose entry equals the one directly above-left of it."""
 
@@ -137,15 +149,34 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
     return bad
 
 
+def _is_gt_rows(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether top-down ``rows`` are Gelfand-Tsetlin; stops at the first
+    broken inequality.
+
+    Interlacing makes the top row weakly increasing and puts every
+    entry at or above the top-row entry of its column, so a positive
+    top-left entry makes every entry positive.
+    """
+    if rows[0][0] < 1:
+        return False
+    above = rows[0]
+    for row in rows[1:]:
+        # x[i+1,j] <= x[i,j] and x[i,j] <= x[i+1,j+1]
+        if not (all(map(le, above, row)) and all(map(le, row, above[1:]))):
+            return False
+        above = row
+    return True
+
+
 def is_valid_gt(t: GtTriangle) -> bool:
-    return not validate_gt(t)
+    return _is_gt_rows(t.rows)
 
 
 def is_gog(t: GtTriangle) -> bool:
     """Strictly increasing rows below the top, top row pinned to 1..n."""
-    if validate_gt(t):
-        return False
     rows = t.rows
+    if not _is_gt_rows(rows):
+        return False
     if rows[0] != tuple(range(1, len(rows) + 1)):
         return False
     for row in rows[1:-1]:
@@ -156,9 +187,9 @@ def is_gog(t: GtTriangle) -> bool:
 
 def is_magog(t: GtTriangle) -> bool:
     """Diagonal bound x[i,i] <= i for every i."""
-    if validate_gt(t):
-        return False
     rows = t.rows
+    if not _is_gt_rows(rows):
+        return False
     n = len(rows)
     return all(rows[n - i][-1] <= i for i in range(1, n + 1))
 
@@ -288,16 +319,14 @@ def _rows_to_json(key: str, rows: tuple[tuple[int, ...], ...]) -> str:
 
 
 def _rows_from_json(text: str, key: str, make: Callable[..., _T]) -> _T:
-    """``make(rows)`` from a JSON object holding ``key``; entries must be
-    JSON integers, and an ``n`` field must match the object's size."""
+    """``make(rows)`` from a JSON object holding ``key``; ``make`` checks
+    that the entries are integers, and an ``n`` field must match the
+    object's size."""
     data = json.loads(text)
     rows = data.get(key) if isinstance(data, dict) else None
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise ShapeError(f"JSON input needs a {key!r} list of rows")
-    for row in rows:
-        if not all(type(x) is int for x in row):  # bool is an int subclass
-            raise ShapeError(f"non-integer entry in row {row!r}")
-    obj = make(tuple(tuple(r) for r in rows))
+    obj = make(rows)
     n = data.get("n", obj.n)
     if type(n) is not int or n != obj.n:
         raise ShapeError("size field does not match the row data")

@@ -120,6 +120,17 @@ def test_text_round_trip():
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [((0.5, 1), (1, 0)), ((0, 1), (1.0, 0)), ((0, True), (1, 0)), ((0, 1), ("1", 0))],
+    ids=["float", "integral-float", "bool", "string"],
+)
+def test_constructor_rejects_non_int_entries(rows):
+    # nothing is truncated: (0.5, 1), (1, 0) would read as a permutation matrix
+    with pytest.raises(ShapeError, match="non-integer entry"):
+        Asm(rows)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"n": 2, "rows": [[0, 1], [1.5, 0]]}',

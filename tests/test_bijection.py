@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from gogmagog.bijection import (
     GogamDiagonals,
     InvalidGogamInput,
     Rule,
+    _diagonal_bound_violations,
     covering_subtraction_map,
     extract_diagonals,
     forward_step,
@@ -271,3 +273,66 @@ class TestStateInvariants:
     def test_failure_string_comes_first(self):
         problems = BijectionState(3, (3, 4, 1), (2, 1)).check_invariants()
         assert problems[0] == self.NOT_GT
+
+    @pytest.mark.parametrize(
+        "n, u, v",
+        [(3, (3.5, 2), (2,)), (3, (3, 2), (2.0,)), (3, (3, True), (2,)), (3, ("3", 2), (2,)),
+         (3.0, (3, 2), (2,))],
+        ids=["float", "integral-float", "bool", "string", "float-size"],
+    )
+    def test_constructor_rejects_non_int_entries(self, n, u, v):
+        with pytest.raises(ValueError, match="must be integers"):
+            BijectionState(n, u, v)
+
+    def test_trusted_state_equals_checked_state(self):
+        state = BijectionState(5, [5, 3, 3], [4, 2])
+        assert BijectionState._trusted(5, (5, 3, 3), (4, 2)) == state
+        assert state.u == (5, 3, 3) and state.v == (4, 2)
+
+
+def _bound_violations_reference(n, u, v):
+    """Every bound of the three (n,2) families checked pair by pair."""
+    bad = []
+    if u[0] > n:
+        bad.append(f"top corner {u[0]} exceeds {n}")
+    for i in range(1, len(u)):
+        if u[0] - u[i] + v[i - 1] > n - 1:
+            bad.append(f"single-dip bound broken at depth {i}")
+    for i in range(1, len(u)):
+        for j in range(i + 1, len(u)):
+            if u[0] - u[i] + v[i - 1] - v[j - 1] + 1 > j - 1:
+                bad.append(f"double-dip bound broken at depths ({i},{j})")
+    return bad
+
+
+class TestDiagonalBounds:
+    def test_matches_pair_reference_exhaustively(self):
+        """Every (u, v) with n <= 4, 1 <= k <= n and entries 0..n+1."""
+        seen = held = 0
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for entries in product(range(n + 2), repeat=2 * k - 1):
+                    u, v = entries[:k], entries[k:]
+                    got = _diagonal_bound_violations(n, u, v)
+                    assert got == _bound_violations_reference(n, u, v)
+                    seen += 1
+                    held += not got
+        assert (seen, held) == (291_260, 66_938)
+
+    def test_matches_pair_reference_random(self):
+        """20,000 seeded (u, v) with n <= 8; half draw every entry from
+        0..n+1, half keep both diagonals nonincreasing, as in a state."""
+        rng = random.Random(0x6A3E)
+        held = 0
+        for draw in range(20_000):
+            n = rng.randint(1, 8)
+            k = rng.randint(1, n)
+            u = [rng.randint(0, n + 1) for _ in range(k)]
+            v = [rng.randint(0, n + 1) for _ in range(k - 1)]
+            if draw % 2:
+                u.sort(reverse=True)
+                v.sort(reverse=True)
+            got = _diagonal_bound_violations(n, tuple(u), tuple(v))
+            assert got == _bound_violations_reference(n, tuple(u), tuple(v))
+            held += not got
+        assert held == 8_100

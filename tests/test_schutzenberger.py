@@ -1,6 +1,7 @@
 import pytest
 
 from gogmagog.schutzenberger import (
+    DiagonalTable,
     bender_knuth,
     bender_knuth_sweep,
     is_gogam,
@@ -118,6 +119,79 @@ class TestGogam:
         for n, bound in ((2, 4), (3, 5), (4, 5)):
             for t in gt_triangles(n, bound):
                 assert is_gogam(t) == is_magog(schutzenberger(t))
+
+
+def _diagonal_reference(t):
+    """A second implementation of `schutzenberger_diagonal`: one DP over
+    (step, column) with a back-pointer table, ties to the largest column."""
+    rows = t.rows
+    n = len(rows)
+    corner = rows[0][-1]
+    values = [0] * n
+    chains = [(n,)] * n
+    values[n - 1] = corner
+
+    def w(m, c):  # x[c+m, c] - x[c+m-1, c]
+        return rows[n - c - m][c - 1] - rows[n - c - m + 1][c - 1]
+
+    f = [[None] * (n + 2)]
+    back = [[0] * (n + 2)]
+    for m in range(1, n):
+        fm = [None] * (n + 2)
+        bm = [0] * (n + 2)
+        if m == 1:
+            for c in range(1, n):
+                fm[c] = w(1, c)
+                bm[c] = n
+        else:
+            prev = f[m - 1]
+            best_val = None
+            best_arg = 0
+            for c in range(n - m, 0, -1):
+                cand = c + 1
+                if cand <= n - m + 1 and prev[cand] is not None:
+                    if best_val is None or prev[cand] > best_val:
+                        best_val, best_arg = prev[cand], cand
+                if best_val is not None:
+                    fm[c] = best_val + w(m, c)
+                    bm[c] = best_arg
+        f.append(fm)
+        back.append(bm)
+        k = n - m
+        val, arg = max((fm[c], c) for c in range(1, n - m + 1) if fm[c] is not None)
+        values[k - 1] = corner + val
+        chain = [arg]
+        for mm in range(m, 1, -1):
+            arg = back[mm][arg]
+            chain.append(arg)
+        chain.append(n)
+        chains[k - 1] = tuple(reversed(chain))
+    return DiagonalTable(n, tuple(values), tuple(chains))
+
+
+def _check_diagonal_kernel(n_max):
+    """Tables equal to the reference, and `is_gogam` equal to the bound
+    test on the reference table, on every GT triangle with n <= n_max
+    and entries <= n+1; returns (triangles, GOGAm members)."""
+    seen = members = 0
+    for n in range(1, n_max + 1):
+        for t in gt_triangles(n, n + 1):
+            ref = _diagonal_reference(t)
+            assert schutzenberger_diagonal(t) == ref
+            member = all(ref.values[k - 1] <= k for k in range(1, n + 1))
+            assert is_gogam(t) == member
+            seen += 1
+            members += member
+    return seen, members
+
+
+class TestDiagonalKernel:
+    def test_matches_back_pointer_reference(self):
+        assert _check_diagonal_kernel(4) == (2_896, 52)
+
+    @pytest.mark.slow
+    def test_matches_back_pointer_reference_n5(self):
+        assert _check_diagonal_kernel(5) == (153_904, 481)
 
 
 def _bender_knuth_reference(t, k):

@@ -1,5 +1,6 @@
 import pytest
 
+from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import (
     Family,
     GtTriangle,
@@ -52,6 +53,19 @@ class TestValidate:
             GtTriangle(((1, 2, 3), (1,)))
         with pytest.raises(ShapeError):
             GtTriangle(())
+
+    @pytest.mark.parametrize(
+        "rows",
+        [((1.9, 2.5), (1,)), ((1, 2), (2.0,)), ((1, 2), (True,)), ((1, 2), ("2",))],
+        ids=["float", "integral-float", "bool", "string"],
+    )
+    def test_constructor_rejects_non_int_entries(self, rows):
+        # nothing is truncated: (1.9, 2.5), (True,) would read as (1, 2), (1,)
+        with pytest.raises(ShapeError, match="non-integer entry"):
+            GtTriangle(rows)
+
+    def test_constructor_accepts_int_lists(self):
+        assert GtTriangle([[1, 2], [2]]).rows == ((1, 2), (2,))
 
     def test_rows_weakly_increase_in_every_valid_triangle(self):
         for t in gt_triangles(4, 4):
@@ -244,25 +258,51 @@ def _validate_gt_reference(t):
     return bad
 
 
-def test_validate_gt_matches_cell_reference_on_perturbations():
-    """Every single-entry +-1 perturbation of every GT triangle with
-    n <= 4 and entries <= n+1 gets the reference's violations, in order;
-    the 2,896 triangles have 56,848 perturbations, 33,974 of them broken."""
-    perturbed = broken = 0
+def _perturbations():
+    """(t, p) for every single-entry +-1 perturbation p of every GT
+    triangle t with n <= 4 and entries <= n+1."""
     for n in range(1, 5):
         for t in gt_triangles(n, n + 1):
-            assert validate_gt(t) == [] == _validate_gt_reference(t)
             for r in range(n):
                 for c in range(n - r):
                     for delta in (-1, 1):
                         rows = [list(row) for row in t.rows]
                         rows[r][c] += delta
-                        p = GtTriangle(tuple(tuple(row) for row in rows))
-                        got = validate_gt(p)
-                        assert got == _validate_gt_reference(p)
-                        perturbed += 1
-                        broken += bool(got)
+                        yield t, GtTriangle(tuple(tuple(row) for row in rows))
+
+
+def test_validate_gt_matches_cell_reference_on_perturbations():
+    """Every perturbation gets the reference's violations, in order; the
+    2,896 triangles have 56,848 perturbations, 33,974 of them broken."""
+    perturbed = broken = 0
+    for t, p in _perturbations():
+        assert validate_gt(t) == [] == _validate_gt_reference(t)
+        got = validate_gt(p)
+        assert got == _validate_gt_reference(p)
+        perturbed += 1
+        broken += bool(got)
     assert (perturbed, broken) == (56_848, 33_974)
+
+
+def test_membership_tests_match_definitions_on_perturbations():
+    """The early-exit membership tests against their definitions on the
+    same 56,848 perturbations, broken ones included."""
+    counts = [0, 0, 0, 0]
+    for _, p in _perturbations():
+        valid = not validate_gt(p)
+        n = p.n
+        gog = valid and all(p[n, j] == j for j in range(1, n + 1)) and all(
+            p[i, j] < p[i, j + 1] for i in range(2, n) for j in range(1, i)
+        )
+        magog = valid and all(p[i, i] <= i for i in range(1, n + 1))
+        gogam = valid and is_magog(schutzenberger(p))
+        assert is_valid_gt(p) == valid
+        assert is_gog(p) == gog
+        assert is_magog(p) == magog
+        assert is_gogam(p) == gogam
+        for idx, member in enumerate((valid, gog, magog, gogam)):
+            counts[idx] += member
+    assert counts == [22_874, 414, 265, 252]
 
 
 def test_family_tests_match_cell_reference():
