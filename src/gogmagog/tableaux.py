@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le, lt
 
-from .triangles import GtTriangle
+from .triangles import GtTriangle, _int_rows
 
 Word = tuple[int, ...]
 
@@ -29,8 +31,16 @@ class Ssyt:
     n: int
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _int_rows(self.rows))
+
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], n: int) -> "Ssyt":
+        """Wrap rows the library built itself: a tuple of int tuples.
+        No coercion, no checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "rows", rows)
+        object.__setattr__(s, "n", n)
+        return s
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,34 +66,78 @@ def validate_ssyt(s: Ssyt) -> list[str]:
 
 
 def triangle_to_tableau(t: GtTriangle) -> Ssyt:
-    """Tableau whose letters <= i fill the shape given by triangle row i."""
-    n = t.n
-    rows: list[list[int]] = []
-    prev: tuple[int, ...] = ()
-    for i in range(1, n + 1):
-        shape = tuple(reversed(t.row(i)))
-        for r, length in enumerate(shape):
-            if r >= len(rows):
-                rows.append([])
-            have = prev[r] if r < len(prev) else 0
-            rows[r].extend([i] * (length - have))
-        prev = shape
-    return Ssyt(tuple(tuple(r) for r in rows), n)
+    """Tableau whose letters <= i fill the shape given by triangle row i.
+
+    Tableau row r (0-based) holds x[i, i-r] - x[i-1, i-1-r] copies of
+    letter i for i = r+1..n, reading x[r, 0] as 0: the entries of the
+    diagonal that starts at x[r+1, 1] and climbs to x[n, n-r].  A
+    negative difference (on a triangle that does not interlace) adds
+    no letters, so every triangle gives exactly n rows.
+    """
+    rows = t.rows
+    n = len(rows)
+    out = []
+    for r in range(n):
+        row: list[int] = []
+        have = 0
+        for i in range(r + 1, n + 1):
+            length = rows[n - i][i - r - 1]
+            row += [i] * (length - have)
+            have = length
+        out.append(tuple(row))
+    return Ssyt._trusted(tuple(out), n)
+
+
+def _is_ssyt_rows(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether French-convention ``rows`` form a semistandard tableau on
+    1..n with no empty row; stops at the first broken condition."""
+    below: tuple[int, ...] | None = None
+    for row in rows:
+        # non-empty, letters in 1..n, weakly increasing
+        if not row or row[0] < 1 or row[-1] > n or not all(map(le, row, row[1:])):
+            return False
+        # no longer than the row below, columns strict
+        if below is not None and (len(row) > len(below) or not all(map(lt, below, row))):
+            return False
+        below = row
+    return True
 
 
 def tableau_to_triangle(s: Ssyt) -> GtTriangle:
-    """Inverse of `triangle_to_tableau`; letters must not exceed ``s.n``."""
+    """Inverse of `triangle_to_tableau`.
+
+    The tableau must be semistandard on 1..``s.n`` with no empty row;
+    otherwise `ValueError` says why.  Entry x[i, i-r] is the number of
+    letters <= i in tableau row r.
+    """
     n = s.n
-    if any(x > n for row in s.rows for x in row):
-        raise ValueError(f"tableau letters exceed the alphabet bound {n}")
+    rows = s.rows
+    if n < 1 or not _is_ssyt_rows(rows, n):
+        raise ValueError(_tableau_problem(s))
+    m = len(rows)
     rows_top_down = []
     for i in range(n, 0, -1):
-        counts = [sum(1 for x in row if x <= i) for row in s.rows]
-        if any(c > 0 for c in counts[i:]):
-            raise ValueError(f"letter <= {i} appears above tableau row {i}")
-        shape = (counts[:i] + [0] * i)[:i]
-        rows_top_down.append(tuple(reversed(shape)))
+        # rows r >= i hold no letter <= i; a tableau of m < i rows pads with 0
+        counts = tuple(map(bisect_right, rows[i - 1::-1], repeat(i)))
+        rows_top_down.append((0,) * (i - m) + counts)
     return GtTriangle._trusted(tuple(rows_top_down))
+
+
+def _tableau_problem(s: Ssyt) -> str:
+    """Why `tableau_to_triangle` rejects ``s``: the alphabet bound first,
+    then a letter <= i above row i (largest i first), then everything
+    `validate_ssyt` and the empty-row check report."""
+    n = s.n
+    if any(x > n for row in s.rows for x in row):
+        return f"tableau letters exceed the alphabet bound {n}"
+    for i in range(n, 0, -1):
+        if any(x <= i for row in s.rows[i:] for x in row):
+            return f"letter <= {i} appears above tableau row {i}"
+    bad = validate_ssyt(s)
+    bad += [f"row {r} is empty" for r, row in enumerate(s.rows, start=1) if not row]
+    if n < 1:
+        bad.append(f"the alphabet 1..{n} is empty")
+    return "tableau is not semistandard: " + "; ".join(bad)
 
 
 def reading_word(s: Ssyt) -> Word:
@@ -94,10 +148,17 @@ def reading_word(s: Ssyt) -> Word:
     return tuple(out)
 
 
+def _check_word(word: Word, n: int) -> None:
+    """Every letter must be an ``int`` (not a float, bool or string) in 1..n."""
+    if not set(map(type, word)) <= {int}:  # bool is an int subclass
+        raise ValueError(f"letters must be integers, got {word!r}")
+    if word and (min(word) < 1 or max(word) > n):
+        raise ValueError(f"letters must lie in 1..{n}")
+
+
 def complement_reverse(word: Word, n: int) -> Word:
     """Reverse the word and replace each letter i by n+1-i."""
-    if any(x < 1 or x > n for x in word):
-        raise ValueError(f"letters must lie in 1..{n}")
+    _check_word(word, n)
     return tuple(n + 1 - x for x in reversed(word))
 
 
@@ -109,6 +170,7 @@ def rsk_insertion_tableau(word: Word, n: int) -> Ssyt:
     and columns strictly increasing.  The bottom row length equals the
     longest nondecreasing subsequence of the word.
     """
+    _check_word(word, n)
     rows: list[list[int]] = []
     for x in word:
         cur = x
@@ -121,7 +183,7 @@ def rsk_insertion_tableau(word: Word, n: int) -> Ssyt:
             row[pos], cur = cur, row[pos]
         if cur is not None:
             rows.append([cur])
-    return Ssyt(tuple(tuple(r) for r in rows), n)
+    return Ssyt._trusted(tuple(map(tuple, rows)), n)
 
 
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:

@@ -20,6 +20,19 @@ def gt_triangles(n, bound):
     yield from _generate_gt(n, bound)
 
 
+def gt_perturbations():
+    """(t, p) for every single-entry +-1 perturbation p of every GT
+    triangle t with n <= 4 and entries <= n+1."""
+    for n in range(1, 5):
+        for t in gt_triangles(n, n + 1):
+            for r in range(n):
+                for c in range(n - r):
+                    for delta in (-1, 1):
+                        rows = [list(row) for row in t.rows]
+                        rows[r][c] += delta
+                        yield t, GtTriangle(tuple(tuple(row) for row in rows))
+
+
 def random_gt(rng: random.Random, n: int, bound: int) -> GtTriangle:
     """One uniform-ish triangle: random top row, then random interlacing."""
     top = sorted(rng.randint(1, bound) for _ in range(n))

@@ -3,8 +3,9 @@
 Each test prints a single PASS line once its assertions hold, so a
 verbose run reads as a checklist.  The heavy criteria state explicit
 wall-clock budgets (five minutes for the size-6 counts, ten minutes for
-the full size-7 trapezoid sweep) and the tests enforce them.  Criteria
-5 and 6 also run at n = 8 in the opt-in slow tier (``pytest -m slow``).
+the full size-7 trapezoid sweep) and the tests enforce them.  The
+opt-in slow tier (``pytest -m slow``) runs criterion 3 at n = 5 and
+criteria 5 and 6 at n = 8.
 """
 
 import time
@@ -76,6 +77,15 @@ def test_criterion_03_oracle_equivalence():
     report = verify("oracle", 4)
     assert report.ok, report.failures
     _passed(3, f"word pipeline matches operator composite ({report.checks} triangles)")
+
+
+@pytest.mark.slow
+def test_criterion_03_oracle_equivalence_n5():
+    report = verify("oracle", 5)
+    assert report.ok and report.failures == []
+    assert report.checks == 153_904
+    _passed(3, f"word pipeline matches operator composite up to n=5 "
+               f"({report.checks} triangles, {report.millis} ms)")
 
 
 def test_criterion_04_diagonal_formula():

@@ -1,3 +1,6 @@
+from bisect import bisect_right
+from itertools import product
+
 import pytest
 
 from gogmagog.tableaux import (
@@ -10,8 +13,9 @@ from gogmagog.tableaux import (
     triangle_to_tableau,
     validate_ssyt,
 )
+from gogmagog.triangles import GtTriangle, ShapeError, is_valid_gt
 
-from conftest import gt_triangles, random_gt, tri
+from conftest import gt_perturbations, gt_triangles, random_gt, tri
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 TABLEAU5 = Ssyt(((1, 1, 1, 2, 4, 5), (2, 2, 5), (3, 3), (4, 5), (5,)), 5)
@@ -49,8 +53,78 @@ class TestTriangleTableau:
                 assert tableau_to_triangle(triangle_to_tableau(t)) == t
 
     def test_letters_above_bound_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceed the alphabet bound 2"):
             tableau_to_triangle(Ssyt(((1, 3),), 2))
+
+    def test_small_letter_above_its_row_rejected(self):
+        with pytest.raises(ValueError, match="letter <= 1 appears above tableau row 1"):
+            tableau_to_triangle(Ssyt(((2,), (1,)), 2))
+
+    @pytest.mark.parametrize(
+        "rows, n, why",
+        [
+            (((2, 1),), 2, "row 1 is not weakly increasing"),
+            (((),), 1, "row 1 is empty"),
+            (((1, 2), ()), 2, "row 2 is empty"),
+            (((0, 1),), 1, "row 1 has letters outside 1..1"),
+            (((1,), (2, 2)), 2, "row 2 is longer than row 1"),
+            (((1, 2), (2, 2)), 2, "columns between rows 1 and 2 not strict"),
+            ((), 0, "the alphabet 1..0 is empty"),
+        ],
+        ids=["decreasing-row", "empty-row", "empty-upper-row", "letter-0",
+             "longer-upper-row", "column-not-strict", "empty-alphabet"],
+    )
+    def test_non_semistandard_rejected(self, rows, n, why):
+        # none may pass: ((2, 1),) would read as ((0, 2), (1,)), ((),) as ((0,),)
+        with pytest.raises(ValueError, match=f"not semistandard: .*{why}"):
+            tableau_to_triangle(Ssyt(rows, n))
+
+    def test_rejections_match_reference_on_small_arrays(self):
+        """Every array of at most three rows of at most two letters in
+        0..n+1, n <= 3: where the parent's conversion raised, the same
+        message; where it returned, the same triangle if the array is
+        semistandard with no empty row, else a semistandard rejection."""
+        outcomes = [0, 0, 0]
+        for n in range(1, 4):
+            letters = range(n + 2)
+            row_choices = [()] + [(a,) for a in letters] + list(product(letters, repeat=2))
+            for k in range(4):
+                for rows in product(row_choices, repeat=k):
+                    s = Ssyt(rows, n)
+                    try:
+                        want = _tableau_to_triangle_reference(s)
+                    except ValueError as err:
+                        with pytest.raises(ValueError) as got:
+                            tableau_to_triangle(s)
+                        assert str(got.value) == str(err)
+                        outcomes[0] += 1
+                        continue
+                    if validate_ssyt(s) == [] and all(rows):
+                        assert tableau_to_triangle(s).rows == want.rows
+                        outcomes[1] += 1
+                    else:
+                        with pytest.raises(ValueError, match="not semistandard"):
+                            tableau_to_triangle(s)
+                        outcomes[2] += 1
+        assert outcomes == [42_164, 48, 676]
+
+
+class TestSsytEntries:
+    @pytest.mark.parametrize(
+        "rows",
+        [((1.7, 2.2),), ((1, 2.0),), ((1, True),), ((1, "2"),)],
+        ids=["float", "integral-float", "bool", "string"],
+    )
+    def test_constructor_rejects_non_int_entries(self, rows):
+        # nothing is truncated: ((1.7, 2.2),) would read as ((1, 2),)
+        with pytest.raises(ShapeError, match="non-integer entry"):
+            Ssyt(rows, 2)
+
+    def test_constructor_accepts_int_lists(self):
+        assert Ssyt([[1, 1, 2], [2]], 2).rows == ((1, 1, 2), (2,))
+
+    def test_trusted_equals_checked(self):
+        assert Ssyt._trusted(TABLEAU5.rows, 5) == TABLEAU5
 
 
 class TestWords:
@@ -87,6 +161,19 @@ class TestWords:
             runs.append(tuple(run))
             assert tuple(runs) == tuple(reversed(tab.rows))
 
+    @pytest.mark.parametrize("fn", [complement_reverse, rsk_insertion_tableau])
+    @pytest.mark.parametrize(
+        "word, why",
+        [((1.5, 2), "integers"), ((1, True), "integers"), ((1, "2"), "integers"),
+         ((0, 2), "lie in 1..2"), ((1, 3), "lie in 1..2"), ((0, 5, -1), "lie in 1..2")],
+        ids=["float", "bool", "string", "zero", "above-n", "both-sides"],
+    )
+    def test_bad_letters_rejected(self, fn, word, why):
+        # nothing is truncated or passed through: (1.5, 2) must not read
+        # as (1, 2), nor (0, 5, -1) give letters outside 1..2
+        with pytest.raises(ValueError, match=why):
+            fn(word, 2)
+
 
 class TestRsk:
     def test_two_letters(self):
@@ -94,6 +181,9 @@ class TestRsk:
 
     def test_nondecreasing_word_is_one_row(self):
         assert rsk_insertion_tableau((1, 1, 2), 2).rows == ((1, 1, 2),)
+
+    def test_empty_word(self):
+        assert rsk_insertion_tableau((), 3) == Ssyt((), 3)
 
     def test_result_is_semistandard(self, rng):
         for _ in range(200):
@@ -123,3 +213,101 @@ class TestWordOracle:
         for _ in range(50):
             t = random_gt(rng, 6, 8)
             assert schutzenberger_via_words(schutzenberger_via_words(t)) == t
+
+
+# The parent commit's conversions, copied before they were rewritten to
+# read rows directly: references for the rewritten ones.
+
+
+def _triangle_to_tableau_reference(t):
+    n = t.n
+    rows = []
+    prev = ()
+    for i in range(1, n + 1):
+        shape = tuple(reversed(t.row(i)))
+        for r, length in enumerate(shape):
+            if r >= len(rows):
+                rows.append([])
+            have = prev[r] if r < len(prev) else 0
+            rows[r].extend([i] * (length - have))
+        prev = shape
+    return Ssyt(tuple(tuple(r) for r in rows), n)
+
+
+def _tableau_to_triangle_reference(s):
+    n = s.n
+    if any(x > n for row in s.rows for x in row):
+        raise ValueError(f"tableau letters exceed the alphabet bound {n}")
+    rows_top_down = []
+    for i in range(n, 0, -1):
+        counts = [sum(1 for x in row if x <= i) for row in s.rows]
+        if any(c > 0 for c in counts[i:]):
+            raise ValueError(f"letter <= {i} appears above tableau row {i}")
+        shape = (counts[:i] + [0] * i)[:i]
+        rows_top_down.append(tuple(reversed(shape)))
+    return GtTriangle(tuple(rows_top_down))
+
+
+def _rsk_reference(word, n):
+    rows = []
+    for x in word:
+        cur = x
+        for row in rows:
+            pos = bisect_right(row, cur)
+            if pos == len(row):
+                row.append(cur)
+                cur = None
+                break
+            row[pos], cur = cur, row[pos]
+        if cur is not None:
+            rows.append([cur])
+    return Ssyt(tuple(tuple(r) for r in rows), n)
+
+
+def _matches_reference(n_max):
+    """Tableau, RSK tableau and word-route image of every GT triangle
+    with n <= n_max and entries <= n+1 equal the references'."""
+    checked = 0
+    for n in range(1, n_max + 1):
+        for t in gt_triangles(n, n + 1):
+            tab = triangle_to_tableau(t)
+            want_tab = _triangle_to_tableau_reference(t)
+            assert tab == want_tab
+            word = tuple(n + 1 - x for x in reversed(reading_word(want_tab)))
+            assert complement_reverse(reading_word(tab), n) == word
+            rsk = rsk_insertion_tableau(word, n)
+            want_rsk = _rsk_reference(word, n)
+            assert rsk == want_rsk
+            assert tableau_to_triangle(rsk) == _tableau_to_triangle_reference(want_rsk)
+            assert schutzenberger_via_words(t) == _tableau_to_triangle_reference(want_rsk)
+            checked += 1
+    return checked
+
+
+class TestAgainstParentConversions:
+    def test_gt_triangles(self):
+        assert _matches_reference(4) == 2_896
+
+    @pytest.mark.slow
+    def test_gt_triangles_n5(self):
+        assert _matches_reference(5) == 153_904
+
+    def test_tableau_rows_of_broken_perturbations(self):
+        """Triangles that are not GT still give the parent's rows, all n
+        of them, empty ones included."""
+        broken = 0
+        for _, p in gt_perturbations():
+            if not is_valid_gt(p):
+                tab = triangle_to_tableau(p)
+                assert tab == _triangle_to_tableau_reference(p)
+                assert len(tab.rows) == p.n
+                broken += 1
+        assert broken == 33_974
+
+    def test_rsk_on_every_short_word(self):
+        words = 0
+        for length in range(7):
+            for word in product(range(1, 5), repeat=length):
+                assert rsk_insertion_tableau(word, 4) == _rsk_reference(word, 4)
+                words += 1
+        assert words == 5_461

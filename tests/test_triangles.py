@@ -23,7 +23,7 @@ from gogmagog.triangles import (
     validate_gt,
 )
 
-from conftest import gt_triangles, tri
+from conftest import gt_perturbations, gt_triangles, tri
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 GOG5 = tri((1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 4, 5), (2, 4), (3,))
@@ -258,24 +258,11 @@ def _validate_gt_reference(t):
     return bad
 
 
-def _perturbations():
-    """(t, p) for every single-entry +-1 perturbation p of every GT
-    triangle t with n <= 4 and entries <= n+1."""
-    for n in range(1, 5):
-        for t in gt_triangles(n, n + 1):
-            for r in range(n):
-                for c in range(n - r):
-                    for delta in (-1, 1):
-                        rows = [list(row) for row in t.rows]
-                        rows[r][c] += delta
-                        yield t, GtTriangle(tuple(tuple(row) for row in rows))
-
-
 def test_validate_gt_matches_cell_reference_on_perturbations():
     """Every perturbation gets the reference's violations, in order; the
     2,896 triangles have 56,848 perturbations, 33,974 of them broken."""
     perturbed = broken = 0
-    for t, p in _perturbations():
+    for t, p in gt_perturbations():
         assert validate_gt(t) == [] == _validate_gt_reference(t)
         got = validate_gt(p)
         assert got == _validate_gt_reference(p)
@@ -288,7 +275,7 @@ def test_membership_tests_match_definitions_on_perturbations():
     """The early-exit membership tests against their definitions on the
     same 56,848 perturbations, broken ones included."""
     counts = [0, 0, 0, 0]
-    for _, p in _perturbations():
+    for _, p in gt_perturbations():
         valid = not validate_gt(p)
         n = p.n
         gog = valid and all(p[n, j] == j for j in range(1, n + 1)) and all(
