@@ -494,17 +494,23 @@ def gogam_to_gog_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
         if emitted[k][0] >= emitted[k - 1][1]:
             raise InvalidGogamInput("recovered diagonals violate row strictness")
 
-    rows = [[j if i - j >= 2 else 0 for j in range(1, i + 1)] for i in range(1, n + 1)]
-    for j in range(1, n + 1):
-        rows[n - 1][j - 1] = j
-    for k in range(1, n):
-        rows[n - k - 1][n - k - 1] = emitted[k][1]  # cell (n-k, n-k)
-        if k >= 2:
-            rows[n - k][n - k - 1] = emitted[k][0]  # cell (n-k+1, n-k)
-    gog = GtTriangle._trusted(tuple(tuple(r) for r in reversed(rows)))
+    gog = _gog_trapezoid(n, [emitted[k] for k in range(1, n)])
     if not (is_gog(gog) and is_trapezoid(gog, Family.GOG, 2)):
         raise InvalidGogamInput("recovered triangle is not a (n,2) Gog trapezoid")
     return gog, tuple(trace)
+
+
+def _gog_trapezoid(n: int, pairs: Sequence[tuple[int, int]]) -> GtTriangle:
+    """The (n,2) Gog trapezoid shape with ``pairs[k-1] = (b_k, a_k)``
+    on its two rightmost diagonals; no checks."""
+    rows = [[j if i - j >= 2 else 0 for j in range(1, i + 1)] for i in range(1, n + 1)]
+    for j in range(1, n + 1):
+        rows[n - 1][j - 1] = j
+    for k, (b_k, a_k) in enumerate(pairs, 1):
+        rows[n - k - 1][n - k - 1] = a_k  # cell (n-k, n-k)
+        if k >= 2:
+            rows[n - k][n - k - 1] = b_k  # cell (n-k+1, n-k)
+    return GtTriangle._trusted(tuple(tuple(r) for r in reversed(rows)))
 
 
 def covering_subtraction_map(t: GtTriangle) -> GtTriangle:

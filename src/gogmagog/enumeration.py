@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .asm import (
     Asm,
@@ -34,11 +34,11 @@ from .asm import (
 from .bijection import (
     BijectionState,
     Rule,
+    StepRecord,
+    _gog_trapezoid,
     covering_subtraction_map,
-    extract_diagonals,
     forward_step,
     gog_to_gogam_n2,
-    gogam_to_gog_n2,
     inverse_step,
     magog_row_statistic,
     statistic_x11,
@@ -384,37 +384,100 @@ def _suite_lemma1(n: int, report: Report) -> None:
             report.failures.append(f"dp != image diagonal on {_fail_payload(t)}")
 
 
+class _Edge(NamedTuple):
+    """One edge of the (n,2) prefix tree: `forward_step` took ``before``
+    by ``pair`` to ``after`` with ``record``, and `inverse_step` of
+    ``after`` returned ``undone`` (state, pair, record)."""
+
+    before: BijectionState
+    after: BijectionState
+    pair: tuple[int, int]
+    record: StepRecord
+    undone: tuple[BijectionState, tuple[int, int], StepRecord]
+
+
+_Leaf = tuple[BijectionState, list[_Edge], int]
+
+
+def _walk_n2(n: int) -> Iterator[_Leaf]:
+    """Every (n,2) Gog trapezoid, as the path of its diagonal pairs
+    (b_k, a_k) through their prefix tree, depth first.
+
+    The pairs range over exactly what `extract_diagonals` accepts:
+    b_1 = n-1 and a_1 in [n-1, n]; for k >= 2, b_k in
+    [n-k, min(b_{k-1}, a_{k-1}-1)] and a_k in [b_k, a_{k-1}].  Each edge
+    runs `forward_step` once and `inverse_step` on its result once, so
+    trapezoids that share a prefix share its steps.  Yields the leaf
+    state, the path (one list, reused: copy it to keep it) and the
+    worst edge grade on the path: 0 when every inverse returned its
+    parent state, pair and record, 1 when only a record differs, 2 when
+    a state or pair differs.  Since both steps are pure, a path of
+    grade 0 is exactly a trapezoid whose full inverse retraces it.
+    """
+    path: list[_Edge] = []
+
+    def grow(state: BijectionState, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
+        k = state.k
+        if k == n:
+            yield state, path, grade
+            return
+        for b in range(n - k, min(b_prev, a_prev - 1) + 1):
+            for a in range(b, a_prev + 1):
+                after, record = forward_step(state, b, a)
+                undone = inverse_step(after)
+                back, pair, again = undone
+                if back != state or pair != (b, a):
+                    worst = 2
+                elif again != record:
+                    worst = max(grade, 1)
+                else:
+                    worst = grade
+                path.append(_Edge(state, after, (b, a), record, undone))
+                yield from grow(after, b, a, worst)
+                path.pop()
+
+    # b_0 = n-1 and a_0 = n give the k = 1 ranges
+    yield from grow(BijectionState(n, (n,), ()), n - 1, n, 0)
+
+
+def _path_payload(n: int, path: list[_Edge]) -> str:
+    """`_fail_payload` of the Gog trapezoid a walk path spells out."""
+    return _fail_payload(_gog_trapezoid(n, [edge.pair for edge in path]))
+
+
+_GRADE_FAILURES = (None, "traces not mirrored", "round trip failed")
+
+
 def _suite_bijection_n2(n: int, report: Report) -> None:
-    gogs = list(generate(FamilySpec(Family.GOG, n, k=min(2, n))))
+    histogram = report.histogram
     images = set()
-    for t in gogs:
+    leaves = 0
+    for leaf, path, grade in _walk_n2(n):
+        leaves += 1
         report.checks += 1
-        out, trace = gog_to_gogam_n2(t)
-        for rec in trace:
-            key = f"rule-{rec.rule.value}"
-            report.histogram[key] = report.histogram.get(key, 0) + 1
+        for edge in path:
+            key = f"rule-{edge.record.rule.value}"
+            histogram[key] = histogram.get(key, 0) + 1
+        out = leaf.materialize()
         if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):
-            report.failures.append(f"image not GOGAm for {_fail_payload(t)}")
+            failure = "image not GOGAm"
+        elif not is_magog(schutzenberger(out)):
+            failure = "involution image not Magog"
+        elif grade:
+            failure = _GRADE_FAILURES[grade]
+        else:
+            images.add(out)
             continue
-        if not is_magog(schutzenberger(out)):
-            report.failures.append(f"involution image not Magog for {_fail_payload(t)}")
-            continue
-        back, itrace = gogam_to_gog_n2(out)
-        if back != t:
-            report.failures.append(f"round trip failed for {_fail_payload(t)}")
-            continue
-        if [r.rule for r in reversed(itrace)] != [r.rule for r in trace]:
-            report.failures.append(f"traces not mirrored for {_fail_payload(t)}")
-            continue
-        images.add(out)
+        report.failures.append(f"{failure} for {_path_payload(n, path)}")
+    gogs = count(FamilySpec(Family.GOG, n, k=min(2, n)))
     magogs = count(FamilySpec(Family.MAGOG, n, k=min(2, n)))
     report.checks += 1
-    if not (len(images) == len(gogs) == magogs):
+    if not (leaves == gogs == len(images) == magogs):
         report.failures.append(
-            f"n={n}: cardinalities differ (gog {len(gogs)}, images {len(images)}, "
-            f"magog {magogs})"
+            f"n={n}: cardinalities differ (walk {leaves}, gog {gogs}, "
+            f"images {len(images)}, magog {magogs})"
         )
-    report.histogram[f"trapezoids-{n}"] = len(gogs)
+    histogram[f"trapezoids-{n}"] = gogs
 
 
 def _suite_n1(n: int, report: Report) -> None:
@@ -494,44 +557,32 @@ def _suite_asm_roundtrip(n: int, report: Report) -> None:
         report.failures.append(f"n={n}: ASM count {count_asm} != {asm_number(n)}")
 
 
-def _replay_forward(t: GtTriangle) -> list[tuple[BijectionState, BijectionState, int, Rule, int | None]]:
-    """(state before, state after, k, rule, l) for every forward step."""
-    n = t.n
-    diags = extract_diagonals(t)
-    state = BijectionState(n, (n,), ())
-    steps = []
-    for k in range(1, n):
-        before = state
-        state, rec = forward_step(state, diags.b_at(k), diags.a[k - 1])
-        steps.append((before, state, k, rec.rule, rec.l))
-    return steps
-
-
 def _base_rule(before: BijectionState, after: BijectionState) -> Rule:
     """Resolve the BASE tag of the opening step to its underlying rule."""
     return Rule.I if after.u[0] == before.u[0] - 1 else Rule.II
 
 
 def _suite_trace_lemmas(n: int, report: Report) -> None:
-    for t in generate(FamilySpec(Family.GOG, n, k=min(2, n))):
-        steps = _replay_forward(t)
-        rules = []
-        for before, after, k, rule, l in steps:
-            rules.append(_base_rule(before, after) if rule is Rule.BASE else rule)
-        for idx in range(1, len(steps)):
+    for _, path, _ in _walk_n2(n):
+        rules = [
+            _base_rule(e.before, e.after) if e.record.rule is Rule.BASE else e.record.rule
+            for e in path
+        ]
+        for idx in range(1, len(path)):
             prev_rule = rules[idx - 1]
             this_rule = rules[idx]
             report.checks += 1
             if this_rule is Rule.IIIB and prev_rule in (Rule.I, Rule.II):
                 report.failures.append(
-                    f"IIIb follows {prev_rule.value} on {_fail_payload(t)}"
+                    f"IIIb follows {prev_rule.value} on {_path_payload(n, path)}"
                 )
             report.checks += 1
             if this_rule is Rule.IVB and prev_rule not in (Rule.IIIB, Rule.IVB):
                 report.failures.append(
-                    f"IVb follows {prev_rule.value} on {_fail_payload(t)}"
+                    f"IVb follows {prev_rule.value} on {_path_payload(n, path)}"
                 )
-        for before, after, k, rule, l in steps:
+        for k, e in enumerate(path, 1):
+            before, after, rule, l = e.before, e.after, e.record.rule, e.record.l
             if rule is Rule.IVB:
                 report.checks += 1
                 # the second diagonal just below the patch must sit one
@@ -539,7 +590,7 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 c = before.constant
                 if any(before.v[k - i - 1] != c for i in range(1, l + 1)):
                     report.failures.append(
-                        f"IVb fired without the constant run on {_fail_payload(t)}"
+                        f"IVb fired without the constant run on {_path_payload(n, path)}"
                     )
             if rule in (Rule.IIIB, Rule.IVB):
                 report.checks += 1
@@ -550,20 +601,17 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 good = any(after.u[i] == after.v[i - 1] for i in range(1, top))
                 if not good:
                     report.failures.append(
-                        f"no equality pair after {rule.value} on {_fail_payload(t)}"
+                        f"no equality pair after {rule.value} on {_path_payload(n, path)}"
                     )
         # undoing the subtle rules must also leave an equality pair behind
-        if not steps:
-            continue
-        state = steps[-1][1]
-        for k in range(n - 1, 0, -1):
-            state, _, rec = inverse_step(state)
+        for e in reversed(path):
+            state, _, rec = e.undone
             if rec.rule in (Rule.IIIB, Rule.IVB):
                 report.checks += 1
                 kk = state.k
                 if not any(state.u[i] == state.v[i - 1] for i in range(1, kk)):
                     report.failures.append(
-                        f"no pair after undoing {rec.rule.value} on {_fail_payload(t)}"
+                        f"no pair after undoing {rec.rule.value} on {_path_payload(n, path)}"
                     )
 
 

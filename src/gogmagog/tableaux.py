@@ -31,6 +31,7 @@ class Ssyt:
     n: int
 
     def __post_init__(self) -> None:
+        _check_size(self.n)
         object.__setattr__(self, "rows", _int_rows(self.rows))
 
     @classmethod
@@ -106,27 +107,25 @@ def _is_ssyt_rows(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
 def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     """Inverse of `triangle_to_tableau`.
 
-    The tableau must be semistandard on 1..``s.n`` with no empty row;
-    otherwise `ValueError` says why.  Entry x[i, i-r] is the number of
-    letters <= i in tableau row r.
+    The tableau must be semistandard on 1..``s.n`` with exactly n rows,
+    none empty (fewer rows would give zero entries); otherwise
+    `ValueError` says why.  Entry x[i, i-r] is the number of letters
+    <= i in tableau row r.
     """
     n = s.n
     rows = s.rows
-    if n < 1 or not _is_ssyt_rows(rows, n):
+    if len(rows) != n or not _is_ssyt_rows(rows, n):
         raise ValueError(_tableau_problem(s))
-    m = len(rows)
-    rows_top_down = []
-    for i in range(n, 0, -1):
-        # rows r >= i hold no letter <= i; a tableau of m < i rows pads with 0
-        counts = tuple(map(bisect_right, rows[i - 1::-1], repeat(i)))
-        rows_top_down.append((0,) * (i - m) + counts)
-    return GtTriangle._trusted(tuple(rows_top_down))
+    # rows r >= i hold no letter <= i
+    return GtTriangle._trusted(tuple(
+        tuple(map(bisect_right, rows[i - 1::-1], repeat(i))) for i in range(n, 0, -1)
+    ))
 
 
 def _tableau_problem(s: Ssyt) -> str:
     """Why `tableau_to_triangle` rejects ``s``: the alphabet bound first,
     then a letter <= i above row i (largest i first), then everything
-    `validate_ssyt` and the empty-row check report."""
+    `validate_ssyt` and the empty-row check report, then too few rows."""
     n = s.n
     if any(x > n for row in s.rows for x in row):
         return f"tableau letters exceed the alphabet bound {n}"
@@ -135,8 +134,8 @@ def _tableau_problem(s: Ssyt) -> str:
             return f"letter <= {i} appears above tableau row {i}"
     bad = validate_ssyt(s)
     bad += [f"row {r} is empty" for r, row in enumerate(s.rows, start=1) if not row]
-    if n < 1:
-        bad.append(f"the alphabet 1..{n} is empty")
+    if not bad:
+        return f"tableau has {len(s.rows)} rows, needs {n}"
     return "tableau is not semistandard: " + "; ".join(bad)
 
 
@@ -148,8 +147,16 @@ def reading_word(s: Ssyt) -> Word:
     return tuple(out)
 
 
+def _check_size(n: int) -> None:
+    """The alphabet size must be an ``int`` (not a bool) with n >= 1."""
+    if type(n) is not int or n < 1:  # bool is an int subclass
+        raise ValueError(f"alphabet size must be an int >= 1, got {n!r}")
+
+
 def _check_word(word: Word, n: int) -> None:
-    """Every letter must be an ``int`` (not a float, bool or string) in 1..n."""
+    """The alphabet size must pass `_check_size`, and every letter must
+    be an ``int`` (not a float, bool or string) in 1..n."""
+    _check_size(n)
     if not set(map(type, word)) <= {int}:  # bool is an int subclass
         raise ValueError(f"letters must be integers, got {word!r}")
     if word and (min(word) < 1 or max(word) > n):

@@ -1,10 +1,24 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from gogmagog import enumeration
+from gogmagog.bijection import (
+    BijectionState,
+    Rule,
+    extract_diagonals,
+    forward_step,
+    gog_to_gogam_n2,
+    gogam_to_gog_n2,
+    inverse_step,
+)
 from gogmagog.enumeration import (
     FamilySpec,
     SUITES,
+    _fail_payload,
+    _walk_n2,
     asm_number,
     count,
     generate,
@@ -91,3 +105,171 @@ def test_report_json_shape():
 def test_asm_generation_rejects_bad_size(n):
     with pytest.raises(ValueError):
         generate_asms(n)  # raised at the call, before any iteration
+
+
+# --- the (n,2) prefix-tree walk behind bijection-n2 and rule-trace-lemmas ---
+
+
+def _pairs(t):
+    d = extract_diagonals(t)
+    return tuple((d.b_at(k), d.a[k - 1]) for k in range(1, t.n))
+
+
+def test_walk_equals_the_public_maps():
+    """Every (n,2) Gog trapezoid with n <= 7: the walk's pairs are its
+    `extract_diagonals`, its leaf and records are `gog_to_gogam_n2`'s
+    image and trace, every edge's inverse returns its parent state,
+    pair and record, and `gogam_to_gog_n2` of the image gives it back."""
+    total = 0
+    for n in range(1, 8):
+        walked = {}
+        for leaf, path, grade in _walk_n2(n):
+            assert grade == 0
+            for edge in path:
+                assert edge.undone == (edge.before, edge.pair, edge.record)
+            pairs = tuple(edge.pair for edge in path)
+            walked[pairs] = (leaf.materialize(), tuple(edge.record for edge in path))
+        gogs = list(generate(FamilySpec(Family.GOG, n, k=min(2, n))))
+        assert len(walked) == len(gogs)
+        for t in gogs:
+            out, trace = gog_to_gogam_n2(t)
+            assert walked[_pairs(t)] == (out, trace)
+            assert gogam_to_gog_n2(out)[0] == t
+        total += len(gogs)
+    assert total == 14_793
+
+
+def test_walk_visits_each_prefix_once(monkeypatch):
+    """One forward and one inverse step per tree edge: 1,857 edges for
+    the 1,594 (6,2) trapezoids, where one fold per trapezoid takes
+    7,970 steps each way."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    prefixes = set()
+    for t in generate(FamilySpec(Family.GOG, 6, k=2)):
+        pairs = _pairs(t)
+        prefixes.update(pairs[:k] for k in range(1, 6))
+    monkeypatch.setattr(enumeration, "forward_step", counted("forward", forward_step))
+    monkeypatch.setattr(enumeration, "inverse_step", counted("inverse", inverse_step))
+    leaves = sum(1 for _ in _walk_n2(6))
+    assert leaves == 1_594
+    assert calls == {"forward": 1_857, "inverse": 1_857} and len(prefixes) == 1_857
+
+
+def test_bijection_histogram_key_order():
+    # the CLI prints the histogram in insertion order
+    assert list(verify("bijection-n2", 6).histogram) == [
+        "trapezoids-1", "rule-base", "trapezoids-2", "rule-i", "rule-ii",
+        "rule-iiia", "rule-iva", "trapezoids-3", "rule-iiib", "trapezoids-4",
+        "trapezoids-5", "rule-ivb", "trapezoids-6",
+    ]
+
+
+# the (5,2) edge to corrupt: b_1, a_1 = 4, 5 then b_2, a_2 = 3, 4
+BROKEN_PREFIX = ((4, 5), (3, 4))
+
+
+def _corrupt_inverse(monkeypatch, corrupt):
+    """Make the walk's `inverse_step` return ``corrupt(state, pair,
+    record)`` on the child state of ``BROKEN_PREFIX`` only."""
+    state = BijectionState(5, (5,), ())
+    for b, a in BROKEN_PREFIX:
+        state, _ = forward_step(state, b, a)
+    target = state
+
+    def broken(after):
+        undone = inverse_step(after)
+        return corrupt(*undone) if after == target else undone
+
+    monkeypatch.setattr(enumeration, "inverse_step", broken)
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        (lambda s, p, r: (s, (p[0], p[1] + 1), r), "round trip failed"),
+        (lambda s, p, r: (BijectionState(s.n, (s.u[0] + 1,) + s.u[1:], s.v), p, r),
+         "round trip failed"),
+        (lambda s, p, r: (s, p, replace(r, l=7)), "traces not mirrored"),
+        (lambda s, p, r: (s, p, replace(r, rule=Rule.IVB)), "traces not mirrored"),
+    ],
+    ids=["pair", "state", "run-length", "rule"],
+)
+def test_broken_edge_marks_every_leaf_below(monkeypatch, corrupt, reason):
+    clean = verify("bijection-n2", 5)
+    _corrupt_inverse(monkeypatch, corrupt)
+    report = verify("bijection-n2", 5)
+    below = [
+        t for t in generate(FamilySpec(Family.GOG, 5, k=2))
+        if _pairs(t)[:2] == BROKEN_PREFIX
+    ]
+    assert len(below) == 28
+    want = sorted(f"{reason} for {_fail_payload(t)}" for t in below)
+    assert [f for f in report.failures if f.startswith(reason)] == want
+    # the failing leaves are missing from the images, as before the walk
+    assert report.failures == sorted(
+        want + ["n=5: cardinalities differ (walk 219, gog 219, images 191, magog 219)"]
+    )
+    assert report.checks == clean.checks == 269
+    assert report.histogram == clean.histogram
+
+
+def test_round_trip_failure_outranks_a_record_mismatch_below(monkeypatch):
+    """A broken state above and a broken record below: the leaves under
+    both read "round trip failed", as a per-trapezoid check that
+    compares the recovered trapezoid before the traces would report."""
+    state = BijectionState(5, (5,), ())
+    for b, a in BROKEN_PREFIX:
+        state, _ = forward_step(state, b, a)
+    above = state
+    below, _ = forward_step(above, 2, 3)
+
+    def broken(after):
+        s, p, r = inverse_step(after)
+        if after == above:
+            return BijectionState(s.n, (s.u[0] + 1,) + s.u[1:], s.v), p, r
+        if after == below:
+            return s, p, replace(r, l=7)
+        return s, p, r
+
+    monkeypatch.setattr(enumeration, "inverse_step", broken)
+    report = verify("bijection-n2", 5)
+    gogs = list(generate(FamilySpec(Family.GOG, 5, k=2)))
+    under_above = sorted(_fail_payload(t) for t in gogs if _pairs(t)[:2] == BROKEN_PREFIX)
+    under_both = [t for t in gogs if _pairs(t)[:3] == BROKEN_PREFIX + ((2, 3),)]
+    assert len(under_above) == 28 and len(under_both) == 5
+    assert [f for f in report.failures if not f.startswith("n=5")] == [
+        f"round trip failed for {payload}" for payload in under_above
+    ]
+
+
+def test_inverse_lemma_reads_each_edge_inverse(monkeypatch):
+    """rule-trace-lemmas checks the state each edge's `inverse_step`
+    returned: an undone IIIb or IVb step that leaves no equality pair
+    fails on every trapezoid whose trace holds that step."""
+
+    def no_pair_after_subtle_undo(after):
+        s, p, r = inverse_step(after)
+        if r.rule in (Rule.IIIB, Rule.IVB):
+            s = BijectionState(s.n, (s.n + 5,) * s.k, (-1,) * (s.k - 1))
+        return s, p, r
+
+    clean = verify("rule-trace-lemmas", 6)
+    monkeypatch.setattr(enumeration, "inverse_step", no_pair_after_subtle_undo)
+    report = verify("rule-trace-lemmas", 6)
+    want = sorted(
+        f"no pair after undoing {rec.rule.value} on {_fail_payload(t)}"
+        for n in range(1, 7)
+        for t in generate(FamilySpec(Family.GOG, n, k=min(2, n)))
+        for rec in gog_to_gogam_n2(t)[1]
+        if rec.rule in (Rule.IIIB, Rule.IVB)
+    )
+    assert len(want) == 171
+    assert report.failures == want
+    assert report.checks == clean.checks

@@ -63,6 +63,16 @@ class TestInvolution:
     def test_size2(self):
         assert schutzenberger(tri((1, 2), (2,))) == tri((1, 2), (1,))
 
+    def test_frozen_size5_witness(self):
+        # The composition order of the sweeps is fixed empirically: both
+        # orders are involutions, but only longest-sweep-first matches
+        # the word oracle and the diagonal formula.  Frozen image of a
+        # generic size-5 triangle, computed through the word pipeline.
+        t = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
+        image = tri((1, 2, 2, 3, 6), (1, 2, 3, 5), (1, 3, 4), (2, 4), (4,))
+        assert schutzenberger(t) == image
+        assert schutzenberger_via_words(t) == image
+
     def test_involution_and_fixed_corner(self):
         for n, bound in ((2, 4), (3, 4)):
             for t in gt_triangles(n, bound):

@@ -69,22 +69,34 @@ class TestTriangleTableau:
             (((0, 1),), 1, "row 1 has letters outside 1..1"),
             (((1,), (2, 2)), 2, "row 2 is longer than row 1"),
             (((1, 2), (2, 2)), 2, "columns between rows 1 and 2 not strict"),
-            ((), 0, "the alphabet 1..0 is empty"),
         ],
         ids=["decreasing-row", "empty-row", "empty-upper-row", "letter-0",
-             "longer-upper-row", "column-not-strict", "empty-alphabet"],
+             "longer-upper-row", "column-not-strict"],
     )
     def test_non_semistandard_rejected(self, rows, n, why):
         # none may pass: ((2, 1),) would read as ((0, 2), (1,)), ((),) as ((0,),)
         with pytest.raises(ValueError, match=f"not semistandard: .*{why}"):
             tableau_to_triangle(Ssyt(rows, n))
 
+    @pytest.mark.parametrize(
+        "s",
+        [Ssyt(((1,),), 2), Ssyt(((1, 1), (2,)), 3), rsk_insertion_tableau((), 2)],
+        ids=["one-row-of-two", "two-rows-of-three", "empty-word"],
+    )
+    def test_too_few_rows_rejected(self, s):
+        # semistandard, but no GT triangle: ((1,),) on 1..2 would read
+        # as ((0, 1), (1,)), the empty tableau as ((0, 0), (0,))
+        with pytest.raises(ValueError, match=f"tableau has {len(s.rows)} rows, needs {s.n}"):
+            tableau_to_triangle(s)
+
     def test_rejections_match_reference_on_small_arrays(self):
         """Every array of at most three rows of at most two letters in
         0..n+1, n <= 3: where the parent's conversion raised, the same
         message; where it returned, the same triangle if the array is
-        semistandard with no empty row, else a semistandard rejection."""
-        outcomes = [0, 0, 0]
+        semistandard with n non-empty rows, a row-count rejection if it
+        is semistandard with fewer (the reference padded those with zero
+        entries), else a semistandard rejection."""
+        outcomes = [0, 0, 0, 0]
         for n in range(1, 4):
             letters = range(n + 2)
             row_choices = [()] + [(a,) for a in letters] + list(product(letters, repeat=2))
@@ -99,14 +111,19 @@ class TestTriangleTableau:
                         assert str(got.value) == str(err)
                         outcomes[0] += 1
                         continue
-                    if validate_ssyt(s) == [] and all(rows):
+                    if validate_ssyt(s) == [] and all(rows) and len(rows) == n:
                         assert tableau_to_triangle(s).rows == want.rows
                         outcomes[1] += 1
+                    elif validate_ssyt(s) == [] and all(rows):
+                        assert 0 in (x for row in want.rows for x in row)
+                        with pytest.raises(ValueError, match=f"has {len(rows)} rows, needs {n}"):
+                            tableau_to_triangle(s)
+                        outcomes[3] += 1
                     else:
                         with pytest.raises(ValueError, match="not semistandard"):
                             tableau_to_triangle(s)
                         outcomes[2] += 1
-        assert outcomes == [42_164, 48, 676]
+        assert outcomes == [42_164, 14, 676, 34]
 
 
 class TestSsytEntries:
@@ -125,6 +142,31 @@ class TestSsytEntries:
 
     def test_trusted_equals_checked(self):
         assert Ssyt._trusted(TABLEAU5.rows, 5) == TABLEAU5
+
+
+class TestAlphabetSize:
+    BAD = [2.5, 2.0, True, "2", None, 0, -1]
+    IDS = ["float", "integral-float", "bool", "string", "none", "zero", "negative"]
+
+    @pytest.mark.parametrize("n", BAD, ids=IDS)
+    def test_ssyt_rejects_bad_size(self, n):
+        # True must not pass as 1, nor 2.5 reach tableau_to_triangle
+        with pytest.raises(ValueError, match="alphabet size must be an int >= 1"):
+            Ssyt(((1,),), n)
+
+    @pytest.mark.parametrize("fn", [complement_reverse, rsk_insertion_tableau])
+    @pytest.mark.parametrize("word", [(1, 2), ()], ids=["word", "empty-word"])
+    @pytest.mark.parametrize("n", BAD, ids=IDS)
+    def test_word_functions_reject_bad_size(self, fn, word, n):
+        # (1, 2) on 2.5 would give the floats (1.5, 2.5), or a tableau
+        # with n = 2.5
+        with pytest.raises(ValueError, match="alphabet size must be an int >= 1"):
+            fn(word, n)
+
+    def test_size_one_accepted(self):
+        assert Ssyt(((1,),), 1).n == 1
+        assert complement_reverse((1, 1), 1) == (1, 1)
+        assert rsk_insertion_tableau((1, 1), 1) == Ssyt(((1, 1),), 1)
 
 
 class TestWords:
