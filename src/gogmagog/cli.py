@@ -31,7 +31,7 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .enumeration import SUITES, FamilySpec, generate, generate_asms, verify
+from .enumeration import SUITES, FamilySpec, _n2_trapezoids, generate, generate_asms, verify
 from .schutzenberger import is_gogam, schutzenberger
 from .tableaux import format_tableau, triangle_to_tableau
 from .triangles import (
@@ -163,6 +163,8 @@ def _cmd_schutzenberger(args: argparse.Namespace) -> int:
 
 def _members(args: argparse.Namespace) -> Iterator[GtTriangle | Asm]:
     if args.kind == "asm":
+        if args.k is not None or args.bound is not None:
+            raise ValueError("--k and --bound do not apply to --kind asm")
         return generate_asms(args.n)
     return generate(FamilySpec(Family(args.kind), args.n, k=args.k, bound=args.bound))
 
@@ -193,9 +195,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     n = args.n
     rules: Counter[str] = Counter()
     per_value: dict[int, list[int]] = {}
-    for t in generate(FamilySpec(Family.GOG, n, k=min(2, n))):
-        out, trace = gog_to_gogam_n2(t)
-        rules.update(rec.rule.value for rec in trace)
+    for t, out, path in _n2_trapezoids(n):
+        rules.update(e.record.rule.value for e in path)
         x = statistic_x11(t)
         row = per_value.setdefault(x, [0, 0, 0])
         row[0] += 1

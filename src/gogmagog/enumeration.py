@@ -33,6 +33,7 @@ from .asm import (
 )
 from .bijection import (
     BijectionState,
+    BijectionStateError,
     Rule,
     StepRecord,
     _gog_trapezoid,
@@ -68,6 +69,10 @@ class FamilySpec:
     bound: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "bound"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is bool or not isinstance(value, int)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("size must be at least 1")
         if self.k is not None and not (1 <= self.k <= self.n):
@@ -77,6 +82,8 @@ class FamilySpec:
                 raise ValueError("raw Gelfand-Tsetlin enumeration needs a bound")
             if self.k is not None:
                 raise ValueError("trapezoids are defined per family, not for raw GT")
+        elif self.bound is not None:
+            raise ValueError("an entry bound applies only to raw GT enumeration")
 
 
 def asm_number(n: int) -> int:
@@ -413,7 +420,10 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     parent state, pair and record, 1 when only a record differs, 2 when
     a state or pair differs.  Since both steps are pure, a path of
     grade 0 is exactly a trapezoid whose full inverse retraces it.
+    Raises `ValueError` for n < 1 at the call, before any step.
     """
+    if n < 1:
+        raise ValueError("size must be at least 1")
     path: list[_Edge] = []
 
     def grow(state: BijectionState, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
@@ -437,7 +447,19 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
                 path.pop()
 
     # b_0 = n-1 and a_0 = n give the k = 1 ranges
-    yield from grow(BijectionState(n, (n,), ()), n - 1, n, 0)
+    return grow(BijectionState(n, (n,), ()), n - 1, n, 0)
+
+
+def _n2_trapezoids(n: int) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]]]:
+    """Every (n,2) Gog trapezoid with its `gog_to_gogam_n2` image and
+    its `_walk_n2` path (reused, as there), read off one walk.  Keeps
+    the public map's postcondition that the image is a (n,2) GOGAm
+    trapezoid."""
+    for leaf, path, _ in _walk_n2(n):
+        image = leaf.materialize()
+        if not (is_trapezoid(image, Family.GOGAM, 2) and is_gogam(image)):
+            raise BijectionStateError("forward image failed the GOGAm test")
+        yield _gog_trapezoid(n, [e.pair for e in path]), image, path
 
 
 def _path_payload(n: int, path: list[_Edge]) -> str:
@@ -499,16 +521,12 @@ def _suite_n1(n: int, report: Report) -> None:
 
 
 def _suite_n2k(n: int, report: Report) -> None:
-    gogs = list(generate(FamilySpec(Family.GOG, n, k=min(2, n))))
-    forward = {t: gog_to_gogam_n2(t)[0] for t in gogs}
+    trapezoids = [(gog, image) for gog, image, _ in _n2_trapezoids(n)]
+    magogs = list(generate(FamilySpec(Family.MAGOG, n, k=min(2, n))))
     for k in range(1, n + 1):
-        klass = [t for t in gogs if is_gog_trapezoid_n2k(t, k)]
-        image_magogs = {schutzenberger(forward[t]) for t in klass}
-        target = {
-            m
-            for m in generate(FamilySpec(Family.MAGOG, n, k=min(2, n)))
-            if is_magog_trapezoid_n2k(m, k)
-        }
+        klass = [image for gog, image in trapezoids if is_gog_trapezoid_n2k(gog, k)]
+        image_magogs = {schutzenberger(image) for image in klass}
+        target = {m for m in magogs if is_magog_trapezoid_n2k(m, k)}
         report.checks += 1
         if image_magogs != target:
             report.failures.append(
@@ -519,9 +537,8 @@ def _suite_n2k(n: int, report: Report) -> None:
 
 
 def _suite_statistics(n: int, report: Report) -> None:
-    for t in generate(FamilySpec(Family.GOG, n, k=min(2, n))):
+    for t, out, _ in _n2_trapezoids(n):
         report.checks += 1
-        out, _ = gog_to_gogam_n2(t)
         magog = schutzenberger(out)
         if statistic_x11(out) != statistic_x11(t):
             report.failures.append(f"bottom entry moved for {_fail_payload(t)}")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -41,6 +43,13 @@ def random_gt(rng: random.Random, n: int, bound: int) -> GtTriangle:
         above = rows[-1]
         rows.append(tuple(rng.randint(above[j], above[j + 1]) for j in range(i)))
     return GtTriangle(tuple(rows))
+
+
+def report_digest(report):
+    """sha256 of a `verify` report without its timing, as `bench/run.py`
+    hashes it: five fields, keys sorted."""
+    fields = {k: getattr(report, k) for k in ("suite", "n", "checks", "failures", "histogram")}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ verbose run reads as a checklist.  The heavy criteria state explicit
 wall-clock budgets (five minutes for the size-6 counts, ten minutes for
 the full size-7 trapezoid sweep) and the tests enforce them.  The
 opt-in slow tier (``pytest -m slow``) runs criterion 3 at n = 5 and
-criteria 5 and 6 at n = 8.
+criteria 5, 6 and 8 at n = 8.
 """
 
 import time
@@ -169,3 +169,11 @@ def test_criterion_06_trace_lemmas_n8():
     report = verify("rule-trace-lemmas", 8)
     assert report.ok, report.failures
     _passed(6, f"rule-sequence lemmas up to n=8 ({report.checks} checks, {report.millis} ms)")
+
+
+@pytest.mark.slow
+def test_criterion_08_statistic_preservation_n8():
+    report = verify("statistics", 8)
+    assert report.ok and report.failures == []
+    assert report.checks == 129_219
+    _passed(8, f"bottom entry preserved up to n=8 ({report.checks} checks, {report.millis} ms)")

@@ -6,7 +6,6 @@ computes the same hash, from the same fields, so a change that alters
 a report fails here first.  It only reads `bench/`.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -14,14 +13,11 @@ import pytest
 
 from gogmagog.enumeration import verify
 
+from conftest import report_digest
+
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text()
 )
-
-
-def _report_digest(report):
-    fields = {k: getattr(report, k) for k in ("suite", "n", "checks", "failures", "histogram")}
-    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -29,4 +25,4 @@ def _report_digest(report):
     [("sweep-bijection", "bijection-n2", 6), ("sweep-involution", "oracle", 4)],
 )
 def test_sweep_report_matches_recorded_digest(workload, suite, n_max):
-    assert _report_digest(verify(suite, n_max)) == DIGESTS[workload]
+    assert report_digest(verify(suite, n_max)) == DIGESTS[workload]

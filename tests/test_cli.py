@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from gogmagog import cli, enumeration
 from gogmagog.cli import main
 
 from conftest import FIXTURES
@@ -188,6 +190,56 @@ def test_stats_table(capsys):
     table = data["bottom_entry"]
     assert all(row["count"] == row["preserved"] == row["row_statistic"]
                for row in table.values())
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ((), "82ae0f27e8ad0771e5bf2302a3f25980348938c94893bf8093c19c7d2ea47147"),
+        (("--json",), "b980ea867c0fdffc757bff615a9b3ff4ca4d188f7865e5c1676e489f6b9f81b3"),
+    ],
+    ids=["text", "json"],
+)
+def test_stats_output_is_pinned(capsys, extra, digest):
+    # the bytes a per-trapezoid `gog_to_gogam_n2` fold gives; the walk keeps them
+    code, out, _ = run(capsys, "stats", "--n", "6", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_stats_reads_the_walk_not_the_public_map(capsys, monkeypatch):
+    def unreachable(t):
+        raise AssertionError("the public map must not run")
+
+    monkeypatch.setattr(cli, "gog_to_gogam_n2", unreachable)
+    monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
+    code, out, _ = run(capsys, "stats", "--n", "5", "--json")
+    assert code == 0
+    assert sum(json.loads(out)["rules"].values()) == 4 * 219
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_stats_rejects_bad_size(capsys, n):
+    code, out, err = run(capsys, "stats", "--n", n)
+    assert code == 2 and out == ""
+    assert err.strip() and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--kind", "gog", "--n", "3", "--bound", "9"),
+        ("count", "--kind", "asm", "--n", "3", "--k", "2"),
+        ("count", "--kind", "asm", "--n", "3", "--bound", "3"),
+        ("enumerate", "--kind", "asm", "--n", "2", "--k", "1"),
+        ("enumerate", "--kind", "magog", "--n", "2", "--bound", "2"),
+    ],
+    ids=["gog-bound", "asm-k", "asm-bound", "enumerate-asm-k", "enumerate-magog-bound"],
+)
+def test_family_options_that_do_not_apply_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() and len(err.strip().splitlines()) == 1
 
 
 def test_usage_error_status(capsys):

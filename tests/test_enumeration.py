@@ -7,6 +7,7 @@ import pytest
 from gogmagog import enumeration
 from gogmagog.bijection import (
     BijectionState,
+    BijectionStateError,
     Rule,
     extract_diagonals,
     forward_step,
@@ -27,6 +28,8 @@ from gogmagog.enumeration import (
 )
 from gogmagog.schutzenberger import is_gogam
 from gogmagog.triangles import Family, is_gog, is_magog, is_trapezoid, is_valid_gt
+
+from conftest import report_digest
 
 
 def test_count_formula_values():
@@ -54,6 +57,27 @@ def test_gogam_count_via_involution():
 def test_generate_gt_requires_bound():
     with pytest.raises(ValueError):
         FamilySpec(Family.GT, 3)
+
+
+@pytest.mark.parametrize(
+    "family, n, extra",
+    [
+        (Family.GOG, True, {}),
+        (Family.GOG, 2.5, {}),
+        (Family.GOG, 3, {"k": 2.0}),
+        (Family.GOG, 3, {"k": False}),
+        (Family.GT, 3, {"bound": 4.0}),
+        (Family.GT, 3, {"bound": True}),
+        (Family.GOG, 3, {"bound": 9}),
+        (Family.MAGOG, 3, {"bound": 3}),
+        (Family.GOGAM, 3, {"bound": 3}),
+    ],
+    ids=["bool-n", "float-n", "float-k", "bool-k", "float-bound", "bool-bound",
+         "gog-bound", "magog-bound", "gogam-bound"],
+)
+def test_family_spec_rejects_ignored_or_non_integer_arguments(family, n, extra):
+    with pytest.raises(ValueError):
+        FamilySpec(family, n, **extra)
 
 
 def test_generated_objects_satisfy_their_predicates():
@@ -273,3 +297,53 @@ def test_inverse_lemma_reads_each_edge_inverse(monkeypatch):
     assert len(want) == 171
     assert report.failures == want
     assert report.checks == clean.checks
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_walk_rejects_bad_size(n):
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        _walk_n2(n)  # raised at the call, before any step
+
+
+# --- statistics and n2k-classes read the same walk -------------------------
+
+
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("statistics", "c54015069b8f915c985f36634b240de660fbb80e7418d6b69aa50c9ec39e9481"),
+        ("n2k-classes", "343a8e2b5c9326814ffbc2241759241fcb388833ed90eca97ade10dda1ef12e8"),
+    ],
+)
+def test_walk_suites_keep_their_reports(suite, digest):
+    # the reports a per-trapezoid `gog_to_gogam_n2` fold gives; the walk keeps them
+    assert report_digest(verify(suite, 6)) == digest
+
+
+@pytest.mark.parametrize("suite", ["statistics", "n2k-classes"])
+def test_walk_suites_make_one_sweep(monkeypatch, suite):
+    """One forward and one inverse step per prefix-tree edge over sizes
+    1..6 (2,175 edges), where a fold per trapezoid takes 8,967 forward
+    steps; the public map is never reached."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def unreachable(t):
+        raise AssertionError("the public map must not run")
+
+    monkeypatch.setattr(enumeration, "forward_step", counted("forward", forward_step))
+    monkeypatch.setattr(enumeration, "inverse_step", counted("inverse", inverse_step))
+    monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
+    assert verify(suite, 6).ok
+    assert calls == {"forward": 2_175, "inverse": 2_175}
+
+
+def test_walk_images_keep_the_gogam_postcondition(monkeypatch):
+    monkeypatch.setattr(enumeration, "is_gogam", lambda t: False)
+    with pytest.raises(BijectionStateError, match="forward image failed the GOGAm test"):
+        verify("statistics", 3)
