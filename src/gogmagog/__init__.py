@@ -13,13 +13,11 @@ from .asm import (
     validate_asm,
 )
 from .bijection import (
-    GogamDiagonals,
     BijectionState,
     BijectionStateError,
     InvalidGogamInput,
     Rule,
     StepRecord,
-    TrapezoidDiagonals,
     covering_subtraction_map,
     extract_diagonals,
     forward_step,
@@ -70,10 +68,9 @@ from .triangles import (
 __all__ = [
     "Asm", "asm_inversion_number", "asm_to_gog", "bottom_row_one_column", "format_asm",
     "gog_to_asm", "is_valid_asm", "parse_asm", "validate_asm",
-    "GogamDiagonals", "BijectionState", "BijectionStateError", "InvalidGogamInput",
-    "Rule", "StepRecord", "TrapezoidDiagonals", "covering_subtraction_map",
-    "extract_diagonals", "forward_step", "gog_to_gogam_n2", "gogam_to_gog_n2",
-    "inverse_step", "magog_row_statistic", "statistic_x11",
+    "BijectionState", "BijectionStateError", "InvalidGogamInput", "Rule", "StepRecord",
+    "covering_subtraction_map", "extract_diagonals", "forward_step", "gog_to_gogam_n2",
+    "gogam_to_gog_n2", "inverse_step", "magog_row_statistic", "statistic_x11",
     "FamilySpec", "Report", "asm_number", "count", "generate", "generate_asms",
     "verify",
     "DiagonalTable", "bender_knuth", "bender_knuth_sweep", "is_gogam", "schutzenberger",

@@ -140,7 +140,9 @@ class BijectionState:
         u, v = tuple(self.u), tuple(self.v)
         if not all(type(x) is int for x in (self.n, *u, *v)):  # bool is an int subclass
             raise ValueError("size and diagonal entries must be integers")
-        if len(v) != max(len(u) - 1, 0):
+        if self.n < 1 or not u:
+            raise ValueError("a state needs n >= 1 and a nonempty rightmost diagonal")
+        if len(v) != len(u) - 1:
             raise ValueError("second diagonal must be one entry shorter")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -213,68 +215,18 @@ def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TrapezoidDiagonals:
-    """The free entries of a (n,2) Gog trapezoid.
-
-    ``a[j-1]`` is the rightmost-diagonal entry at cell (n-j, n-j) for
-    j = 1..n-1; ``b[j-2]`` the second-diagonal entry at (n-j+1, n-j)
-    for j = 2..n-1.  The entry above a_1 is pinned to n and the entry
-    above b_2 is pinned to n-1.
+def extract_diagonals(t: GtTriangle) -> tuple[tuple[int, int], ...]:
+    """The pairs ((b_1, a_1), ..., (b_{n-1}, a_{n-1})) of a (n,2) Gog
+    trapezoid (validated), which `_gog_trapezoid` turns back into ``t``:
+    a_k sits at cell (n-k, n-k) and b_k at (n-k+1, n-k), with b_1 = n-1
+    pinned.  Interlacing, strict rows and the pinned cells force the
+    ranges `forward_step` needs: a_k nonincreasing, n-k <= b_k <= b_{k-1}
+    and b_k < a_{k-1}.
     """
-
-    n: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-
-    def b_at(self, j: int) -> int:
-        """Second-diagonal value at depth j, with the pinned b_1 = n-1."""
-        if j == 1:
-            return self.n - 1
-        return self.b[j - 2]
-
-
-@dataclass(frozen=True)
-class GogamDiagonals:
-    """Free diagonals of a (n,2) GOGAm trapezoid.
-
-    ``alpha[i]`` is the rightmost-diagonal entry i cells below the top
-    corner, ``beta[i-1]`` the second-diagonal entry at depth i.  On
-    trapezoid-shaped triangles the full GOGAm membership test collapses
-    to three inequality families on these two diagonals alone.
-    """
-
-    n: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-    @classmethod
-    def from_triangle(cls, t: GtTriangle) -> "GogamDiagonals":
-        return cls(t.n, *_two_diagonals(t))
-
-    def check(self) -> list[str]:
-        """Violations of the trapezoid-level membership inequalities."""
-        return _diagonal_bound_violations(self.n, self.alpha, self.beta)
-
-
-def extract_diagonals(t: GtTriangle) -> TrapezoidDiagonals:
-    """Free diagonals of a (n,2) Gog trapezoid (validated)."""
-    n = t.n
     if not (is_gog(t) and is_trapezoid(t, Family.GOG, 2)):
         raise ValueError("input is not a (n,2) Gog trapezoid")
     u, v = _two_diagonals(t)
-    diags = TrapezoidDiagonals(n, u[1:], v[1:])
-    prev = n
-    for j in range(1, n):
-        if diags.a[j - 1] > prev:
-            raise ValueError("rightmost diagonal must be nonincreasing")
-        prev = diags.a[j - 1]
-    for j in range(2, n):
-        if not (n - j <= diags.b[j - 2] <= diags.b_at(j - 1)):
-            raise ValueError("second diagonal out of range")
-        if diags.b[j - 2] >= diags.a[j - 2]:
-            raise ValueError("second diagonal must stay strictly left of the first")
-    return diags
+    return tuple(zip(v, u[1:]))
 
 
 def forward_step(
@@ -367,16 +319,10 @@ def gog_to_gogam_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
     The image is verified to be a GOGAm trapezoid with the same bottom
     entry before it is returned.
     """
-    n = t.n
-    if n == 1:
-        if t != GtTriangle(((1,),)):
-            raise ValueError("the only size-1 Gog triangle is [1]")
-        return t, ()
-    diags = extract_diagonals(t)
-    state = BijectionState(n, (n,), ())
+    state = BijectionState(t.n, (t.n,), ())
     trace: list[StepRecord] = []
-    for k in range(1, n):
-        state, rec = forward_step(state, diags.b_at(k), diags.a[k - 1])
+    for b_k, a_k in extract_diagonals(t):
+        state, rec = forward_step(state, b_k, a_k)
         trace.append(rec)
     out = state.materialize()
     if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):
@@ -468,33 +414,24 @@ def gogam_to_gog_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
     the reverse of the forward trace of the recovered trapezoid.
     """
     n = t.n
-    if n == 1:
-        if t != GtTriangle(((1,),)):
-            raise InvalidGogamInput("the only size-1 GOGAm trapezoid is [1]")
-        return t, ()
     # is_gogam is False on input that is not Gelfand-Tsetlin
     if not (is_trapezoid(t, Family.GOGAM, 2) and is_gogam(t)):
         raise InvalidGogamInput("input is not a (n,2) GOGAm trapezoid")
     state = BijectionState.from_triangle(t)
-    emitted: dict[int, tuple[int, int]] = {}
+    pairs: list[tuple[int, int]] = []  # (b_k, a_k) for k = n-1 down to 1
     trace: list[StepRecord] = []
-    for k in range(n - 1, 0, -1):
-        state, (b_k, a_k), rec = inverse_step(state)
-        emitted[k] = (b_k, a_k)
+    for _ in range(n - 1):
+        state, pair, rec = inverse_step(state)
+        pairs.append(pair)
         trace.append(rec)
     if state.u != (n,):
         raise InvalidGogamInput("peeling did not terminate at the pinned corner")
-    if emitted[1][0] != n - 1:
+    pairs.reverse()
+    # _gog_trapezoid never writes b_1, so the Gog test below cannot see it
+    if pairs and pairs[0][0] != n - 1:
         raise InvalidGogamInput("recovered second diagonal must start at n-1")
-    for k in range(2, n):
-        if emitted[k][0] > emitted[k - 1][0]:
-            raise InvalidGogamInput("recovered second diagonal is not monotone")
-        if emitted[k][1] > emitted[k - 1][1]:
-            raise InvalidGogamInput("recovered rightmost diagonal is not monotone")
-        if emitted[k][0] >= emitted[k - 1][1]:
-            raise InvalidGogamInput("recovered diagonals violate row strictness")
-
-    gog = _gog_trapezoid(n, [emitted[k] for k in range(1, n)])
+    # the Gog test decides monotone diagonals and strict rows
+    gog = _gog_trapezoid(n, pairs)
     if not (is_gog(gog) and is_trapezoid(gog, Family.GOG, 2)):
         raise InvalidGogamInput("recovered triangle is not a (n,2) Gog trapezoid")
     return gog, tuple(trace)

@@ -58,6 +58,14 @@ from .triangles import (
 )
 
 
+def _check_size(n: int, name: str = "size") -> None:
+    """``n`` must be an ``int`` (not a bool or a float) with n >= 1."""
+    if type(n) is not int:  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """What to enumerate: family, size, optional trapezoid width and,
@@ -88,8 +96,7 @@ class FamilySpec:
 
 def asm_number(n: int) -> int:
     """The product formula 1, 2, 7, 42, 429, 7436, ... evaluated exactly."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    _check_size(n)
     value = Fraction(1)
     for j in range(n):
         value *= Fraction(factorial(3 * j + 1), factorial(n + j))
@@ -226,8 +233,7 @@ def generate_asms(n: int) -> Iterator[Asm]:
     Column partial sums stay in {0,1} and every finished row sums to 1;
     those two prunes are exactly the alternating-sign conditions.
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    _check_size(n)
     cols = [0] * n
     rows: list[tuple[int, ...]] = []
 
@@ -410,8 +416,8 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     """Every (n,2) Gog trapezoid, as the path of its diagonal pairs
     (b_k, a_k) through their prefix tree, depth first.
 
-    The pairs range over exactly what `extract_diagonals` accepts:
-    b_1 = n-1 and a_1 in [n-1, n]; for k >= 2, b_k in
+    The ranges are exactly the pair sequences `extract_diagonals`
+    returns: b_1 = n-1 and a_1 in [n-1, n]; for k >= 2, b_k in
     [n-k, min(b_{k-1}, a_{k-1}-1)] and a_k in [b_k, a_{k-1}].  Each edge
     runs `forward_step` once and `inverse_step` on its result once, so
     trapezoids that share a prefix share its steps.  Yields the leaf
@@ -422,8 +428,7 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     grade 0 is exactly a trapezoid whose full inverse retraces it.
     Raises `ValueError` for n < 1 at the call, before any step.
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
+    _check_size(n)
     path: list[_Edge] = []
 
     def grow(state: BijectionState, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
@@ -650,8 +655,7 @@ def verify(suite: str, n_max: int) -> Report:
     """Run a named property suite for every size 1..n_max."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    if n_max < 1:
-        raise ValueError(f"verify needs n_max >= 1, got {n_max}")
+    _check_size(n_max, "n_max")
     start = time.monotonic()
     report = Report(suite, n_max)
     for n in range(1, n_max + 1):

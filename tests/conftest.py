@@ -4,10 +4,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gogmagog.triangles import GtTriangle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no example database is read or written
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def tri(*rows_top_down):

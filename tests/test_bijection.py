@@ -2,14 +2,17 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gogmagog import bijection
 from gogmagog.bijection import (
     BijectionState,
     BijectionStateError,
-    GogamDiagonals,
     InvalidGogamInput,
     Rule,
     _diagonal_bound_violations,
+    _gog_trapezoid,
     covering_subtraction_map,
     extract_diagonals,
     forward_step,
@@ -21,7 +24,7 @@ from gogmagog.bijection import (
 )
 from gogmagog.enumeration import FamilySpec, generate
 from gogmagog.schutzenberger import is_gogam, schutzenberger
-from gogmagog.triangles import Family, GtTriangle, is_magog, is_trapezoid, is_valid_gt
+from gogmagog.triangles import Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
 
 from conftest import tri
 
@@ -35,19 +38,20 @@ def staircase(n):
 
 class TestDiagonals:
     def test_five_two_trapezoid(self):
-        d = extract_diagonals(GOG52)
-        assert d.a == (5, 4, 3, 2)
-        assert d.b == (4, 3, 1)
-        assert d.b_at(1) == 4
+        # (b_k, a_k) for k = 1..4, with the pinned b_1 = 4 first
+        assert extract_diagonals(GOG52) == ((4, 5), (4, 4), (3, 3), (1, 2))
+        assert _gog_trapezoid(5, extract_diagonals(GOG52)) == GOG52
 
     def test_staircase(self):
-        d = extract_diagonals(staircase(5))
-        assert d.a == (4, 3, 2, 1)
-        assert d.b == (3, 2, 1)
+        assert extract_diagonals(staircase(5)) == ((4, 4), (3, 3), (2, 2), (1, 1))
 
     def test_size2(self):
-        assert extract_diagonals(tri((1, 2), (2,))).a == (2,)
-        assert extract_diagonals(tri((1, 2), (2,))).b == ()
+        assert extract_diagonals(tri((1, 2), (2,))) == ((1, 2),)
+
+    def test_size1(self):
+        assert extract_diagonals(tri((1,))) == ()
+        with pytest.raises(ValueError):
+            extract_diagonals(tri((2,)))
 
     def test_rejects_non_trapezoid(self):
         with pytest.raises(ValueError):
@@ -98,6 +102,12 @@ class TestForwardMap:
     def test_rejects_non_trapezoid(self):
         with pytest.raises(ValueError):
             gog_to_gogam_n2(tri((1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 4, 5), (2, 4), (3,)))
+
+    def test_size1(self):
+        # the general path: no pairs, no steps
+        assert gog_to_gogam_n2(tri((1,))) == (tri((1,)), ())
+        with pytest.raises(ValueError):
+            gog_to_gogam_n2(tri((2,)))
 
 
 class TestInverseStep:
@@ -159,6 +169,74 @@ class TestInverseMap:
         with pytest.raises(InvalidGogamInput):
             gogam_to_gog_n2(tri((1, 1, 4), (1, 4), (4,)))
 
+    def test_size1(self):
+        assert gogam_to_gog_n2(tri((1,))) == (tri((1,)), ())
+        with pytest.raises(InvalidGogamInput):
+            gogam_to_gog_n2(tri((2,)))
+
+    @pytest.mark.parametrize(
+        "k, corrupt, raised",
+        [
+            (2, lambda n, b, a: (b + 1, a), 1_205),
+            (2, lambda n, b, a: (b, n), 263),
+            (3, lambda n, b, a: (a, a), 1_217),
+            (1, lambda n, b, a: (b - 1, a), 1_855),
+        ],
+        ids=["b2-up", "a2-to-n", "b3-to-a3", "b1-down"],
+    )
+    def test_recovered_pairs_are_checked_by_the_gog_test(self, monkeypatch, k, corrupt, raised):
+        """Corrupt the pair that `inverse_step` recovers at step k, on
+        each of the 1,855 (n,2) GOGAm images with 3 <= n <= 6.  The final
+        Gog test of the rebuilt triangle rejects a non-monotone diagonal
+        or a non-strict row; b_1, which `_gog_trapezoid` never writes,
+        has its own check."""
+
+        def broken(state):
+            shrunk, (b, a), rec = inverse_step(state)
+            return shrunk, corrupt(state.n, b, a) if rec.k == k else (b, a), rec
+
+        images = [
+            t for n in range(3, 7) for t in generate(FamilySpec(Family.GOGAM, n, k=2))
+        ]
+        monkeypatch.setattr(bijection, "inverse_step", broken)
+        rejected = 0
+        for t in images:
+            try:
+                gogam_to_gog_n2(t)
+            except InvalidGogamInput:
+                rejected += 1
+        assert (len(images), rejected) == (1_855, raised)
+
+
+@st.composite
+def gog_trapezoids_n2(draw, n_max=12):
+    """A (n,2) Gog trapezoid with 2 <= n <= n_max, drawn row by row
+    below the top row 1..n: cells with i - j >= 2 are pinned to j, and
+    each free cell is drawn inside its interlacing interval, above its
+    left neighbour so that the row stays strict."""
+    n = draw(st.integers(2, n_max))
+    rows = [tuple(range(1, n + 1))]
+    for i in range(n - 1, 0, -1):
+        above = rows[-1]
+        row = list(range(1, i - 1))
+        for m in range(max(i - 2, 0), i):
+            lo = max(above[m], row[-1] + 1) if row else above[m]
+            row.append(draw(st.integers(lo, above[m + 1])))
+        rows.append(tuple(row))
+    return GtTriangle(tuple(rows))
+
+
+@settings(max_examples=300)
+@given(gog_trapezoids_n2())
+def test_bijection_properties_on_drawn_trapezoids(t):
+    assert is_gog(t) and is_trapezoid(t, Family.GOG, 2)
+    assert _gog_trapezoid(t.n, extract_diagonals(t)) == t
+    image, trace = gog_to_gogam_n2(t)
+    assert gogam_to_gog_n2(image) == (t, trace[::-1])
+    assert is_trapezoid(image, Family.GOGAM, 2) and is_gogam(image)
+    assert is_magog(schutzenberger(image))
+    assert statistic_x11(image) == statistic_x11(t)
+
 
 class TestCoveringSubtraction:
     def test_small_example(self):
@@ -185,14 +263,17 @@ class TestCoveringSubtraction:
 
 
 class TestGogamDiagonals:
+    """The (n,2) GOGAm bounds on the two rightmost diagonals, read
+    through the full-size `BijectionState` of a trapezoid."""
+
     def test_worked_output_passes(self):
-        d = GogamDiagonals.from_triangle(GOGAM52)
-        assert d.alpha == (3, 3, 3, 3, 2)
-        assert d.beta == (2, 2, 1, 1)
-        assert d.check() == []
+        state = BijectionState.from_triangle(GOGAM52)
+        assert state.u == (3, 3, 3, 3, 2)
+        assert state.v == (2, 2, 1, 1)
+        assert state.check_invariants() == []
 
     def test_oversized_corner_fails(self):
-        assert GogamDiagonals.from_triangle(tri((1, 1, 4), (1, 4), (4,))).check()
+        assert BijectionState.from_triangle(tri((1, 1, 4), (1, 4), (4,))).check_invariants()
 
     def test_equivalent_to_general_membership_on_trapezoid_shapes(self):
         # on (n,2)-trapezoid-shaped triangles the diagonal inequalities
@@ -214,7 +295,7 @@ class TestGogamDiagonals:
             for t in shapes(n):
                 assert is_trapezoid(t, Family.GOGAM, 2)
                 member = is_gogam(t)
-                assert (GogamDiagonals.from_triangle(t).check() == []) == member
+                assert (BijectionState.from_triangle(t).check_invariants() == []) == member
                 seen += 1
                 members += member
             assert (seen, members) == (want_shapes, want_gogam)
@@ -282,6 +363,15 @@ class TestStateInvariants:
     )
     def test_constructor_rejects_non_int_entries(self, n, u, v):
         with pytest.raises(ValueError, match="must be integers"):
+            BijectionState(n, u, v)
+
+    @pytest.mark.parametrize(
+        "n, u, v",
+        [(3, (), ()), (0, (1,), ()), (-1, (1,), ()), (0, (), ())],
+        ids=["empty-diagonal", "size-0", "negative-size", "both"],
+    )
+    def test_constructor_rejects_empty_or_sizeless_state(self, n, u, v):
+        with pytest.raises(ValueError, match="n >= 1 and a nonempty rightmost diagonal"):
             BijectionState(n, u, v)
 
     def test_trusted_state_equals_checked_state(self):

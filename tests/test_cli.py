@@ -69,6 +69,21 @@ def test_convert_round_trip_is_byte_identical(capsys, tmp_path):
     assert back == (FIXTURES / "gog_52.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [("gog", "gogam", "not a (n,2) Gog trapezoid"),
+     ("gogam", "gog", "not a (n,2) GOGAm trapezoid")],
+    ids=["gog-gogam", "gogam-gog"],
+)
+def test_convert_trapezoid_rejects_size1_other_than_one(capsys, tmp_path, src, dst, message):
+    f = tmp_path / "two.txt"
+    f.write_text("1\n2\n")
+    code, out, err = run(capsys, "convert", "--from", src, "--to", dst, "--trapezoid", "2",
+                         str(f))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_convert_gog_asm_round_trip(capsys, tmp_path):
     code, out, _ = run(
         capsys, "convert", "--from", "gog", "--to", "asm", str(FIXTURES / "gog_52.txt")

@@ -9,6 +9,7 @@ from gogmagog.bijection import (
     BijectionState,
     BijectionStateError,
     Rule,
+    _gog_trapezoid,
     extract_diagonals,
     forward_step,
     gog_to_gogam_n2,
@@ -131,19 +132,27 @@ def test_asm_generation_rejects_bad_size(n):
         generate_asms(n)  # raised at the call, before any iteration
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "2", None], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: verify("counts", n), asm_number, generate_asms],
+    ids=["verify", "asm_number", "generate_asms"],
+)
+def test_sizes_must_be_integers(call, n):
+    # never coerced: a bool is not taken as 0 or 1, nor 2.0 as 2
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(n)
+
+
 # --- the (n,2) prefix-tree walk behind bijection-n2 and rule-trace-lemmas ---
-
-
-def _pairs(t):
-    d = extract_diagonals(t)
-    return tuple((d.b_at(k), d.a[k - 1]) for k in range(1, t.n))
 
 
 def test_walk_equals_the_public_maps():
     """Every (n,2) Gog trapezoid with n <= 7: the walk's pairs are its
     `extract_diagonals`, its leaf and records are `gog_to_gogam_n2`'s
     image and trace, every edge's inverse returns its parent state,
-    pair and record, and `gogam_to_gog_n2` of the image gives it back."""
+    pair and record, and `gogam_to_gog_n2` of the image gives it back.
+    `_gog_trapezoid` inverts `extract_diagonals`."""
     total = 0
     for n in range(1, 8):
         walked = {}
@@ -157,7 +166,9 @@ def test_walk_equals_the_public_maps():
         assert len(walked) == len(gogs)
         for t in gogs:
             out, trace = gog_to_gogam_n2(t)
-            assert walked[_pairs(t)] == (out, trace)
+            pairs = extract_diagonals(t)
+            assert walked[pairs] == (out, trace)
+            assert _gog_trapezoid(n, pairs) == t
             assert gogam_to_gog_n2(out)[0] == t
         total += len(gogs)
     assert total == 14_793
@@ -177,7 +188,7 @@ def test_walk_visits_each_prefix_once(monkeypatch):
 
     prefixes = set()
     for t in generate(FamilySpec(Family.GOG, 6, k=2)):
-        pairs = _pairs(t)
+        pairs = extract_diagonals(t)
         prefixes.update(pairs[:k] for k in range(1, 6))
     monkeypatch.setattr(enumeration, "forward_step", counted("forward", forward_step))
     monkeypatch.setattr(enumeration, "inverse_step", counted("inverse", inverse_step))
@@ -231,7 +242,7 @@ def test_broken_edge_marks_every_leaf_below(monkeypatch, corrupt, reason):
     report = verify("bijection-n2", 5)
     below = [
         t for t in generate(FamilySpec(Family.GOG, 5, k=2))
-        if _pairs(t)[:2] == BROKEN_PREFIX
+        if extract_diagonals(t)[:2] == BROKEN_PREFIX
     ]
     assert len(below) == 28
     want = sorted(f"{reason} for {_fail_payload(t)}" for t in below)
@@ -265,8 +276,10 @@ def test_round_trip_failure_outranks_a_record_mismatch_below(monkeypatch):
     monkeypatch.setattr(enumeration, "inverse_step", broken)
     report = verify("bijection-n2", 5)
     gogs = list(generate(FamilySpec(Family.GOG, 5, k=2)))
-    under_above = sorted(_fail_payload(t) for t in gogs if _pairs(t)[:2] == BROKEN_PREFIX)
-    under_both = [t for t in gogs if _pairs(t)[:3] == BROKEN_PREFIX + ((2, 3),)]
+    under_above = sorted(
+        _fail_payload(t) for t in gogs if extract_diagonals(t)[:2] == BROKEN_PREFIX
+    )
+    under_both = [t for t in gogs if extract_diagonals(t)[:3] == BROKEN_PREFIX + ((2, 3),)]
     assert len(under_above) == 28 and len(under_both) == 5
     assert [f for f in report.failures if not f.startswith("n=5")] == [
         f"round trip failed for {payload}" for payload in under_above
