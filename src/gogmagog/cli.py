@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ShapeError, FileNotFoundError, ValueError) as exc:
+    except (ShapeError, OSError, ValueError) as exc:  # OSError: a missing or unreadable file
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
@@ -49,6 +50,7 @@ from .tableaux import schutzenberger_via_words
 from .triangles import (
     Family,
     GtTriangle,
+    _check_int,
     format_triangle,
     inversions,
     is_gog_trapezoid_n2k,
@@ -60,8 +62,7 @@ from .triangles import (
 
 def _check_size(n: int, name: str = "size") -> None:
     """``n`` must be an ``int`` (not a bool or a float) with n >= 1."""
-    if type(n) is not int:  # bool is an int subclass
-        raise ValueError(f"{name} must be an integer, got {n!r}")
+    _check_int(n, name)
     if n < 1:
         raise ValueError(f"{name} must be at least 1, got {n}")
 
@@ -270,6 +271,55 @@ def generate_asms(n: int) -> Iterator[Asm]:
 
 def count(spec: FamilySpec) -> int:
     return sum(1 for _ in generate(spec))
+
+
+def _count_n2(family: Family, n: int) -> int:
+    """Number of (n,2) Gog or Magog trapezoids, by a transfer over rows.
+
+    Cells with i - j >= 2 are pinned, to j (Gog) or to 1 (Magog), so
+    row i is free only in p = x[i,i-1] and q = x[i,i].  The pinned cells
+    interlace among themselves, and row i interlaces with row i+1 =
+    (..., pin(i-1), p', q') exactly when pin(i-1) <= p <= p' <= q <= q'.
+    Gog rows below the top are strict, which leaves p < q (the pins
+    already sit below p); Magog caps q <= i.  The top row is 1..n (Gog)
+    or ends in any 1 <= p <= q <= n (Magog); row 1 is one entry x with
+    p <= x <= q, and x <= 1 for Magog.
+
+    ``counts[p][q]`` is the number of ways to fill rows n..i so that row
+    i ends in (p, q).  The next row's count at (p, q) is the sum of
+    ``counts`` over the rectangle p <= p' <= q, q' >= q: suffix sums
+    along q', then a running sum down p.  Each row costs O(n^2), the
+    count O(n^3).  Independent of `_walk_n2`'s pair ranges and of the
+    generators, so the three routes can disagree.
+    """
+    if family not in (Family.GOG, Family.MAGOG):
+        raise ValueError(f"no (n,2) count for family {family}")
+    _check_size(n)
+    if n == 1:
+        return 1
+    gog = family is Family.GOG
+    counts = [[0] * (n + 2) for _ in range(n + 2)]
+    if gog:
+        counts[n - 1][n] = 1
+    else:
+        for q in range(1, n + 1):
+            for p in range(1, q + 1):
+                counts[p][q] = 1
+    for i in range(n - 1, 1, -1):
+        # tails[p'][q] = sum of counts[p'][q'] over q' >= q
+        tails = [list(accumulate(reversed(row)))[::-1] for row in counts]
+        low = i - 1 if gog else 1  # pin(i-1) = x[i+1,i-1]
+        counts = [[0] * (n + 2) for _ in range(n + 2)]
+        for q in range(low, (n if gog else i) + 1):
+            total = tails[q][q]
+            if not gog:
+                counts[q][q] = total
+            for p in range(q - 1, low - 1, -1):
+                total += tails[p][q]
+                counts[p][q] = total
+    if gog:
+        return sum(c * (q - p + 1) for p, row in enumerate(counts) for q, c in enumerate(row))
+    return sum(counts[1])  # x <= 1 needs p = 1
 
 
 # --- verification suites ---------------------------------------------------
@@ -496,8 +546,8 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
             images.add(out)
             continue
         report.failures.append(f"{failure} for {_path_payload(n, path)}")
-    gogs = count(FamilySpec(Family.GOG, n, k=min(2, n)))
-    magogs = count(FamilySpec(Family.MAGOG, n, k=min(2, n)))
+    gogs = _count_n2(Family.GOG, n)
+    magogs = _count_n2(Family.MAGOG, n)
     report.checks += 1
     if not (leaves == gogs == len(images) == magogs):
         report.failures.append(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .triangles import GtTriangle, _is_gt_rows
+from .triangles import GtTriangle, _check_int, _is_gt_rows
 
 
 def _reflect(rows: list[list[int]], k: int) -> None:
@@ -49,6 +49,7 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     braid relations.
     """
     n = t.n
+    _check_int(k, "row index")
     if not (1 <= k <= n - 1):
         raise ValueError(f"row index must be in 1..{n - 1}, got {k}")
     rows = [list(r) for r in t.rows]
@@ -59,6 +60,7 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
 def bender_knuth_sweep(t: GtTriangle, j: int) -> GtTriangle:
     """Apply the row reflections on rows 1, 2, ..., j in that order."""
     n = t.n
+    _check_int(j, "sweep length")
     if not (1 <= j <= n - 1):
         raise ValueError(f"sweep length must be in 1..{n - 1}, got {j}")
     rows = [list(r) for r in t.rows]

@@ -113,6 +113,13 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+def _check_int(value: int, name: str) -> None:
+    """``value`` must be an ``int``: a bool, float or string is refused,
+    not read as 0, 1 or its truncation."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Inversion(NamedTuple):
     """Cell (i, j) whose entry equals the one directly above-left of it."""
 
@@ -200,6 +207,7 @@ def is_trapezoid(t: GtTriangle, family: Family, k: int) -> bool:
     Gog trapezoids pin those cells to j, Magog and GOGAm trapezoids pin
     them to 1.  Family membership itself is not re-checked here.
     """
+    _check_int(k, "trapezoid width")
     if k < 1:
         raise ValueError(f"trapezoid width must be >= 1, got {k}")
     if family not in (Family.GOG, Family.MAGOG, Family.GOGAM):
@@ -222,6 +230,7 @@ def is_gog_trapezoid_n2k(t: GtTriangle, k: int) -> bool:
     x[j,j-1] = j-1 for j >= 2.
     """
     n = t.n
+    _check_int(k, "k")
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     for j in range(k, n + 1):
@@ -243,6 +252,7 @@ def is_magog_trapezoid_n2k(t: GtTriangle, k: int) -> bool:
     (n,2,k) Gog class, verified exhaustively through n = 6.
     """
     n = t.n
+    _check_int(k, "k")
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if any(t[j, j] != 1 for j in range(1, n - k + 1)):

@@ -268,6 +268,23 @@ def test_missing_file_is_reported(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--kind", "gog"],
+        ["convert", "--from", "gog", "--to", "gogam", "--trapezoid", "2"],
+        ["schutzenberger"],
+    ],
+    ids=["validate", "convert", "schutzenberger"],
+)
+def test_unreadable_path_is_a_usage_error(capsys, tmp_path, argv):
+    # a directory cannot be read as a file: one stderr line, no traceback
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and str(tmp_path) in lines[0]
+
+
 @pytest.mark.parametrize("command", ["count", "enumerate"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_asm_family_rejects_bad_size(capsys, command, n):

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+import time
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from gogmagog.bijection import (
 from gogmagog.enumeration import (
     FamilySpec,
     SUITES,
+    _count_n2,
     _fail_payload,
     _walk_n2,
     asm_number,
@@ -316,6 +318,80 @@ def test_inverse_lemma_reads_each_edge_inverse(monkeypatch):
 def test_walk_rejects_bad_size(n):
     with pytest.raises(ValueError, match="size must be at least 1"):
         _walk_n2(n)  # raised at the call, before any step
+
+
+# --- the (n,2) count DP behind the bijection-n2 cardinality check ---------
+
+
+def _enumerated_n2(family, n):
+    return len(list(generate(FamilySpec(family, n, k=min(2, n)))))
+
+
+@pytest.mark.parametrize("family", [Family.GOG, Family.MAGOG], ids=["gog", "magog"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_n2_equals_enumeration(family, n):
+    assert _count_n2(family, n) == _enumerated_n2(family, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", [Family.GOG, Family.MAGOG], ids=["gog", "magog"])
+def test_count_n2_equals_enumeration_n8(family):
+    assert _count_n2(family, 8) == _enumerated_n2(family, 8) == 113_945
+
+
+def test_count_n2_values():
+    assert [_count_n2(Family.GOG, n) for n in range(1, 12)] == [
+        1, 2, 7, 35, 219, 1_594, 12_935, 113_945, 1_070_324, 10_586_856, 109_259_633,
+    ]
+
+
+def test_count_n2_gog_equals_magog_to_40():
+    # the (n,2) case of the Mills-Robbins-Rumsey trapezoid conjecture
+    # (Zeilberger 1996), far past what enumeration reaches
+    start = time.process_time()
+    for n in range(1, 41):
+        assert _count_n2(Family.GOG, n) == _count_n2(Family.MAGOG, n)
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [
+        (Family.GT, 3),
+        (Family.GOGAM, 3),
+        (Family.GOG, 0),
+        (Family.MAGOG, 0),
+        (Family.GOG, True),
+        (Family.MAGOG, 2.0),
+    ],
+    ids=["gt", "gogam", "gog-0", "magog-0", "bool", "float"],
+)
+def test_count_n2_rejects_bad_input(family, n):
+    with pytest.raises(ValueError):
+        _count_n2(family, n)
+
+
+def test_bijection_n2_cardinality_check_can_fail(monkeypatch):
+    def one_gog_too_many(family, n):
+        extra = 1 if family is Family.GOG and n == 4 else 0
+        return _count_n2(family, n) + extra
+
+    monkeypatch.setattr(enumeration, "_count_n2", one_gog_too_many)
+    assert verify("bijection-n2", 4).failures == [
+        "n=4: cardinalities differ (walk 35, gog 36, images 35, magog 35)"
+    ]
+
+
+def test_bijection_n2_enumerates_nothing(monkeypatch):
+    """The cardinality check reads the DP: no generator runs."""
+
+    def unreachable(*args):
+        raise AssertionError("bijection-n2 must not enumerate")
+
+    for name in ("generate", "count", "_descend"):
+        monkeypatch.setattr(enumeration, name, unreachable)
+    report = verify("bijection-n2", 5)
+    assert report.ok and report.histogram["trapezoids-5"] == 219
 
 
 # --- statistics and n2k-classes read the same walk -------------------------

@@ -249,3 +249,11 @@ class TestInPlaceReflections:
         schutzenberger(t)
         bender_knuth_sweep(t, 4)
         assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)
+@pytest.mark.parametrize("call", [bender_knuth, bender_knuth_sweep])
+def test_row_indices_must_be_integers(call, index):
+    # never coerced: True is not row 1, nor 1.0 row 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(tri((1, 2, 3), (1, 3), (2,)), index)

@@ -138,6 +138,26 @@ class TestTrapezoids:
         assert is_magog_trapezoid_n2k(tri((1, 1, 1), (1, 1), (1,)), 3)
 
 
+SIZE3_GOG = tri((1, 2, 3), (1, 3), (2,))
+
+
+@pytest.mark.parametrize("width", [True, False, 2.0, 1.5, "2", None], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: is_trapezoid(SIZE3_GOG, Family.GOG, w),
+        lambda w: is_trapezoid(SIZE3_GOG, Family.MAGOG, w),
+        lambda w: is_gog_trapezoid_n2k(SIZE3_GOG, w),
+        lambda w: is_magog_trapezoid_n2k(SIZE3_GOG, w),
+    ],
+    ids=["is_trapezoid-gog", "is_trapezoid-magog", "gog_n2k", "magog_n2k"],
+)
+def test_widths_must_be_integers(call, width):
+    # never coerced: True is not width 1, nor 2.0 width 2
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(width)
+
+
 class TestInversions:
     def test_worked_example_has_three(self):
         assert inversions(GOG5) == [Inversion(2, 2), Inversion(3, 1), Inversion(4, 1)]
