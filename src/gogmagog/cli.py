@@ -25,7 +25,6 @@ from .asm import (
     validate_asm,
 )
 from .bijection import (
-    InvalidGogamInput,
     gog_to_gogam_n2,
     gogam_to_gog_n2,
     magog_row_statistic,
@@ -33,15 +32,15 @@ from .bijection import (
 )
 from .enumeration import SUITES, FamilySpec, _n2_trapezoids, generate, generate_asms, verify
 from .schutzenberger import is_gogam, schutzenberger
-from .tableaux import format_tableau, triangle_to_tableau
+from .tableaux import Ssyt, format_tableau, triangle_to_tableau
 from .triangles import (
     Family,
     GtTriangle,
-    ShapeError,
     format_triangle,
     is_gog,
     is_magog,
     is_trapezoid,
+    is_valid_gt,
     parse_triangle,
     triangle_from_json,
     triangle_to_json,
@@ -67,31 +66,35 @@ def _load(kind: str, path: str) -> GtTriangle | Asm:
     return parse_json(text) if text.lstrip().startswith("{") else parse_text(text)
 
 
-def _emit(obj: GtTriangle | Asm, as_json: bool) -> None:
-    if isinstance(obj, Asm):
+def _emit(obj: GtTriangle | Asm | Ssyt, as_json: bool) -> None:
+    if isinstance(obj, Ssyt):
+        text = format_tableau(obj)  # text only: convert refuses --json for ssyt
+    elif isinstance(obj, Asm):
         text = asm_to_json(obj) + "\n" if as_json else format_asm(obj)
     else:
         text = triangle_to_json(obj) + "\n" if as_json else format_triangle(obj)
     sys.stdout.write(text)
 
 
+_NOT_MEMBER = {
+    "gog": "not a Gog triangle (rows or pinned top row)",
+    "magog": "diagonal bound broken: not a Magog triangle",
+    "gogam": "involution image is not Magog: not a GOGAm triangle",
+}
+
+
 def _problems(kind: str, obj: GtTriangle | Asm, trapezoid: int | None = None) -> list[str]:
     """Why ``obj`` is not of ``kind`` (and, if given, not a trapezoid of
-    that width); empty when it is."""
+    that width); empty when it is.  The cheap membership test decides;
+    `validate_gt` only lists what a triangle that is not GT breaks."""
     if kind == "asm":
         return validate_asm(obj)
-    problems = [str(v) for v in validate_gt(obj)]
-    if not problems:
-        if kind == "gog" and not is_gog(obj):
-            problems.append("not a Gog triangle (rows or pinned top row)")
-        elif kind == "magog" and not is_magog(obj):
-            problems.append("diagonal bound broken: not a Magog triangle")
-        elif kind == "gogam" and not is_gogam(obj):
-            problems.append("involution image is not Magog: not a GOGAm triangle")
-    if not problems and trapezoid is not None and kind != "gt":
-        if not is_trapezoid(obj, Family(kind), trapezoid):
-            problems.append(f"not a ({obj.n},{trapezoid}) {kind} trapezoid")
-    return problems
+    member = {"gt": is_valid_gt, "gog": is_gog, "magog": is_magog, "gogam": is_gogam}[kind]
+    if not member(obj):
+        return [str(v) for v in validate_gt(obj)] or [_NOT_MEMBER[kind]]
+    if trapezoid is not None and not is_trapezoid(obj, Family(kind), trapezoid):
+        return [f"not a ({obj.n},{trapezoid}) {kind} trapezoid"]
+    return []
 
 
 def _report_problems(problems: list[str]) -> int:
@@ -101,51 +104,46 @@ def _report_problems(problems: list[str]) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.trapezoid is not None and args.kind in ("gt", "asm"):
+        raise ValueError(f"--trapezoid does not apply to --kind {args.kind}")
     obj = _load(args.kind, args.file)
     return _report_problems(_problems(args.kind, obj, args.trapezoid))
 
 
 _TRAPEZOID_CONVERSIONS = {("gog", "gogam"), ("gogam", "gog")}
-_CONVERSIONS = _TRAPEZOID_CONVERSIONS | {
-    ("gog", "asm"),
-    ("asm", "gog"),
-    ("magog", "gogam"),
-    ("gogam", "magog"),
-    ("gt", "ssyt"),
-}
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     pair = (args.src, args.dst)
-    if pair not in _CONVERSIONS:
+    # built per call, so each map is read from this module's current names
+    convert = {
+        ("gog", "asm"): gog_to_asm,
+        ("asm", "gog"): asm_to_gog,
+        ("magog", "gogam"): schutzenberger,
+        ("gogam", "magog"): schutzenberger,
+        ("gt", "ssyt"): triangle_to_tableau,
+        ("gog", "gogam"): lambda t: gog_to_gogam_n2(t)[0],
+        ("gogam", "gog"): lambda t: gogam_to_gog_n2(t)[0],
+    }.get(pair)
+    if convert is None:
         print(f"unsupported conversion {args.src} -> {args.dst}", file=sys.stderr)
         return 2
+    trapezoid_map = pair in _TRAPEZOID_CONVERSIONS
+    if args.trapezoid is not None and not trapezoid_map:
+        raise ValueError("--trapezoid applies only to gog <-> gogam conversion")
+    if args.json and args.dst == "ssyt":
+        raise ValueError("--json does not apply to --to ssyt")
     obj = _load(args.src, args.file)
-    if pair not in _TRAPEZOID_CONVERSIONS:
-        # the trapezoid maps validate their own input
+    if not trapezoid_map:
         problems = _problems(args.src, obj)
         if problems:
             return _report_problems(problems)
-    if pair == ("asm", "gog"):
-        _emit(asm_to_gog(obj), args.json)
-        return 0
-    if pair == ("gog", "asm"):
-        _emit(gog_to_asm(obj), args.json)
-        return 0
-    if pair == ("gt", "ssyt"):
-        sys.stdout.write(format_tableau(triangle_to_tableau(obj)))
-        return 0
-    if pair in (("magog", "gogam"), ("gogam", "magog")):
-        _emit(schutzenberger(obj), args.json)
-        return 0
-    # the trapezoid bijection
-    if args.trapezoid != 2:
+    elif args.trapezoid != 2:
         print("gog <-> gogam conversion requires --trapezoid 2", file=sys.stderr)
         return 2
-    bijection = gog_to_gogam_n2 if pair == ("gog", "gogam") else gogam_to_gog_n2
     try:
-        out = bijection(obj)[0]
-    except (ValueError, InvalidGogamInput) as exc:
+        out = convert(obj)
+    except ValueError as exc:  # the trapezoid maps validate their own input
         print(str(exc), file=sys.stderr)
         return 1
     _emit(out, args.json)
@@ -280,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ShapeError, OSError, ValueError) as exc:  # OSError: a missing or unreadable file
+    except (OSError, ValueError) as exc:  # OSError: a missing or unreadable file
         print(str(exc), file=sys.stderr)
         return 2
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
@@ -51,6 +51,7 @@ from .triangles import (
     Family,
     GtTriangle,
     _check_int,
+    _check_size,
     format_triangle,
     inversions,
     is_gog_trapezoid_n2k,
@@ -58,13 +59,6 @@ from .triangles import (
     is_magog_trapezoid_n2k,
     is_trapezoid,
 )
-
-
-def _check_size(n: int, name: str = "size") -> None:
-    """``n`` must be an ``int`` (not a bool or a float) with n >= 1."""
-    _check_int(n, name)
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +72,10 @@ class FamilySpec:
     bound: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n", "k", "bound"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is bool or not isinstance(value, int)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ValueError("size must be at least 1")
+        _check_size(self.n)
+        for name, value in (("k", self.k), ("bound", self.bound)):
+            if value is not None:
+                _check_int(value, name)
         if self.k is not None and not (1 <= self.k <= self.n):
             raise ValueError(f"trapezoid width must be in 1..{self.n}")
         if self.family is Family.GT:
@@ -104,20 +96,6 @@ def asm_number(n: int) -> int:
     if value.denominator != 1:
         raise AssertionError("product formula must be an integer")
     return value.numerator
-
-
-def _weakly_increasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    row = [0] * length
-
-    def rec(pos: int, floor: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(row)
-            return
-        for val in range(floor, hi + 1):
-            row[pos] = val
-            yield from rec(pos + 1, val)
-
-    yield from rec(0, lo)
 
 
 def _descend(
@@ -158,7 +136,7 @@ def _descend(
 
 
 def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
-    for top in _weakly_increasing(n, 1, bound):
+    for top in combinations_with_replacement(range(1, bound + 1), n):
         yield from _descend(top, n, lambda i, j, val, row: True)
 
 
@@ -183,14 +161,9 @@ def _generate_magog(n: int, k: int | None) -> Iterator[GtTriangle]:
             return False
         return True
 
-    for top in _weakly_increasing(n, 1, n):
-        if top[-1] > n:
-            continue
-        if k is not None and any(
-            top[j - 1] != 1 for j in range(1, n + 1) if n - j >= k
-        ):
-            continue
-        yield from _descend(top, n, ok)
+    free = n if k is None else k  # top cells (n, j) with j <= n - k are pinned to 1
+    for tail in combinations_with_replacement(range(1, n + 1), free):
+        yield from _descend((1,) * (n - free) + tail, n, ok)
 
 
 def _generate_gogam(n: int, k: int | None) -> Iterator[GtTriangle]:
@@ -339,16 +312,7 @@ class Report:
         return not self.failures
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "n": self.n,
-                "checks": self.checks,
-                "failures": self.failures,
-                "histogram": self.histogram,
-                "millis": self.millis,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def render(self) -> str:
         lines = [

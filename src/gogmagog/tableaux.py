@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import le, lt
 
-from .triangles import GtTriangle, _int_rows
+from .triangles import GtTriangle, _check_size, _int_rows
 
 Word = tuple[int, ...]
 
@@ -31,7 +31,7 @@ class Ssyt:
     n: int
 
     def __post_init__(self) -> None:
-        _check_size(self.n)
+        _check_size(self.n, "alphabet size")
         object.__setattr__(self, "rows", _int_rows(self.rows))
 
     @classmethod
@@ -147,16 +147,10 @@ def reading_word(s: Ssyt) -> Word:
     return tuple(out)
 
 
-def _check_size(n: int) -> None:
-    """The alphabet size must be an ``int`` (not a bool) with n >= 1."""
-    if type(n) is not int or n < 1:  # bool is an int subclass
-        raise ValueError(f"alphabet size must be an int >= 1, got {n!r}")
-
-
 def _check_word(word: Word, n: int) -> None:
     """The alphabet size must pass `_check_size`, and every letter must
     be an ``int`` (not a float, bool or string) in 1..n."""
-    _check_size(n)
+    _check_size(n, "alphabet size")
     if not set(map(type, word)) <= {int}:  # bool is an int subclass
         raise ValueError(f"letters must be integers, got {word!r}")
     if word and (min(word) < 1 or max(word) > n):

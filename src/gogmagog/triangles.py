@@ -120,6 +120,13 @@ def _check_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_size(n: int, name: str = "size") -> None:
+    """``n`` must be an ``int`` (not a bool or a float) with n >= 1."""
+    _check_int(n, name)
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
+
+
 class Inversion(NamedTuple):
     """Cell (i, j) whose entry equals the one directly above-left of it."""
 
@@ -332,7 +339,10 @@ def _rows_from_json(text: str, key: str, make: Callable[..., _T]) -> _T:
     """``make(rows)`` from a JSON object holding ``key``; ``make`` checks
     that the entries are integers, and an ``n`` field must match the
     object's size."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ShapeError("JSON input is nested too deeply") from None
     rows = data.get(key) if isinstance(data, dict) else None
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise ShapeError(f"JSON input needs a {key!r} list of rows")

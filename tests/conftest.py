@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from gogmagog.triangles import GtTriangle
 
@@ -48,6 +49,20 @@ def random_gt(rng: random.Random, n: int, bound: int) -> GtTriangle:
     for i in range(n - 1, 0, -1):
         above = rows[-1]
         rows.append(tuple(rng.randint(above[j], above[j + 1]) for j in range(i)))
+    return GtTriangle(tuple(rows))
+
+
+@st.composite
+def drawn_gt(draw, n_max=12):
+    """A GT triangle with 1 <= n <= n_max and entries at most n + 2: a
+    weakly increasing top row, then each entry drawn inside its
+    interlacing interval [x[i+1,j], x[i+1,j+1]]."""
+    n = draw(st.integers(1, n_max))
+    bound = draw(st.integers(1, n + 2))
+    rows = [tuple(sorted(draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))]
+    for i in range(n - 1, 0, -1):
+        above = rows[-1]
+        rows.append(tuple(draw(st.integers(above[j], above[j + 1])) for j in range(i)))
     return GtTriangle(tuple(rows))
 
 

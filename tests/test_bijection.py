@@ -278,12 +278,14 @@ class TestGogamDiagonals:
     def test_equivalent_to_general_membership_on_trapezoid_shapes(self):
         # on (n,2)-trapezoid-shaped triangles the diagonal inequalities
         # decide membership exactly like the chain formula
-        from gogmagog.enumeration import _descend, _weakly_increasing
+        from itertools import combinations_with_replacement
+
+        from gogmagog.enumeration import _descend
 
         def shapes(n):
             # cells with i - j >= 2 pinned to 1, every entry at most n
             # (a GOGAm corner is at most n and dominates every entry)
-            for right in _weakly_increasing(min(n, 2), 1, n):
+            for right in combinations_with_replacement(range(1, n + 1), min(n, 2)):
                 top = (1,) * (n - len(right)) + right
                 yield from _descend(top, n, lambda i, j, val, row: i - j < 2 or val == 1)
 

@@ -1,12 +1,18 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogmagog import cli, enumeration
 from gogmagog.cli import main
+from gogmagog.triangles import format_triangle, triangle_to_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, drawn_gt
 
 
 def run(capsys, *argv):
@@ -304,3 +310,88 @@ def test_text_entries_must_be_ascii_decimal(capsys, tmp_path, kind, text):
     f.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "validate", "--kind", kind, str(f))
     assert code == 2 and out == "" and err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--kind", "gt", "--trapezoid", "2", str(FIXTURES / "gog_52.txt")),
+        ("validate", "--kind", "asm", "--trapezoid", "2", str(FIXTURES / "asm_5.txt")),
+        ("convert", "--from", "gog", "--to", "asm", "--trapezoid", "7",
+         str(FIXTURES / "gog_52.txt")),
+        ("convert", "--from", "gt", "--to", "ssyt", "--json", str(FIXTURES / "gog_52.txt")),
+    ],
+    ids=["validate-gt-trapezoid", "validate-asm-trapezoid", "convert-asm-trapezoid",
+         "convert-ssyt-json"],
+)
+def test_options_that_do_not_apply_are_rejected(capsys, argv):
+    # each file is valid: the option must not be dropped silently
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def _nested(key, depth):
+    return '{"n": 2, "%s": %s1%s}' % (key, "[" * depth, "]" * depth)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("validate", "--kind", "gog"), "rows_top_down"),
+        (("convert", "--from", "gog", "--to", "asm"), "rows_top_down"),
+        (("schutzenberger",), "rows_top_down"),
+        (("validate", "--kind", "asm"), "rows"),
+        (("convert", "--from", "asm", "--to", "gog"), "rows"),
+    ],
+    ids=["validate-triangle", "convert-triangle", "schutzenberger", "validate-asm",
+         "convert-asm"],
+)
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path, argv, key):
+    f = tmp_path / "deep.json"
+    f.write_text(_nested(key, 1000))
+    code, out, err = run(capsys, *argv, str(f))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["JSON input is nested too deeply"]
+
+
+_FUZZ_COMMANDS = (
+    [["validate", "--kind", kind] for kind in cli.KINDS]
+    + [["validate", "--kind", kind, "--trapezoid", "2"] for kind in ("gog", "magog", "gogam")]
+    + [
+        ["convert", "--from", src, "--to", dst]
+        + (["--trapezoid", "2"] if (src, dst) in cli._TRAPEZOID_CONVERSIONS else [])
+        + (["--json"] if dst != "ssyt" else [])
+        for src, dst in [
+            ("gog", "gogam"), ("gogam", "gog"), ("gog", "asm"), ("asm", "gog"),
+            ("magog", "gogam"), ("gogam", "magog"), ("gt", "ssyt"),
+        ]
+    ]
+    + [["schutzenberger"], ["schutzenberger", "--json"]]
+)
+# small tokens only: a tableau holds as many letters as its triangle's entries
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "1_0", "+2", "1.5", "x", "\u0663"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "rows", "rows_top_down"]), inner, max_size=3),
+    max_leaves=20,
+)
+_INPUTS = st.one_of(
+    drawn_gt(n_max=5).map(format_triangle),
+    drawn_gt(n_max=5).map(triangle_to_json),
+    st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=7).map("\n".join),
+    st.dictionaries(st.sampled_from(["n", "rows", "rows_top_down"]), _JSON_VALUES,
+                    max_size=3).map(json.dumps),
+    st.builds(_nested, st.sampled_from(["rows", "rows_top_down"]), st.integers(500, 5000)),
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_FUZZ_COMMANDS), _INPUTS)
+def test_cli_fuzz_exits_with_a_documented_status(command, text):
+    # read from stdin ("-"): function-scoped fixtures do not mix with @given
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main([*command, "-"])
+    assert code in (0, 1, 2)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from gogmagog.schutzenberger import (
     DiagonalTable,
@@ -11,7 +12,7 @@ from gogmagog.schutzenberger import (
 from gogmagog.tableaux import schutzenberger_via_words
 from gogmagog.triangles import GtTriangle, is_magog, is_valid_gt, parse_triangle
 
-from conftest import FIXTURES, gt_triangles, random_gt, tri
+from conftest import FIXTURES, drawn_gt, gt_triangles, random_gt, tri
 
 
 class TestBenderKnuth:
@@ -257,3 +258,13 @@ def test_row_indices_must_be_integers(call, index):
     # never coerced: True is not row 1, nor 1.0 row 1
     with pytest.raises(ValueError, match="must be an integer"):
         call(tri((1, 2, 3), (1, 3), (2,)), index)
+
+
+@settings(max_examples=200)
+@given(drawn_gt())
+def test_involution_properties_on_drawn_triangles(t):
+    s = schutzenberger(t)
+    assert s == schutzenberger_via_words(t)
+    assert schutzenberger(s) == t
+    assert schutzenberger_diagonal(t).values == tuple(s[k, k] for k in range(1, t.n + 1))
+    assert is_gogam(t) == is_magog(s)

@@ -145,23 +145,34 @@ class TestSsytEntries:
 
 
 class TestAlphabetSize:
-    BAD = [2.5, 2.0, True, "2", None, 0, -1]
+    # each bad size with the whole message it must raise
+    BAD = [
+        (2.5, "alphabet size must be an integer, got 2.5"),
+        (2.0, "alphabet size must be an integer, got 2.0"),
+        (True, "alphabet size must be an integer, got True"),
+        ("2", "alphabet size must be an integer, got '2'"),
+        (None, "alphabet size must be an integer, got None"),
+        (0, "alphabet size must be at least 1, got 0"),
+        (-1, "alphabet size must be at least 1, got -1"),
+    ]
     IDS = ["float", "integral-float", "bool", "string", "none", "zero", "negative"]
 
-    @pytest.mark.parametrize("n", BAD, ids=IDS)
-    def test_ssyt_rejects_bad_size(self, n):
+    @pytest.mark.parametrize("n, message", BAD, ids=IDS)
+    def test_ssyt_rejects_bad_size(self, n, message):
         # True must not pass as 1, nor 2.5 reach tableau_to_triangle
-        with pytest.raises(ValueError, match="alphabet size must be an int >= 1"):
+        with pytest.raises(ValueError) as exc:
             Ssyt(((1,),), n)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("fn", [complement_reverse, rsk_insertion_tableau])
     @pytest.mark.parametrize("word", [(1, 2), ()], ids=["word", "empty-word"])
-    @pytest.mark.parametrize("n", BAD, ids=IDS)
-    def test_word_functions_reject_bad_size(self, fn, word, n):
+    @pytest.mark.parametrize("n, message", BAD, ids=IDS)
+    def test_word_functions_reject_bad_size(self, fn, word, n, message):
         # (1, 2) on 2.5 would give the floats (1.5, 2.5), or a tableau
         # with n = 2.5
-        with pytest.raises(ValueError, match="alphabet size must be an int >= 1"):
+        with pytest.raises(ValueError) as exc:
             fn(word, n)
+        assert str(exc.value) == message
 
     def test_size_one_accepted(self):
         assert Ssyt(((1,),), 1).n == 1
