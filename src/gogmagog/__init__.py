@@ -8,7 +8,6 @@ from .asm import (
     bottom_row_one_column,
     format_asm,
     gog_to_asm,
-    is_valid_asm,
     parse_asm,
     validate_asm,
 )
@@ -29,9 +28,7 @@ from .bijection import (
 )
 from .enumeration import FamilySpec, Report, asm_number, count, generate, generate_asms, verify
 from .schutzenberger import (
-    DiagonalTable,
     bender_knuth,
-    bender_knuth_sweep,
     is_gogam,
     schutzenberger,
     schutzenberger_diagonal,
@@ -51,8 +48,6 @@ from .triangles import (
     Inversion,
     ShapeError,
     Violation,
-    covered_cells,
-    covering_count,
     format_triangle,
     inversions,
     is_gog,
@@ -67,18 +62,16 @@ from .triangles import (
 
 __all__ = [
     "Asm", "asm_inversion_number", "asm_to_gog", "bottom_row_one_column", "format_asm",
-    "gog_to_asm", "is_valid_asm", "parse_asm", "validate_asm",
+    "gog_to_asm", "parse_asm", "validate_asm",
     "BijectionState", "BijectionStateError", "InvalidGogamInput", "Rule", "StepRecord",
     "covering_subtraction_map", "extract_diagonals", "forward_step", "gog_to_gogam_n2",
     "gogam_to_gog_n2", "inverse_step", "magog_row_statistic", "statistic_x11",
     "FamilySpec", "Report", "asm_number", "count", "generate", "generate_asms",
     "verify",
-    "DiagonalTable", "bender_knuth", "bender_knuth_sweep", "is_gogam", "schutzenberger",
-    "schutzenberger_diagonal",
+    "bender_knuth", "is_gogam", "schutzenberger", "schutzenberger_diagonal",
     "Ssyt", "complement_reverse", "reading_word", "rsk_insertion_tableau",
     "schutzenberger_via_words", "tableau_to_triangle", "triangle_to_tableau",
-    "Family", "GtTriangle", "Inversion", "ShapeError", "Violation", "covered_cells",
-    "covering_count", "format_triangle", "inversions", "is_gog", "is_gog_trapezoid_n2k",
-    "is_magog", "is_magog_trapezoid_n2k", "is_trapezoid", "is_valid_gt",
-    "parse_triangle", "validate_gt",
+    "Family", "GtTriangle", "Inversion", "ShapeError", "Violation", "format_triangle",
+    "inversions", "is_gog", "is_gog_trapezoid_n2k", "is_magog", "is_magog_trapezoid_n2k",
+    "is_trapezoid", "is_valid_gt", "parse_triangle", "validate_gt",
 ]

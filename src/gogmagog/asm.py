@@ -86,10 +86,6 @@ def validate_asm(a: Asm) -> list[str]:
     return bad
 
 
-def is_valid_asm(a: Asm) -> bool:
-    return not validate_asm(a)
-
-
 def asm_to_gog(a: Asm) -> GtTriangle:
     """Gog triangle of an ASM via column partial sums.
 

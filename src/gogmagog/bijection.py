@@ -25,14 +25,7 @@ from enum import Enum
 from typing import Sequence
 
 from .schutzenberger import is_gogam
-from .triangles import (
-    Family,
-    GtTriangle,
-    _covering_walk,
-    inversions,
-    is_gog,
-    is_trapezoid,
-)
+from .triangles import Family, GtTriangle, Inversion, inversions, is_gog, is_trapezoid
 
 
 class BijectionStateError(RuntimeError):
@@ -172,16 +165,6 @@ class BijectionState:
         rows_top_down.append((u[k - 1],))
         return GtTriangle._trusted(tuple(rows_top_down))
 
-    @classmethod
-    def from_triangle(cls, t: GtTriangle) -> "BijectionState":
-        """Full-size state of a (n,2)-trapezoid-shaped triangle."""
-        state = cls(t.n, *_two_diagonals(t))
-        if state.materialize() != t:
-            raise InvalidGogamInput(
-                "triangle is not constant left of its two rightmost diagonals"
-            )
-        return state
-
     def check_invariants(self) -> list[str]:
         """Growth conditions plus the three inequality families of
         `_diagonal_bound_violations`."""
@@ -266,11 +249,11 @@ def forward_step(
             rule = Rule.IIIB
             new_u = dec_u
             new_v = [x - 1 for x in v] + [c]
-    elif v_k < u_k and (k == 1 or v_k <= v[-1]):
+    elif k == 1 or v_k <= v[-1]:  # c < v_k < u_k
         rule = Rule.IVA
         new_u = u + [u_k]
         new_v = v + [v_k]
-    elif v_k < u_k:  # v_k > v[k-1]
+    else:  # c < v_k < u_k and v_k > v[k-1]
         rule = Rule.IVB
         l = 1
         while l + 1 <= k - 1 and v[k - (l + 1) - 1] <= v_k - (l + 1):
@@ -280,8 +263,6 @@ def forward_step(
         for m in range(k - l + 1, k + 1):
             new_v[m - 1] = c
         new_v[k - l - 1] = v_k - l
-    else:  # pragma: no cover - the guards above are exhaustive
-        raise BijectionStateError(f"no rule matches (b,a) = ({b_k},{a_k}) at step {k}")
 
     new_state = BijectionState._trusted(n, tuple(new_u), tuple(new_v))
     problems = new_state.check_invariants()
@@ -444,6 +425,11 @@ def _gog_trapezoid(n: int, pairs: Sequence[tuple[int, int]]) -> GtTriangle:
         if k >= 2:
             rows[n - k][n - k - 1] = b_k  # cell (n-k+1, n-k)
     return GtTriangle._trusted(tuple(tuple(r) for r in reversed(rows)))
+
+
+def _covering_walk(invs: set[Inversion], i: int, j: int) -> int:
+    """Inversions among ``invs`` on the ray NW of the cell (i, j)."""
+    return sum(1 for p in range(1, j) if (i - p, j - p) in invs)
 
 
 def covering_subtraction_map(t: GtTriangle) -> GtTriangle:

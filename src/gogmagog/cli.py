@@ -49,6 +49,10 @@ from .triangles import (
 
 KINDS = ("gt", "gog", "magog", "gogam", "asm")
 
+# the tableau holds one list element per letter, and its letter count is
+# the top-row sum, which a size-1 triangle sets to its single entry
+MAX_TABLEAU_LETTERS = 100_000
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -138,6 +142,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         problems = _problems(args.src, obj)
         if problems:
             return _report_problems(problems)
+        letters = sum(obj.rows[0]) if args.dst == "ssyt" else 0
+        if letters > MAX_TABLEAU_LETTERS:
+            raise ValueError(
+                f"tableau would hold {letters} letters, over the limit of {MAX_TABLEAU_LETTERS}"
+            )
     elif args.trapezoid != 2:
         print("gog <-> gogam conversion requires --trapezoid 2", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ that never constructs the image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .triangles import GtTriangle, _check_int, _is_gt_rows
@@ -57,18 +56,6 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
-def bender_knuth_sweep(t: GtTriangle, j: int) -> GtTriangle:
-    """Apply the row reflections on rows 1, 2, ..., j in that order."""
-    n = t.n
-    _check_int(j, "sweep length")
-    if not (1 <= j <= n - 1):
-        raise ValueError(f"sweep length must be in 1..{n - 1}, got {j}")
-    rows = [list(r) for r in t.rows]
-    for k in range(1, j + 1):
-        _reflect(rows, k)
-    return GtTriangle._trusted(tuple(tuple(r) for r in rows))
-
-
 def schutzenberger(t: GtTriangle) -> GtTriangle:
     """Evacuation on triangles: sweeps of lengths n-1, n-2, ..., 1.
 
@@ -82,21 +69,6 @@ def schutzenberger(t: GtTriangle) -> GtTriangle:
         for k in range(1, j + 1):
             _reflect(rows, k)
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
-
-
-@dataclass(frozen=True)
-class DiagonalTable:
-    """Rightmost diagonal of the involution image, with witness chains.
-
-    ``values[k-1]`` is the image entry at cell (k, k); ``chains[k-1]``
-    is one optimizing column chain, strictly decreasing and starting at
-    n.  For k = n the chain is the trivial (n,) and the corner entry is
-    simply preserved.
-    """
-
-    n: int
-    values: tuple[int, ...]
-    chains: tuple[tuple[int, ...], ...]
 
 
 def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list[int]]]:
@@ -127,43 +99,25 @@ def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list
         yield k, f
 
 
-def _last_index(xs: list[int], x: int) -> int:
-    return len(xs) - 1 - xs[::-1].index(x)
+def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
+    """Closed-form rightmost diagonal of the involution image; entry
+    k-1 of the tuple is the image entry at (k, k).
 
-
-def schutzenberger_diagonal(t: GtTriangle) -> DiagonalTable:
-    """Closed-form rightmost diagonal of the involution image.
-
-    The image entry at (k, k) equals x[n,n] plus the maximum, over
-    strictly decreasing chains n > c_1 > ... > c_{n-k} >= 1, of
+    That entry equals x[n,n] plus the maximum, over strictly decreasing
+    chains n > c_1 > ... > c_{n-k} >= 1, of
 
         sum over steps m of  x[c_m + m, c_m] - x[c_m + m - 1, c_m]
 
     a telescoped form of the chain sum; each step weight is <= 0, and
     the dynamic program runs over (step, column) with suffix maxima.
-    Ties between witness columns go to the largest column.
+    For k = n the chain is empty and the corner entry is preserved.
     """
     rows = t.rows
-    n = len(rows)
     corner = rows[0][-1]
-    values = [corner] * n
-    chains: list[tuple[int, ...]] = [(n,)] * n
-    fs: list[list[int]] = []  # fs[m-1] is f after m steps
+    values = [corner] * len(rows)
     for k, f in _chain_optima(rows):
-        fs.append(f)
-        best = max(f)
-        values[k - 1] = corner + best
-        col = _last_index(f, best) + 1
-        chain = [col]
-        # walk back one step at a time: the chain came from the best
-        # column right of col in the previous f, the largest on a tie
-        for prev in reversed(fs[:-1]):
-            seg = prev[col:]
-            col += _last_index(seg, max(seg)) + 1
-            chain.append(col)
-        chain.append(n)
-        chains[k - 1] = tuple(reversed(chain))
-    return DiagonalTable(n, tuple(values), tuple(chains))
+        values[k - 1] = corner + max(f)
+    return tuple(values)
 
 
 def is_gogam(t: GtTriangle) -> bool:

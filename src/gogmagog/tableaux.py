@@ -199,7 +199,8 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
 
 
 def format_tableau(s: Ssyt) -> str:
-    """Debug rendering, top row first (shortest row on top)."""
+    """The text format of `convert --to ssyt`: one line per row, top
+    row first (shortest row on top), entries right-aligned."""
     width = max((len(str(x)) for row in s.rows for x in row), default=1)
     lines = []
     for row in reversed(s.rows):

@@ -277,23 +277,6 @@ def inversions(t: GtTriangle) -> list[Inversion]:
     return out
 
 
-def covered_cells(inv: Inversion, n: int) -> list[tuple[int, int]]:
-    """Cells (i+p, j+p), 1 <= p <= n-i, lying SE of the inversion."""
-    i, j = inv
-    return [(i + p, j + p) for p in range(1, n - i + 1)]
-
-
-def covering_count(t: GtTriangle, i: int, j: int) -> int:
-    """Number of inversions of ``t`` covering the cell (i, j)."""
-    t[i, j]  # bounds check
-    return _covering_walk(set(inversions(t)), i, j)
-
-
-def _covering_walk(invs: set[Inversion], i: int, j: int) -> int:
-    """Inversions among ``invs`` on the ray NW of the cell (i, j)."""
-    return sum(1 for p in range(1, j) if (i - p, j - p) in invs)
-
-
 # --- text / JSON formats ---------------------------------------------------
 #
 # Text: line 1 is n, then rows top-down (row n first), space-separated.
@@ -320,6 +303,8 @@ def _parse_sized_rows(text: str, noun: str) -> tuple[tuple[int, ...], ...]:
     if not _INTEGER.fullmatch(lines[0].strip()):
         raise ShapeError(f"first line must be the size, got {lines[0]!r}")
     n = int(lines[0])
+    if n < 1:
+        raise ShapeError(f"size must be at least 1, got {n}")
     if len(lines) != n + 1:
         raise ShapeError(f"expected {n} rows after the size line, got {len(lines) - 1}")
     rows = []

@@ -13,6 +13,7 @@ from gogmagog.bijection import (
     Rule,
     _diagonal_bound_violations,
     _gog_trapezoid,
+    _two_diagonals,
     covering_subtraction_map,
     extract_diagonals,
     forward_step,
@@ -267,13 +268,15 @@ class TestGogamDiagonals:
     through the full-size `BijectionState` of a trapezoid."""
 
     def test_worked_output_passes(self):
-        state = BijectionState.from_triangle(GOGAM52)
+        state = BijectionState(GOGAM52.n, *_two_diagonals(GOGAM52))
+        assert state.materialize() == GOGAM52
         assert state.u == (3, 3, 3, 3, 2)
         assert state.v == (2, 2, 1, 1)
         assert state.check_invariants() == []
 
     def test_oversized_corner_fails(self):
-        assert BijectionState.from_triangle(tri((1, 1, 4), (1, 4), (4,))).check_invariants()
+        t = tri((1, 1, 4), (1, 4), (4,))
+        assert BijectionState(t.n, *_two_diagonals(t)).check_invariants()
 
     def test_equivalent_to_general_membership_on_trapezoid_shapes(self):
         # on (n,2)-trapezoid-shaped triangles the diagonal inequalities
@@ -297,7 +300,9 @@ class TestGogamDiagonals:
             for t in shapes(n):
                 assert is_trapezoid(t, Family.GOGAM, 2)
                 member = is_gogam(t)
-                assert (BijectionState.from_triangle(t).check_invariants() == []) == member
+                state = BijectionState(t.n, *_two_diagonals(t))
+                assert state.materialize() == t
+                assert (state.check_invariants() == []) == member
                 seen += 1
                 members += member
             assert (seen, members) == (want_shapes, want_gogam)

@@ -300,6 +300,45 @@ def test_asm_family_rejects_bad_size(capsys, command, n):
 
 
 @pytest.mark.parametrize("kind", ["gt", "asm"])
+@pytest.mark.parametrize("size", [0, -1])
+def test_size_line_below_one_is_named(capsys, tmp_path, kind, size):
+    f = tmp_path / "source.txt"
+    f.write_text(f"{size}\n")
+    code, out, err = run(capsys, "validate", "--kind", kind, str(f))
+    assert code == 2 and out == ""
+    assert err == f"size must be at least 1, got {size}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1\n1000000000000\n", '{"n": 1, "rows_top_down": [[1000000000000]]}'],
+    ids=["text", "json"],
+)
+def test_convert_to_ssyt_refuses_a_huge_tableau(capsys, tmp_path, monkeypatch, text):
+    def never_built(t):
+        raise AssertionError("the tableau was built")
+
+    monkeypatch.setattr(cli, "triangle_to_tableau", never_built)
+    f = tmp_path / "source.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "convert", "--from", "gt", "--to", "ssyt", str(f))
+    assert code == 2 and out == ""
+    assert err == "tableau would hold 1000000000000 letters, over the limit of 100000\n"
+
+
+def test_convert_to_ssyt_takes_a_tableau_at_the_limit(capsys, tmp_path):
+    # the letter count is the top-row sum: 40,000 + 60,000
+    f = tmp_path / "source.txt"
+    f.write_text("2\n40000 60000\n50000\n")
+    code, out, _ = run(capsys, "convert", "--from", "gt", "--to", "ssyt", str(f))
+    assert code == 0
+    assert sum(len(line.split()) for line in out.splitlines()) == cli.MAX_TABLEAU_LETTERS
+    f.write_text("2\n40000 60001\n50000\n")
+    code, out, err = run(capsys, "convert", "--from", "gt", "--to", "ssyt", str(f))
+    assert code == 2 and out == "" and "100001 letters" in err
+
+
+@pytest.mark.parametrize("kind", ["gt", "asm"])
 @pytest.mark.parametrize(
     "text",
     ["2\n1 2\n1_0\n", "2\n1 2\n\u0663\n", "\u0662\n1 2\n1\n", "2\n1 +2\n1\n"],
@@ -369,8 +408,9 @@ _FUZZ_COMMANDS = (
     ]
     + [["schutzenberger"], ["schutzenberger", "--json"]]
 )
-# small tokens only: a tableau holds as many letters as its triangle's entries
-_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "5", "-1", "1_0", "+2", "1.5", "x", "\u0663"])
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "4", "5", "-1", "1000000000000", "1_0", "+2", "1.5", "x", "\u0663"]
+)
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=5)

@@ -1,12 +1,15 @@
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gogmagog"
+import gogmagog
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gogmagog"
 
 
-def _private_definitions(tree):
-    """(name, node) for each top-level function, class or constant whose
-    name starts with one underscore."""
+def _definitions(tree):
+    """(name, node) for each top-level function, class or constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -17,8 +20,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _mentions(node):
@@ -32,14 +34,41 @@ def _mentions(node):
             yield sub.name
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _mentioned_elsewhere(name, definition, mentions):
+    return any(name in seen for node, seen in mentions.items() if node is not definition)
+
+
 def test_every_private_top_level_name_is_used():
     # a helper only its own definition mentions is dead: delete it
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     mentions = {node: set(_mentions(node)) for tree in trees.values() for node in tree.body}
     unused = [
         f"{module}: {name}"
         for module, tree in trees.items()
-        for name, definition in _private_definitions(tree)
-        if not any(name in seen for node, seen in mentions.items() if node is not definition)
+        for name, definition in _definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+        and not _mentioned_elsewhere(name, definition, mentions)
+    ]
+    assert unused == []
+
+
+def test_every_exported_name_is_used():
+    # an exported name that only tests reach is surface nothing needs:
+    # delete it.  Re-exporting it from __init__.py is not a use, and
+    # bench/tracer.py wraps names by string, so a word in bench/ is one.
+    trees = _package_trees()
+    del trees["__init__.py"]
+    mentions = {node: set(_mentions(node)) for tree in trees.values() for node in tree.body}
+    definitions = {name: node for tree in trees.values() for name, node in _definitions(tree)}
+    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    unused = [
+        name
+        for name in gogmagog.__all__
+        if not _mentioned_elsewhere(name, definitions.get(name), mentions)
+        and not re.search(rf"\b{name}\b", bench)
     ]
     assert unused == []

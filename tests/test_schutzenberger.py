@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from gogmagog.schutzenberger import (
-    DiagonalTable,
-    bender_knuth,
-    bender_knuth_sweep,
-    is_gogam,
-    schutzenberger,
-    schutzenberger_diagonal,
-)
+from gogmagog.schutzenberger import bender_knuth, is_gogam, schutzenberger, schutzenberger_diagonal
 from gogmagog.tableaux import schutzenberger_via_words
 from gogmagog.triangles import GtTriangle, is_magog, is_valid_gt, parse_triangle
 
@@ -46,20 +39,6 @@ class TestBenderKnuth:
         assert chain(t, (1, 2, 1)) != chain(t, (2, 1, 2))
 
 
-class TestSweep:
-    def test_length_one_sweep_is_the_first_operator(self):
-        for t in gt_triangles(3, 4):
-            assert bender_knuth_sweep(t, 1) == bender_knuth(t, 1)
-
-    def test_sweep_unfolds_into_single_steps(self):
-        for t in gt_triangles(3, 4):
-            assert bender_knuth_sweep(t, 2) == bender_knuth(bender_knuth(t, 1), 2)
-
-    def test_constant_triangle_is_fixed(self):
-        flat = tri((3, 3, 3, 3), (3, 3, 3), (3, 3), (3,))
-        assert bender_knuth_sweep(flat, 3) == flat
-
-
 class TestInvolution:
     def test_size2(self):
         assert schutzenberger(tri((1, 2), (2,))) == tri((1, 2), (1,))
@@ -93,27 +72,18 @@ class TestInvolution:
 
 class TestDiagonalFormula:
     def test_size2_by_hand(self):
-        table = schutzenberger_diagonal(tri((1, 2), (2,)))
-        assert table.values == (1, 2)
-        assert table.chains == ((2, 1), (2,))
+        assert schutzenberger_diagonal(tri((1, 2), (2,))) == (1, 2)
 
     def test_constant_triangle(self):
         flat = tri((2, 2, 2), (2, 2), (2,))
-        assert schutzenberger_diagonal(flat).values == (2, 2, 2)
+        assert schutzenberger_diagonal(flat) == (2, 2, 2)
 
     def test_matches_image_diagonal(self):
         for n, bound in ((2, 4), (3, 5), (4, 5)):
             for t in gt_triangles(n, bound):
                 s = schutzenberger(t)
-                got = schutzenberger_diagonal(t).values
+                got = schutzenberger_diagonal(t)
                 assert got == tuple(s[k, k] for k in range(1, n + 1))
-
-    def test_witness_chains_are_strictly_decreasing_from_n(self):
-        for t in gt_triangles(4, 5):
-            table = schutzenberger_diagonal(t)
-            for chain in table.chains:
-                assert chain[0] == 4
-                assert all(a > b for a, b in zip(chain, chain[1:]))
 
 
 class TestGogam:
@@ -134,62 +104,47 @@ class TestGogam:
 
 def _diagonal_reference(t):
     """A second implementation of `schutzenberger_diagonal`: one DP over
-    (step, column) with a back-pointer table, ties to the largest column."""
+    (step, column), with a table indexed by 1-based columns."""
     rows = t.rows
     n = len(rows)
     corner = rows[0][-1]
     values = [0] * n
-    chains = [(n,)] * n
     values[n - 1] = corner
 
     def w(m, c):  # x[c+m, c] - x[c+m-1, c]
         return rows[n - c - m][c - 1] - rows[n - c - m + 1][c - 1]
 
     f = [[None] * (n + 2)]
-    back = [[0] * (n + 2)]
     for m in range(1, n):
         fm = [None] * (n + 2)
-        bm = [0] * (n + 2)
         if m == 1:
             for c in range(1, n):
                 fm[c] = w(1, c)
-                bm[c] = n
         else:
             prev = f[m - 1]
             best_val = None
-            best_arg = 0
             for c in range(n - m, 0, -1):
                 cand = c + 1
                 if cand <= n - m + 1 and prev[cand] is not None:
                     if best_val is None or prev[cand] > best_val:
-                        best_val, best_arg = prev[cand], cand
+                        best_val = prev[cand]
                 if best_val is not None:
                     fm[c] = best_val + w(m, c)
-                    bm[c] = best_arg
         f.append(fm)
-        back.append(bm)
-        k = n - m
-        val, arg = max((fm[c], c) for c in range(1, n - m + 1) if fm[c] is not None)
-        values[k - 1] = corner + val
-        chain = [arg]
-        for mm in range(m, 1, -1):
-            arg = back[mm][arg]
-            chain.append(arg)
-        chain.append(n)
-        chains[k - 1] = tuple(reversed(chain))
-    return DiagonalTable(n, tuple(values), tuple(chains))
+        values[n - m - 1] = corner + max(fm[c] for c in range(1, n - m + 1) if fm[c] is not None)
+    return tuple(values)
 
 
 def _check_diagonal_kernel(n_max):
-    """Tables equal to the reference, and `is_gogam` equal to the bound
-    test on the reference table, on every GT triangle with n <= n_max
+    """Diagonals equal to the reference, and `is_gogam` equal to the bound
+    test on the reference diagonal, on every GT triangle with n <= n_max
     and entries <= n+1; returns (triangles, GOGAm members)."""
     seen = members = 0
     for n in range(1, n_max + 1):
         for t in gt_triangles(n, n + 1):
             ref = _diagonal_reference(t)
             assert schutzenberger_diagonal(t) == ref
-            member = all(ref.values[k - 1] <= k for k in range(1, n + 1))
+            member = all(ref[k - 1] <= k for k in range(1, n + 1))
             assert is_gogam(t) == member
             seen += 1
             members += member
@@ -237,8 +192,8 @@ class TestInPlaceReflections:
             for t in gt_triangles(n, n + 1):
                 by_sweeps = by_cells = t
                 for j in range(n - 1, 0, -1):
-                    by_sweeps = bender_knuth_sweep(by_sweeps, j)
                     for k in range(1, j + 1):
+                        by_sweeps = bender_knuth(by_sweeps, k)
                         by_cells = _bender_knuth_reference(by_cells, k)
                 assert schutzenberger(t) == by_sweeps == by_cells
                 checked += 1
@@ -248,12 +203,13 @@ class TestInPlaceReflections:
         t = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
         rows = t.rows
         schutzenberger(t)
-        bender_knuth_sweep(t, 4)
+        for k in range(1, 5):
+            bender_knuth(t, k)
         assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)
-@pytest.mark.parametrize("call", [bender_knuth, bender_knuth_sweep])
+@pytest.mark.parametrize("call", [bender_knuth])
 def test_row_indices_must_be_integers(call, index):
     # never coerced: True is not row 1, nor 1.0 row 1
     with pytest.raises(ValueError, match="must be an integer"):
@@ -266,5 +222,5 @@ def test_involution_properties_on_drawn_triangles(t):
     s = schutzenberger(t)
     assert s == schutzenberger_via_words(t)
     assert schutzenberger(s) == t
-    assert schutzenberger_diagonal(t).values == tuple(s[k, k] for k in range(1, t.n + 1))
+    assert schutzenberger_diagonal(t) == tuple(s[k, k] for k in range(1, t.n + 1))
     assert is_gogam(t) == is_magog(s)

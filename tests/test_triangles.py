@@ -1,5 +1,6 @@
 import pytest
 
+from gogmagog.bijection import _covering_walk
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import (
     Family,
@@ -7,8 +8,6 @@ from gogmagog.triangles import (
     Inversion,
     ShapeError,
     Violation,
-    covered_cells,
-    covering_count,
     format_triangle,
     inversions,
     is_gog,
@@ -171,27 +170,26 @@ class TestInversions:
             stair = GtTriangle(tuple(tuple(range(1, i + 1)) for i in range(n, 0, -1)))
             assert len(inversions(stair)) == n * (n - 1) // 2
 
-    def test_covering_figure(self):
-        assert covered_cells(Inversion(3, 2), 5) == [(4, 3), (5, 4)]
-
     def test_covering_counts_on_small_triangle(self):
         t = tri((1, 2, 3), (1, 2), (2,))
         assert inversions(t) == [Inversion(2, 1), Inversion(2, 2)]
-        assert covering_count(t, 3, 2) == 1
-        assert covering_count(t, 3, 3) == 1
+        invs = set(inversions(t))
+        assert _covering_walk(invs, 3, 2) == 1
+        assert _covering_walk(invs, 3, 3) == 1
         for i, j in ((1, 1), (2, 1), (2, 2), (3, 1)):
-            assert covering_count(t, i, j) == 0
+            assert _covering_walk(invs, i, j) == 0
 
     def test_no_inversions_means_no_covering(self):
         t = tri((1, 2), (2,))
-        assert covering_count(t, 2, 1) == 0
+        assert _covering_walk(set(inversions(t)), 2, 1) == 0
 
     def test_covering_totals_match_ray_lengths(self):
         for t in gt_triangles(4, 4):
             if not is_gog(t):
                 continue
+            invs = set(inversions(t))
             total = sum(
-                covering_count(t, i, j)
+                _covering_walk(invs, i, j)
                 for i in range(1, 5)
                 for j in range(1, i + 1)
             )
