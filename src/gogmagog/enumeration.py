@@ -1,13 +1,15 @@
 """Exhaustive generators, counters, and the verification harness.
 
 Generation is top-down row backtracking: the top row is chosen first,
-then each lower row cell-by-cell inside the interval forced by the row
-above, with family conditions (pinned trapezoid cells, row strictness,
-diagonal caps) applied as the cells are placed.  Triangles are emitted
-in lexicographic order of their top-down reading.  GOGAm families are
-produced by pushing Magog families through the involution, which is
-onto by definition; a filtering generator over bounded triangles exists
-as the cross-check.
+then each lower row inside the intervals forced by the row above.  Raw
+GT triangles have no other condition, so each lower row is filled in
+one step, as the product of its intervals.  Gog and Magog triangles go
+cell by cell, with family conditions (pinned trapezoid cells, row
+strictness, diagonal caps) applied as the cells are placed.  Triangles
+are emitted in lexicographic order of their top-down reading.  GOGAm
+families are produced by pushing Magog families through the
+involution, which is onto by definition; a filtering generator over
+bounded triangles exists as the cross-check.
 
 `verify` runs one of the named property suites up to a given size and
 returns a structured report; every suite is deterministic.
@@ -19,7 +21,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, product
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
@@ -135,9 +137,21 @@ def _descend(
     yield from rec(n - 1)
 
 
+def _fill_below(rows: tuple[tuple[int, ...], ...]) -> Iterator[GtTriangle]:
+    """Every GT triangle whose top rows are ``rows``: each lower row in
+    one step, as the product of its interlacing intervals
+    [above[j], above[j+1]], in the order `_descend` emits them."""
+    above = rows[-1]
+    if len(above) == 1:
+        yield GtTriangle._trusted(rows)
+        return
+    for row in product(*map(range, above, [x + 1 for x in above[1:]])):
+        yield from _fill_below((*rows, row))
+
+
 def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
     for top in combinations_with_replacement(range(1, bound + 1), n):
-        yield from _descend(top, n, lambda i, j, val, row: True)
+        yield from _fill_below((top,))
 
 
 def _generate_gog(n: int, k: int | None) -> Iterator[GtTriangle]:
@@ -490,6 +504,19 @@ _GRADE_FAILURES = (None, "traces not mirrored", "round trip failed")
 
 
 def _suite_bijection_n2(n: int, report: Report) -> None:
+    """Every (n,2) Gog trapezoid through the walk, with its image checked
+    and counted.
+
+    The distinct-images count keeps one int per image, the bytes of the
+    leaf's diagonals u + v read big-endian, not the image itself.  It
+    is exact: `materialize` copies u and v verbatim and fills the rest
+    with the constant, so distinct images have distinct (u, v); the key
+    has the fixed length 2n-1 bytes, so distinct (u, v) give distinct
+    ints; and an image is kept only once it passed the GOGAm test, so
+    its entries lie in 1..n and each fits a byte.  Hence n <= 255.
+    """
+    if n > 255:
+        raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n}")
     histogram = report.histogram
     images = set()
     leaves = 0
@@ -507,7 +534,7 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
         elif grade:
             failure = _GRADE_FAILURES[grade]
         else:
-            images.add(out)
+            images.add(int.from_bytes(bytes(leaf.u + leaf.v), "big"))
             continue
         report.failures.append(f"{failure} for {_path_payload(n, path)}")
     gogs = _count_n2(Family.GOG, n)

@@ -116,6 +116,12 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     rows = s.rows
     if len(rows) != n or not _is_ssyt_rows(rows, n):
         raise ValueError(_tableau_problem(s))
+    return _count_letters(rows, n)
+
+
+def _count_letters(rows: tuple[tuple[int, ...], ...], n: int) -> GtTriangle:
+    """The triangle of n ``rows`` that form a semistandard tableau on
+    1..n, unchecked: x[i, i-r] counts the letters <= i in row r."""
     # rows r >= i hold no letter <= i
     return GtTriangle._trusted(tuple(
         tuple(map(bisect_right, rows[i - 1::-1], repeat(i))) for i in range(n, 0, -1)
@@ -192,10 +198,18 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
 
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
+
+    The insertion tableau is semistandard on 1..n by construction, so
+    its rows are converted without `tableau_to_triangle`'s check.  The
+    one way it can fall short is to have fewer than n rows, on a
+    triangle that is not GT; `tableau_to_triangle` then raises.
     """
     n = t.n
     w = reading_word(triangle_to_tableau(t))
-    return tableau_to_triangle(rsk_insertion_tableau(complement_reverse(w, n), n))
+    s = rsk_insertion_tableau(complement_reverse(w, n), n)
+    if len(s.rows) != n:
+        return tableau_to_triangle(s)
+    return _count_letters(s.rows, n)
 
 
 def format_tableau(s: Ssyt) -> str:

@@ -4,8 +4,8 @@ Each test prints a single PASS line once its assertions hold, so a
 verbose run reads as a checklist.  The heavy criteria state explicit
 wall-clock budgets (five minutes for the size-6 counts, ten minutes for
 the full size-7 trapezoid sweep) and the tests enforce them.  The
-opt-in slow tier (``pytest -m slow``) runs criterion 3 at n = 5 and
-criteria 5, 6 and 8 at n = 8.
+opt-in slow tier (``pytest -m slow``) runs criterion 3 at n = 5,
+criteria 5, 6 and 8 at n = 8, and criterion 5 at n = 9 alone.
 """
 
 import time
@@ -16,6 +16,8 @@ from gogmagog.asm import bottom_row_one_column, gog_to_asm
 from gogmagog.bijection import Rule, gog_to_gogam_n2
 from gogmagog.enumeration import (
     FamilySpec,
+    Report,
+    SUITES,
     asm_number,
     count,
     generate,
@@ -162,6 +164,28 @@ def test_criterion_05_n2_bijection_n8():
     assert report.ok and report.failures == []
     assert report.histogram["trapezoids-8"] == 113_945
     _passed(5, f"forward/inverse bijection over the (8,2) trapezoids ({report.millis} ms)")
+
+
+@pytest.mark.slow
+def test_criterion_05_n2_bijection_n9():
+    # size 9 alone: the 1,070,324 images are kept as one int each
+    start = time.monotonic()
+    report = Report("bijection-n2", 9)
+    SUITES["bijection-n2"](9, report)
+    assert report.failures == []
+    assert report.checks == 1_070_325
+    assert report.histogram == {
+        "rule-base": 1_070_324,
+        "rule-i": 203_331,
+        "rule-ii": 2_324_316,
+        "rule-iiia": 639_103,
+        "rule-iiib": 180_895,
+        "rule-iva": 4_121_375,
+        "rule-ivb": 23_248,
+        "trapezoids-9": 1_070_324,
+    }
+    elapsed = time.monotonic() - start
+    _passed(5, f"forward/inverse bijection over the (9,2) trapezoids ({elapsed:.0f}s)")
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 import time
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,7 +22,9 @@ from gogmagog.enumeration import (
     FamilySpec,
     SUITES,
     _count_n2,
+    _descend,
     _fail_payload,
+    _generate_gt,
     _walk_n2,
     asm_number,
     count,
@@ -104,6 +107,16 @@ def test_no_duplicates_and_deterministic_order():
 def test_emission_is_lexicographic():
     rows = [t.rows for t in generate(FamilySpec(Family.GOG, 4))]
     assert rows == sorted(rows)
+
+
+def test_raw_gt_rows_match_the_cell_by_cell_route():
+    # `_descend` with no veto fills cell by cell: the reference for the
+    # row-at-a-time generator, same triangles in the same order
+    for n in range(1, 6):
+        for bound in range(7):
+            tops = combinations_with_replacement(range(1, bound + 1), n)
+            cells = [t for top in tops for t in _descend(top, n, lambda *a: True)]
+            assert list(_generate_gt(n, bound)) == cells
 
 
 def test_asm_generation_matches_formula():
@@ -392,6 +405,16 @@ def test_bijection_n2_enumerates_nothing(monkeypatch):
         monkeypatch.setattr(enumeration, name, unreachable)
     report = verify("bijection-n2", 5)
     assert report.ok and report.histogram["trapezoids-5"] == 219
+
+
+def test_bijection_n2_refuses_sizes_past_a_byte(monkeypatch):
+    # its image keys hold one byte per diagonal entry, so n <= 255
+    def unreachable(n):
+        raise AssertionError("the size check must come before the walk")
+
+    monkeypatch.setattr(enumeration, "_walk_n2", unreachable)
+    with pytest.raises(ValueError, match="n <= 255, got 256"):
+        SUITES["bijection-n2"](256, enumeration.Report("bijection-n2", 256))
 
 
 # --- statistics and n2k-classes read the same walk -------------------------
