@@ -111,30 +111,36 @@ def _descend(
     built left to right, so strictness checks can look at the previous
     cell.
     """
-    rows_top_down: list[tuple[int, ...]] = [top]
+    return _place([top], [], n - 1, 1, cell_ok)
 
-    def rec(i: int) -> Iterator[GtTriangle]:
-        if i == 0:
-            yield GtTriangle._trusted(tuple(rows_top_down))
-            return
-        above = rows_top_down[-1]
-        row: list[int] = []
 
-        def place(j: int) -> Iterator[GtTriangle]:
-            if j > i:
-                rows_top_down.append(tuple(row))
-                yield from rec(i - 1)
-                rows_top_down.pop()
-                return
-            for val in range(above[j - 1], above[j] + 1):
-                if cell_ok(i, j, val, row):
-                    row.append(val)
-                    yield from place(j + 1)
-                    row.pop()
+def _place(
+    rows: list[tuple[int, ...]],
+    row: list[int],
+    i: int,
+    j: int,
+    cell_ok: Callable[[int, int, int, list[int]], bool],
+) -> Iterator[GtTriangle]:
+    """Every completion of `_descend` from cell (i, j) on, with ``rows``
+    the finished rows top-down and ``row`` the cells of row i so far.
 
-        yield from place(1)
-
-    yield from rec(n - 1)
+    A plain recursion, so no frame refers to itself and each partial
+    triangle is freed by reference counting.
+    """
+    if i == 0:
+        yield GtTriangle._trusted(tuple(rows))
+        return
+    if j > i:
+        rows.append(tuple(row))
+        yield from _place(rows, [], i - 1, 1, cell_ok)
+        rows.pop()
+        return
+    above = rows[-1]
+    for val in range(above[j - 1], above[j] + 1):
+        if cell_ok(i, j, val, row):
+            row.append(val)
+            yield from _place(rows, row, i, j + 1, cell_ok)
+            row.pop()
 
 
 def _fill_below(rows: tuple[tuple[int, ...], ...]) -> Iterator[GtTriangle]:

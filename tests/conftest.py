@@ -53,11 +53,11 @@ def random_gt(rng: random.Random, n: int, bound: int) -> GtTriangle:
 
 
 @st.composite
-def drawn_gt(draw, n_max=12):
-    """A GT triangle with 1 <= n <= n_max and entries at most n + 2: a
+def drawn_gt(draw, n_min=1, n_max=12):
+    """A GT triangle with n_min <= n <= n_max and entries at most n + 2: a
     weakly increasing top row, then each entry drawn inside its
     interlacing interval [x[i+1,j], x[i+1,j+1]]."""
-    n = draw(st.integers(1, n_max))
+    n = draw(st.integers(n_min, n_max))
     bound = draw(st.integers(1, n + 2))
     rows = [tuple(sorted(draw(st.lists(st.integers(1, bound), min_size=n, max_size=n))))]
     for i in range(n - 1, 0, -1):

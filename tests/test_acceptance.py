@@ -5,7 +5,7 @@ verbose run reads as a checklist.  The heavy criteria state explicit
 wall-clock budgets (five minutes for the size-6 counts, ten minutes for
 the full size-7 trapezoid sweep) and the tests enforce them.  The
 opt-in slow tier (``pytest -m slow``) runs criterion 3 at n = 5,
-criteria 5, 6 and 8 at n = 8, and criterion 5 at n = 9 alone.
+criteria 5, 6 and 8 at n = 8, and criteria 5, 6 and 8 at n = 9 alone.
 """
 
 import time
@@ -196,8 +196,32 @@ def test_criterion_06_trace_lemmas_n8():
 
 
 @pytest.mark.slow
+def test_criterion_06_trace_lemmas_n9():
+    # size 9 alone, as for criterion 5
+    start = time.monotonic()
+    report = Report("rule-trace-lemmas", 9)
+    SUITES["rule-trace-lemmas"](9, report)
+    assert report.failures == []
+    assert report.checks == 15_416_070
+    elapsed = time.monotonic() - start
+    _passed(6, f"rule-sequence lemmas over the (9,2) walk ({report.checks} checks, {elapsed:.0f}s)")
+
+
+@pytest.mark.slow
 def test_criterion_08_statistic_preservation_n8():
     report = verify("statistics", 8)
     assert report.ok and report.failures == []
     assert report.checks == 129_219
     _passed(8, f"bottom entry preserved up to n=8 ({report.checks} checks, {report.millis} ms)")
+
+
+@pytest.mark.slow
+def test_criterion_08_statistic_preservation_n9():
+    # size 9 alone: the (n <= 5) ASM part does not run, one check per trapezoid
+    start = time.monotonic()
+    report = Report("statistics", 9)
+    SUITES["statistics"](9, report)
+    assert report.failures == []
+    assert report.checks == 1_070_324
+    elapsed = time.monotonic() - start
+    _passed(8, f"bottom entry preserved over the (9,2) trapezoids ({elapsed:.0f}s)")

@@ -1,3 +1,4 @@
+import gc
 import json
 from collections import Counter
 import time
@@ -117,6 +118,20 @@ def test_raw_gt_rows_match_the_cell_by_cell_route():
             tops = combinations_with_replacement(range(1, bound + 1), n)
             cells = [t for top in tops for t in _descend(top, n, lambda *a: True)]
             assert list(_generate_gt(n, bound)) == cells
+
+
+def test_gog_and_magog_generation_leaves_no_cyclic_garbage():
+    # every partial triangle must be freed by reference counting alone
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for family in (Family.GOG, Family.MAGOG):
+            assert sum(1 for _ in generate(FamilySpec(family, 6))) == 7436
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_asm_generation_matches_formula():

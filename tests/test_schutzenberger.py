@@ -1,3 +1,9 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,7 +11,10 @@ from gogmagog.schutzenberger import bender_knuth, is_gogam, schutzenberger, schu
 from gogmagog.tableaux import schutzenberger_via_words
 from gogmagog.triangles import GtTriangle, is_magog, is_valid_gt, parse_triangle
 
-from conftest import FIXTURES, drawn_gt, gt_triangles, random_gt, tri
+from conftest import FIXTURES, drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
+
+# the package re-exports the function under the module's name
+module = importlib.import_module("gogmagog.schutzenberger")
 
 
 class TestBenderKnuth:
@@ -206,6 +215,67 @@ class TestInPlaceReflections:
         for k in range(1, 5):
             bender_knuth(t, k)
         assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
+
+
+def _both_paths(monkeypatch, triangles):
+    """Rows of `schutzenberger` on each triangle through the unrolled
+    kernel, then through the `_reflect` fold; each path runs with the
+    other one patched to fail."""
+
+    def unreachable(*args):
+        raise AssertionError("wrong involution path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_reflect", unreachable)
+        unrolled = [schutzenberger(t).rows for t in triangles]
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_UNROLL_MAX_N", 0)
+        patch.setattr(module, "_kernel", unreachable)
+        folded = [schutzenberger(t).rows for t in triangles]
+    return unrolled, folded
+
+
+class TestUnrolledKernel:
+    """The per-size straight-line involution against the `_reflect`
+    fold it unrolls, which still runs past `_UNROLL_MAX_N`."""
+
+    def test_matches_the_fold_on_gt(self, monkeypatch):
+        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
+        assert len(triangles) == 2896
+        unrolled, folded = _both_paths(monkeypatch, triangles)
+        assert unrolled == folded
+
+    def test_matches_the_fold_off_gt(self, monkeypatch):
+        # same rows off GT too: the kernel keeps `_reflect`'s arithmetic
+        triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
+        assert len(triangles) == 33_974
+        unrolled, folded = _both_paths(monkeypatch, triangles)
+        assert unrolled == folded
+
+    def test_import_builds_no_kernel(self):
+        # a fresh interpreter: importing the package compiles nothing
+        probe = (
+            "import gogmagog, sys; "
+            "print(sys.modules['gogmagog.schutzenberger']._kernel.cache_info().currsize)"
+        )
+        src = str(Path(module.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout == "0\n"
+
+
+@settings(max_examples=40)
+@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
+def test_fold_past_the_cap_on_drawn_triangles(t):
+    assert t.n > module._UNROLL_MAX_N
+    s = schutzenberger(t)
+    assert s == schutzenberger_via_words(t)
+    assert schutzenberger(s) == t
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)
