@@ -25,6 +25,7 @@ from .asm import (
     validate_asm,
 )
 from .bijection import (
+    Rule,
     gog_to_gogam_n2,
     gogam_to_gog_n2,
     magog_row_statistic,
@@ -200,21 +201,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     n = args.n
-    rules: Counter[str] = Counter()
+    rules: Counter[Rule] = Counter()
     per_value: dict[int, list[int]] = {}
     for t, out, path in _n2_trapezoids(n):
-        rules.update(e.record.rule.value for e in path)
+        rules.update(e.record.rule for e in path)
         x = statistic_x11(t)
         row = per_value.setdefault(x, [0, 0, 0])
         row[0] += 1
         row[1] += int(statistic_x11(out) == x)
         row[2] += int(magog_row_statistic(schutzenberger(out)) == x)
+    # each rule named once, not once per path edge
+    named = sorted((rule.value, times) for rule, times in rules.items())
     if args.json:
         print(
             json.dumps(
                 {
                     "n": n,
-                    "rules": dict(sorted(rules.items())),
+                    "rules": dict(named),
                     "bottom_entry": {
                         str(v): {"count": c, "preserved": p, "row_statistic": r}
                         for v, (c, p, r) in sorted(per_value.items())
@@ -224,7 +227,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         return 0
     print(f"({n},2) trapezoids: rule usage")
-    for rule, times in sorted(rules.items()):
+    for rule, times in named:
         print(f"  {rule:5s} {times}")
     print("bottom entry: count / preserved by bijection / matched by row statistic")
     for v, (c, p, r) in sorted(per_value.items()):

@@ -508,6 +508,10 @@ def _path_payload(n: int, path: list[_Edge]) -> str:
 
 _GRADE_FAILURES = (None, "traces not mirrored", "round trip failed")
 
+# histogram key of each rule, formatted once: `Rule.value` is a
+# Python-level descriptor, and the walk reads one rule per path edge
+_RULE_KEYS = {rule: f"rule-{rule.value}" for rule in Rule}
+
 
 def _suite_bijection_n2(n: int, report: Report) -> None:
     """Every (n,2) Gog trapezoid through the walk, with its image checked
@@ -530,7 +534,7 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
         leaves += 1
         report.checks += 1
         for edge in path:
-            key = f"rule-{edge.record.rule.value}"
+            key = _RULE_KEYS[edge.record.rule]
             histogram[key] = histogram.get(key, 0) + 1
         out = leaf.materialize()
         if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):

@@ -6,33 +6,35 @@ its (up to four) neighbours.  Sweeping rows 1..j in turn, and composing
 the sweeps from the longest down to the shortest, gives the involution;
 this is evacuation of the associated semistandard tableau.
 
-That schedule depends on n alone, so for n up to a fixed cap the
-involution runs as one straight-line function per size, generated on
-first use and cached: one assignment per reflected cell, on locals.
-Its output equals the in-place fold of the reflections on every
-triangle.  Past the cap the unrolled source, cubic in n, would cost
-too much to build, and the fold runs instead.
-
 The rightmost diagonal of the image has a closed form: a maximum of
 telescoping sums over strictly decreasing column chains, evaluated here
-by dynamic programming.  A triangle is GOGAm exactly when that diagonal
-is bounded by the staircase 1, 2, ..., n, which gives an O(n^2) test
-that never constructs the image.
+by dynamic programming.  A triangle is GOGAm exactly when it is GT and
+that diagonal is bounded by the staircase 1, 2, ..., n, which gives an
+O(n^2) test that never constructs the image.
+
+Both schedules depend on n alone, so for n up to the shared cap
+`_UNROLL_MAX_N` each runs as one straight-line function per size
+(`_kernel` for the involution, one assignment per reflected cell;
+`_diagonal_kernel` for the diagonal, the dynamic program unrolled),
+built by `triangles._straight_line` on first use and cached.  Each
+equals its loop on every triangle, GT or not.  Past the cap the
+unrolled source would cost too much to build, and the loops run.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import le
 from typing import Callable, Iterator
 
-from .triangles import GtTriangle, _check_int, _is_gt_rows
-
-# Largest n whose involution runs as one unrolled `_kernel`.  Its source
-# has (n-1)n(n+1)/6 statements, built once per size and process: about
-# 1.6 ms at n = 7, 8-10 ms at 12, 22-25 ms at 16 and 50 ms at 20 on a
-# 2-vCPU host under Python 3.11, growing as n^3.  Past the cap `schutzenberger` folds `_reflect` instead, so no
-# input size makes the build cost or the code size unbounded.
-_UNROLL_MAX_N = 12
+from .triangles import (
+    _UNROLL_MAX_N,
+    GtTriangle,
+    _check_int,
+    _is_gt_rows,
+    _row_tuples,
+    _straight_line,
+)
 
 
 def _reflect(rows: list[list[int]], k: int) -> None:
@@ -97,16 +99,8 @@ def _kernel(
                 if c <= k - 2:
                     hi = f"({below[c]} if {below[c]} < {hi} else {hi})"
                 body.append(f"    {row[c]} = {lo} + {hi} - {row[c]}")
-    unpacked = ", ".join(f"({', '.join(r)},)" for r in cell)
-    source = "\n".join([
-        "def kernel(rows):",
-        f"    {unpacked}, = rows",
-        *body,
-        f"    return {unpacked},",
-    ])
-    namespace: dict[str, Callable] = {}
-    exec(compile(source, f"<schutzenberger kernel n={n}>", "exec"), namespace)
-    return namespace["kernel"]
+    body.append(f"    return {_row_tuples(n)}")
+    return _straight_line(n, body, "schutzenberger")
 
 
 def schutzenberger(t: GtTriangle) -> GtTriangle:
@@ -157,6 +151,35 @@ def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list
         yield k, f
 
 
+@cache
+def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
+    """`schutzenberger_diagonal` on top-down rows of size n as one
+    straight-line function: `_chain_optima` unrolled, ``f{k}_{c}``
+    holding its ``f[c]`` for k and ``s`` the running suffix maximum.
+
+    The maximum of one step's ``f`` is never computed apart: it is the
+    larger of ``f[0]`` and the next step's last suffix maximum, which
+    covers ``f[1:]``.
+    """
+    corner = f"x0_{n - 1}"
+    body = [
+        f"    f{n - 1}_{c - 1} = x{n - c - 1}_{c - 1} - x{n - c}_{c - 1}"
+        for c in range(1, n)
+    ]
+    for k in range(n - 2, 0, -1):
+        body.append(f"    s = f{k + 1}_{k}")
+        for c in range(k, 0, -1):
+            if c < k:
+                body.append(f"    s = f{k + 1}_{c} if f{k + 1}_{c} > s else s")
+            body.append(f"    f{k}_{c - 1} = s + x{k - c}_{c - 1} - x{k - c + 1}_{c - 1}")
+        body.append(f"    d{k + 1} = {corner} + (f{k + 1}_0 if f{k + 1}_0 > s else s)")
+    if n >= 2:
+        body.append(f"    d1 = {corner} + f1_0")
+    values = "".join(f"d{k}, " for k in range(1, n))
+    body.append(f"    return {values}{corner},")
+    return _straight_line(n, body, "diagonal")
+
+
 def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
     """Closed-form rightmost diagonal of the involution image; entry
     k-1 of the tuple is the image entry at (k, k).
@@ -169,8 +192,12 @@ def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
     a telescoped form of the chain sum; each step weight is <= 0, and
     the dynamic program runs over (step, column) with suffix maxima.
     For k = n the chain is empty and the corner entry is preserved.
+    Up to `_UNROLL_MAX_N` the cached `_diagonal_kernel` of the size
+    runs the dynamic program; past it, `_chain_optima`.
     """
     rows = t.rows
+    if len(rows) <= _UNROLL_MAX_N:
+        return _diagonal_kernel(len(rows))(rows)
     corner = rows[0][-1]
     values = [corner] * len(rows)
     for k, f in _chain_optima(rows):
@@ -182,14 +209,18 @@ def is_gogam(t: GtTriangle) -> bool:
     """True when the involution image is a Magog triangle.
 
     Checked through the diagonal formula: the corner is at most n and
-    every diagonal value of the image is bounded by its row index.
-    Stops at the first row index whose bound breaks.
+    every diagonal value of the image is bounded by its row index.  Up
+    to `_UNROLL_MAX_N` the diagonal comes whole from `_diagonal_kernel`;
+    past it the fold stops at the first row index whose bound breaks.
     """
     rows = t.rows
     if not _is_gt_rows(rows):
         return False
+    n = len(rows)
+    if n <= _UNROLL_MAX_N:
+        return all(map(le, _diagonal_kernel(n)(rows), range(1, n + 1)))
     corner = rows[0][-1]
-    if corner > len(rows):
+    if corner > n:
         return False
     for k, f in _chain_optima(rows):
         if corner + max(f) > k:

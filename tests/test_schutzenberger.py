@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogmagog.schutzenberger import bender_knuth, is_gogam, schutzenberger, schutzenberger_diagonal
 from gogmagog.tableaux import schutzenberger_via_words
@@ -15,6 +16,7 @@ from conftest import FIXTURES, drawn_gt, gt_perturbations, gt_triangles, random_
 
 # the package re-exports the function under the module's name
 module = importlib.import_module("gogmagog.schutzenberger")
+gt_module = importlib.import_module("gogmagog.triangles")
 
 
 class TestBenderKnuth:
@@ -217,46 +219,79 @@ class TestInPlaceReflections:
         assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 
 
-def _both_paths(monkeypatch, triangles):
-    """Rows of `schutzenberger` on each triangle through the unrolled
-    kernel, then through the `_reflect` fold; each path runs with the
-    other one patched to fail."""
+def _unreachable(*args):
+    raise AssertionError("wrong path")
 
-    def unreachable(*args):
-        raise AssertionError("wrong involution path")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(module, "_reflect", unreachable)
-        unrolled = [schutzenberger(t).rows for t in triangles]
-    with monkeypatch.context() as patch:
+# The straight-line path must reach no loop (the GT loop is the only
+# reader of `triangles.le`); the loop path, with both caps at 0, must
+# build no kernel.
+_LOOPS = ((gt_module, "le"), (module, "_reflect"), (module, "_chain_optima"))
+_KERNELS = ((gt_module, "_gt_kernel"), (module, "_kernel"), (module, "_diagonal_kernel"))
+
+# each straight-line kernel behind the function that calls it
+_KERNEL_CALLERS = {
+    "involution": lambda t: schutzenberger(t).rows,
+    "gt": lambda t: gt_module._is_gt_rows(t.rows),
+    "diagonal": schutzenberger_diagonal,
+    "gogam": is_gogam,
+}
+
+
+def _both_paths(fn, triangles):
+    """``fn`` on each triangle through the straight-line kernels, then
+    through the loops and folds they unroll, which still run past
+    `_UNROLL_MAX_N`; each path runs with the other one patched to fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in _LOOPS:
+            patch.setattr(owner, name, _unreachable)
+        unrolled = [fn(t) for t in triangles]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in _KERNELS:
+            patch.setattr(owner, name, _unreachable)
+        patch.setattr(gt_module, "_UNROLL_MAX_N", 0)
         patch.setattr(module, "_UNROLL_MAX_N", 0)
-        patch.setattr(module, "_kernel", unreachable)
-        folded = [schutzenberger(t).rows for t in triangles]
+        folded = [fn(t) for t in triangles]
     return unrolled, folded
 
 
-class TestUnrolledKernel:
-    """The per-size straight-line involution against the `_reflect`
-    fold it unrolls, which still runs past `_UNROLL_MAX_N`."""
+def _kernels_match_loops(triangles):
+    """Each kernel caller's results on ``triangles``, once both paths
+    agree on them."""
+    results = {}
+    for caller, fn in _KERNEL_CALLERS.items():
+        unrolled, folded = _both_paths(fn, triangles)
+        assert unrolled == folded, caller
+        results[caller] = unrolled
+    return results
 
-    def test_matches_the_fold_on_gt(self, monkeypatch):
+
+class TestUnrolledKernel:
+    """The per-size straight-line functions against the loops and folds
+    they unroll."""
+
+    def test_matches_the_fold_on_gt(self):
         triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
         assert len(triangles) == 2896
-        unrolled, folded = _both_paths(monkeypatch, triangles)
-        assert unrolled == folded
+        got = _kernels_match_loops(triangles)
+        assert all(got["gt"]) and sum(got["gogam"]) == 52
 
-    def test_matches_the_fold_off_gt(self, monkeypatch):
-        # same rows off GT too: the kernel keeps `_reflect`'s arithmetic
+    def test_matches_the_fold_off_gt(self):
+        # same results off GT too: the kernels keep the loops' arithmetic
         triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
         assert len(triangles) == 33_974
-        unrolled, folded = _both_paths(monkeypatch, triangles)
-        assert unrolled == folded
+        got = _kernels_match_loops(triangles)
+        assert not any(got["gt"]) and not any(got["gogam"])
 
     def test_import_builds_no_kernel(self):
-        # a fresh interpreter: importing the package compiles nothing
+        # a fresh interpreter: importing the package and its CLI compiles
+        # none of the three kernels
         probe = (
-            "import gogmagog, sys; "
-            "print(sys.modules['gogmagog.schutzenberger']._kernel.cache_info().currsize)"
+            "import gogmagog, gogmagog.cli, sys; "
+            "s = sys.modules['gogmagog.schutzenberger']; "
+            "t = sys.modules['gogmagog.triangles']; "
+            "print([k.cache_info().currsize "
+            "for k in (s._kernel, s._diagonal_kernel, t._gt_kernel)])"
         )
         src = str(Path(module.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -266,16 +301,43 @@ class TestUnrolledKernel:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout == "0\n"
+        assert out.stdout == "[0, 0, 0]\n"
+
+
+def _perturbed(t, r, c, delta):
+    """``t`` with the entry at top-down row r, column c moved by delta."""
+    rows = [list(row) for row in t.rows]
+    rows[r][c] += delta
+    return GtTriangle(tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("n", range(1, module._UNROLL_MAX_N + 1))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_kernels_match_their_loops_on_and_off_drawn_triangles(n, data):
+    t = data.draw(drawn_gt(n_min=n, n_max=n))
+    r = data.draw(st.integers(0, n - 1))
+    p = _perturbed(t, r, data.draw(st.integers(0, n - 1 - r)), data.draw(st.sampled_from((-1, 1))))
+    _kernels_match_loops([t, p])
 
 
 @settings(max_examples=40)
-@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
-def test_fold_past_the_cap_on_drawn_triangles(t):
+@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16), st.data())
+def test_fold_past_the_cap_on_drawn_triangles(t, data):
     assert t.n > module._UNROLL_MAX_N
-    s = schutzenberger(t)
-    assert s == schutzenberger_via_words(t)
-    assert schutzenberger(s) == t
+    # raise a lower-row entry over its upper bound x[i+1,j+1]
+    r = data.draw(st.integers(1, t.n - 1))
+    c = data.draw(st.integers(0, t.n - 1 - r))
+    broken = _perturbed(t, r, c, t.rows[r - 1][c + 1] - t.rows[r][c] + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in _KERNELS:
+            patch.setattr(owner, name, _unreachable)
+        s = schutzenberger(t)
+        assert s == schutzenberger_via_words(t)
+        assert schutzenberger(s) == t
+        assert is_gogam(t) == is_magog(s)
+        assert schutzenberger_diagonal(t) == tuple(s[k, k] for k in range(1, t.n + 1))
+        assert is_valid_gt(t) and not is_valid_gt(broken)
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)
