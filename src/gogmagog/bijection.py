@@ -45,6 +45,10 @@ class Rule(Enum):
     IVA = "iva"
     IVB = "ivb"
 
+    # members compare by identity, so the identity hash agrees with
+    # equality; `Enum`'s own hash is a Python-level call per dict lookup
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class StepRecord:

@@ -8,12 +8,18 @@ convention, ``rows[0]`` being the longest bottom row.
 The involution is realised on words: read the tableau top row to bottom
 row, reverse the word, swap each letter i for n+1-i, and row-insert the
 result.  This is the independent oracle against which the triangle-level
-composition of row reflections is checked.
+composition of row reflections is checked.  `schutzenberger_via_words`
+reads the complement-reversed word off the triangle in one pass and
+row-inserts it without re-checking its letters; the public stages
+(`triangle_to_tableau`, `reading_word`, `complement_reverse`,
+`rsk_insertion_tableau`, `tableau_to_triangle`) compute the same word
+and tableau step by step, and the route runs them on its error path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import le, lt
@@ -119,7 +125,7 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     return _count_letters(rows, n)
 
 
-def _count_letters(rows: tuple[tuple[int, ...], ...], n: int) -> GtTriangle:
+def _count_letters(rows: Sequence[Sequence[int]], n: int) -> GtTriangle:
     """The triangle of n ``rows`` that form a semistandard tableau on
     1..n, unchecked: x[i, i-r] counts the letters <= i in row r."""
     # rows r >= i hold no letter <= i
@@ -178,19 +184,47 @@ def rsk_insertion_tableau(word: Word, n: int) -> Ssyt:
     longest nondecreasing subsequence of the word.
     """
     _check_word(word, n)
+    return Ssyt._trusted(tuple(map(tuple, _insert(word))), n)
+
+
+def _insert(word: Sequence[int]) -> list[list[int]]:
+    """The rows of `rsk_insertion_tableau`, bottom row first, unchecked."""
     rows: list[list[int]] = []
     for x in word:
-        cur = x
         for row in rows:
-            pos = bisect_right(row, cur)
-            if pos == len(row):
-                row.append(cur)
-                cur = None
+            if x >= row[-1]:
+                row.append(x)
                 break
-            row[pos], cur = cur, row[pos]
-        if cur is not None:
-            rows.append([cur])
-    return Ssyt._trusted(tuple(map(tuple, rows)), n)
+            pos = bisect_right(row, x)
+            row[pos], x = x, row[pos]
+        else:
+            rows.append([x])
+    return rows
+
+
+def _complement_reversed_word(t: GtTriangle) -> list[int]:
+    """``complement_reverse(reading_word(triangle_to_tableau(t)), n)``
+    in one pass over the triangle.
+
+    Tableau rows r = 0..n-1 are read bottom row first, each right to
+    left, and letter i is written as n+1-i.  Row r holds
+    x[i, i-r] - x[i-1, i-1-r] copies of letter i, as
+    `triangle_to_tableau` reads it; in the top-down ``rows`` that
+    diagonal is ``rows[k][s-k]`` for k = 0..s, with s = n-1-r, and the
+    difference of its cells k-1 and k counts the written letter k,
+    reading cell s+1 as 0.  A non-positive difference adds nothing.
+    """
+    rows = t.rows
+    n = len(rows)
+    word: list[int] = []
+    for s in range(n - 1, -1, -1):
+        prev = rows[0][s]
+        for k in range(1, s + 1):
+            cur = rows[k][s - k]
+            word += [k] * (prev - cur)
+            prev = cur
+        word += [s + 1] * prev
+    return word
 
 
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
@@ -199,17 +233,22 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
 
-    The insertion tableau is semistandard on 1..n by construction, so
-    its rows are converted without `tableau_to_triangle`'s check.  The
-    one way it can fall short is to have fewer than n rows, on a
-    triangle that is not GT; `tableau_to_triangle` then raises.
+    The complement-reversed reading word is read off the triangle in
+    one pass (`_complement_reversed_word`) and row-inserted without a
+    letter check: the library built it, so its letters are ints in
+    1..n.  The insertion tableau is semistandard on 1..n with no empty
+    row by construction, so its rows are converted without
+    `tableau_to_triangle`'s check.  The one way it can fall short is to
+    have fewer than n rows, on a triangle that is not GT; the route
+    then runs the public stages one after another, and
+    `tableau_to_triangle` raises.
     """
     n = t.n
-    w = reading_word(triangle_to_tableau(t))
-    s = rsk_insertion_tableau(complement_reverse(w, n), n)
-    if len(s.rows) != n:
-        return tableau_to_triangle(s)
-    return _count_letters(s.rows, n)
+    rows = _insert(_complement_reversed_word(t))
+    if len(rows) != n:
+        word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
+        return tableau_to_triangle(rsk_insertion_tableau(word, n))
+    return _count_letters(rows, n)
 
 
 def format_tableau(s: Ssyt) -> str:

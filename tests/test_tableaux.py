@@ -4,9 +4,12 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
+import gogmagog.tableaux as module
 from gogmagog.tableaux import (
     Ssyt,
+    _complement_reversed_word,
     complement_reverse,
     reading_word,
     rsk_insertion_tableau,
@@ -17,7 +20,7 @@ from gogmagog.tableaux import (
 )
 from gogmagog.triangles import GtTriangle, ShapeError, is_valid_gt
 
-from conftest import gt_perturbations, gt_triangles, random_gt, tri
+from conftest import drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 TABLEAU5 = Ssyt(((1, 1, 1, 2, 4, 5), (2, 2, 5), (3, 3), (4, 5), (5,)), 5)
@@ -298,6 +301,58 @@ def test_word_route_off_gt_matches_the_composed_route():
         if isinstance(want, str):
             raised[re.sub(r"\d+", "k", want)] += 1
     assert raised == {"ValueError: tableau has k rows, needs k": 4_989}
+
+
+def _staged_word(t):
+    """The complement-reversed reading word through the public stages."""
+    return complement_reverse(reading_word(triangle_to_tableau(t)), t.n)
+
+
+def _unreachable(*args):
+    raise AssertionError("a composed stage ran")
+
+
+class TestOnePassWord:
+    """`_complement_reversed_word` against the staged public pipeline."""
+
+    def test_gt_triangles(self):
+        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
+        assert len(triangles) == 2_896
+        for t in triangles:
+            assert tuple(_complement_reversed_word(t)) == _staged_word(t)
+
+    def test_off_gt_perturbations(self):
+        # non-positive diagonal differences add no letter, and zero or
+        # negative entries read like any other
+        cases = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
+        assert len(cases) == 33_974
+        cases += [tri((0,)), tri((-2, 0), (1,)), tri((3, -1, 2), (0, -4), (5,))]
+        nonpositive = 0
+        for p in cases:
+            assert tuple(_complement_reversed_word(p)) == _staged_word(p)
+            nonpositive += min(x for row in p.rows for x in row) <= 0
+        assert nonpositive == 6_091
+
+    @settings(max_examples=200)
+    @given(drawn_gt(n_max=16))
+    def test_drawn_triangles(self, t):
+        assert tuple(_complement_reversed_word(t)) == _staged_word(t)
+
+
+def test_word_route_on_gt_runs_no_composed_stage():
+    """On GT input the one-pass word and the unchecked insertion give
+    the composed route's triangle with every public stage patched to
+    fail."""
+    triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
+    want = [_composed_word_route(t) for t in triangles]
+    with pytest.MonkeyPatch.context() as patch:
+        # the public stages, which the route runs only on its error path
+        for name in ("triangle_to_tableau", "reading_word", "complement_reverse",
+                     "rsk_insertion_tableau", "tableau_to_triangle"):
+            patch.setattr(module, name, _unreachable)
+        got = [schutzenberger_via_words(t) for t in triangles]
+    assert got == want
+    assert len(got) == 2_896
 
 
 # The parent commit's conversions, copied before they were rewritten to
