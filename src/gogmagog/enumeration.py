@@ -1,15 +1,15 @@
 """Exhaustive generators, counters, and the verification harness.
 
-Generation is top-down row backtracking: the top row is chosen first,
-then each lower row inside the intervals forced by the row above.  Raw
-GT triangles have no other condition, so each lower row is filled in
-one step, as the product of its intervals.  Gog and Magog triangles go
-cell by cell, with family conditions (pinned trapezoid cells, row
-strictness, diagonal caps) applied as the cells are placed.  Triangles
-are emitted in lexicographic order of their top-down reading.  GOGAm
-families are produced by pushing Magog families through the
-involution, which is onto by definition; a filtering generator over
-bounded triangles exists as the cross-check.
+Generation is top-down row backtracking through one recursion,
+`_fill_below`: the top row is chosen first, then each lower row from a
+per-family row function, in lexicographic order.  Raw GT rows are the
+product of their interlacing intervals; Gog and Magog rows take the
+same product with their conditions (pinned trapezoid cells, strict
+rows, the Magog cap) applied per row.  Triangles are emitted in
+lexicographic order of their top-down reading.  GOGAm families are the
+involution's images of Magog families, sorted one top-row class at a
+time; a filtering generator over bounded triangles exists as the
+cross-check.
 
 `verify` runs one of the named property suites up to a given size and
 returns a structured report; every suite is deterministic.
@@ -21,9 +21,11 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, product
+from functools import partial
+from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from operator import attrgetter, lt
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
     Asm,
@@ -100,98 +102,74 @@ def asm_number(n: int) -> int:
     return value.numerator
 
 
-def _descend(
-    top: tuple[int, ...],
-    n: int,
-    cell_ok: Callable[[int, int, int, list[int]], bool],
+def _fill_below(
+    rows: tuple[tuple[int, ...], ...],
+    lower_rows: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
 ) -> Iterator[GtTriangle]:
-    """Fill rows n-1 .. 1 under the interlacing intervals.
-
-    ``cell_ok(i, j, value, row_so_far)`` may veto a placement; rows are
-    built left to right, so strictness checks can look at the previous
-    cell.
-    """
-    return _place([top], [], n - 1, 1, cell_ok)
-
-
-def _place(
-    rows: list[tuple[int, ...]],
-    row: list[int],
-    i: int,
-    j: int,
-    cell_ok: Callable[[int, int, int, list[int]], bool],
-) -> Iterator[GtTriangle]:
-    """Every completion of `_descend` from cell (i, j) on, with ``rows``
-    the finished rows top-down and ``row`` the cells of row i so far.
-
-    A plain recursion, so no frame refers to itself and each partial
-    triangle is freed by reference counting.
-    """
-    if i == 0:
-        yield GtTriangle._trusted(tuple(rows))
-        return
-    if j > i:
-        rows.append(tuple(row))
-        yield from _place(rows, [], i - 1, 1, cell_ok)
-        rows.pop()
-        return
-    above = rows[-1]
-    for val in range(above[j - 1], above[j] + 1):
-        if cell_ok(i, j, val, row):
-            row.append(val)
-            yield from _place(rows, row, i, j + 1, cell_ok)
-            row.pop()
-
-
-def _fill_below(rows: tuple[tuple[int, ...], ...]) -> Iterator[GtTriangle]:
-    """Every GT triangle whose top rows are ``rows``: each lower row in
-    one step, as the product of its interlacing intervals
-    [above[j], above[j+1]], in the order `_descend` emits them."""
+    """Every triangle whose top rows are ``rows``, each lower row drawn
+    from ``lower_rows(above)`` in the order it gives; lexicographic row
+    functions give lexicographic triangles.  A plain recursion, so each
+    partial triangle is freed by reference counting."""
     above = rows[-1]
     if len(above) == 1:
         yield GtTriangle._trusted(rows)
         return
-    for row in product(*map(range, above, [x + 1 for x in above[1:]])):
-        yield from _fill_below((*rows, row))
+    for row in lower_rows(above):
+        yield from _fill_below((*rows, row), lower_rows)
+
+
+def _gt_rows(above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """The product of the interlacing intervals [above[j], above[j+1]]."""
+    return product(*map(range, above, [x + 1 for x in above[1:]]))
+
+
+def _gog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """`_gt_rows` with each cell (i, j), i - j >= k, pinned to j,
+    filtered for strictly increasing rows."""
+    i = len(above) - 1
+    ranges = [
+        range(max(lo, j), min(hi, j) + 1) if k is not None and i - j >= k else range(lo, hi + 1)
+        for j, lo, hi in zip(range(1, i + 1), above, above[1:])
+    ]
+    return (row for row in product(*ranges) if all(map(lt, row, row[1:])))
+
+
+def _magog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """`_gt_rows` with cell (i, j) capped at j, as x[i,j] <= x[j,j] <= j
+    by interlacing, or pinned to 1 where i - j >= k."""
+    i = len(above) - 1
+    caps = [1 if k is not None and i - j >= k else j for j in range(1, i + 1)]
+    return product(*map(range, above, [min(x, cap) + 1 for x, cap in zip(above[1:], caps)]))
 
 
 def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
     for top in combinations_with_replacement(range(1, bound + 1), n):
-        yield from _fill_below((top,))
+        yield from _fill_below((top,), _gt_rows)
 
 
 def _generate_gog(n: int, k: int | None) -> Iterator[GtTriangle]:
-    top = tuple(range(1, n + 1))
-
-    def ok(i: int, j: int, val: int, row: list[int]) -> bool:
-        if row and val <= row[-1]:
-            return False
-        if k is not None and i - j >= k and val != j:
-            return False
-        return True
-
-    yield from _descend(top, n, ok)
+    return _fill_below((tuple(range(1, n + 1)),), partial(_gog_rows, k))
 
 
 def _generate_magog(n: int, k: int | None) -> Iterator[GtTriangle]:
-    def ok(i: int, j: int, val: int, row: list[int]) -> bool:
-        if j == i and val > i:
-            return False
-        if k is not None and i - j >= k and val != 1:
-            return False
-        return True
-
+    lower_rows = partial(_magog_rows, k)
     free = n if k is None else k  # top cells (n, j) with j <= n - k are pinned to 1
     for tail in combinations_with_replacement(range(1, n + 1), free):
-        yield from _descend((1,) * (n - free) + tail, n, ok)
+        yield from _fill_below(((1,) * (n - free) + tail,), lower_rows)
 
 
 def _generate_gogam(n: int, k: int | None) -> Iterator[GtTriangle]:
-    # the involution maps the Magog family onto the GOGAm family; sort to
-    # keep the advertised lexicographic emission order
-    images = [schutzenberger(t) for t in _generate_magog(n, k)]
-    images.sort(key=lambda t: t.rows)
-    yield from images
+    """The involution's images of the Magog family, in lexicographic
+    order, holding one top-row class at a time.
+
+    Magog triangles come in lexicographic order, so grouped by top row.
+    Every Bender-Knuth reflection acts on a row below the top, so the
+    involution keeps the top row, and the lexicographic order compares
+    the top row first: sorting each class's images gives the sorted
+    stream of all of them.
+    """
+    for _, magogs in groupby(_generate_magog(n, k), key=lambda t: t.rows[0]):
+        yield from sorted(map(schutzenberger, magogs), key=attrgetter("rows"))
 
 
 def _generate_gogam_by_filter(n: int, k: int | None) -> Iterator[GtTriangle]:

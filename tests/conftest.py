@@ -29,6 +29,37 @@ def gt_triangles(n, bound):
     yield from _generate_gt(n, bound)
 
 
+def descend(top, n, cell_ok):
+    """Cell-by-cell oracle for the row generators: every GT triangle with
+    top row ``top``, rows n-1 .. 1 filled left to right inside the
+    interlacing intervals, in lexicographic order.
+
+    ``cell_ok(i, j, value, row_so_far)`` may veto a placement; rows are
+    built left to right, so strictness checks can look at the previous
+    cell.
+    """
+    return _place([top], [], n - 1, 1, cell_ok)
+
+
+def _place(rows, row, i, j, cell_ok):
+    """Every completion of `descend` from cell (i, j) on, with ``rows``
+    the finished rows top-down and ``row`` the cells of row i so far."""
+    if i == 0:
+        yield GtTriangle._trusted(tuple(rows))
+        return
+    if j > i:
+        rows.append(tuple(row))
+        yield from _place(rows, [], i - 1, 1, cell_ok)
+        rows.pop()
+        return
+    above = rows[-1]
+    for val in range(above[j - 1], above[j] + 1):
+        if cell_ok(i, j, val, row):
+            row.append(val)
+            yield from _place(rows, row, i, j + 1, cell_ok)
+            row.pop()
+
+
 def gt_perturbations():
     """(t, p) for every single-entry +-1 perturbation p of every GT
     triangle t with n <= 4 and entries <= n+1."""

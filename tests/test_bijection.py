@@ -27,7 +27,7 @@ from gogmagog.enumeration import FamilySpec, generate
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
 
-from conftest import tri
+from conftest import descend, tri
 
 GOG52 = tri((1, 2, 3, 4, 5), (1, 2, 4, 5), (1, 3, 4), (1, 3), (2,))
 GOGAM52 = tri((1, 1, 1, 2, 3), (1, 1, 2, 3), (1, 1, 3), (1, 3), (2,))
@@ -283,14 +283,12 @@ class TestGogamDiagonals:
         # decide membership exactly like the chain formula
         from itertools import combinations_with_replacement
 
-        from gogmagog.enumeration import _descend
-
         def shapes(n):
             # cells with i - j >= 2 pinned to 1, every entry at most n
             # (a GOGAm corner is at most n and dominates every entry)
             for right in combinations_with_replacement(range(1, n + 1), min(n, 2)):
                 top = (1,) * (n - len(right)) + right
-                yield from _descend(top, n, lambda i, j, val, row: i - j < 2 or val == 1)
+                yield from descend(top, n, lambda i, j, val, row: i - j < 2 or val == 1)
 
         # shape counts match filtering every triangle bounded by n;
         # member counts are the (n,2) trapezoid numbers

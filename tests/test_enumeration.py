@@ -2,6 +2,7 @@ import gc
 import json
 from collections import Counter
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -23,9 +24,8 @@ from gogmagog.enumeration import (
     FamilySpec,
     SUITES,
     _count_n2,
-    _descend,
     _fail_payload,
-    _generate_gt,
+    _generate_gogam_by_filter,
     _walk_n2,
     asm_number,
     count,
@@ -33,10 +33,10 @@ from gogmagog.enumeration import (
     generate_asms,
     verify,
 )
-from gogmagog.schutzenberger import is_gogam
+from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import Family, is_gog, is_magog, is_trapezoid, is_valid_gt
 
-from conftest import report_digest
+from conftest import descend, report_digest
 
 
 def test_count_formula_values():
@@ -110,24 +110,118 @@ def test_emission_is_lexicographic():
     assert rows == sorted(rows)
 
 
-def test_raw_gt_rows_match_the_cell_by_cell_route():
-    # `_descend` with no veto fills cell by cell: the reference for the
-    # row-at-a-time generator, same triangles in the same order
-    for n in range(1, 6):
-        for bound in range(7):
-            tops = combinations_with_replacement(range(1, bound + 1), n)
-            cells = [t for top in tops for t in _descend(top, n, lambda *a: True)]
-            assert list(_generate_gt(n, bound)) == cells
+def _cell_by_cell(spec):
+    """`descend` with the cell vetoes the generators applied before they
+    went row by row: the reference for the row functions."""
+    n, k = spec.n, spec.k
+    if spec.family is Family.GT:
+        for top in combinations_with_replacement(range(1, spec.bound + 1), n):
+            yield from descend(top, n, lambda *a: True)
+    elif spec.family is Family.GOG:
+
+        def strict_and_pinned(i, j, val, row):
+            return not (row and val <= row[-1]) and (k is None or i - j < k or val == j)
+
+        yield from descend(tuple(range(1, n + 1)), n, strict_and_pinned)
+    else:
+
+        def capped_and_pinned(i, j, val, row):
+            return (j < i or val <= i) and (k is None or i - j < k or val == 1)
+
+        free = n if k is None else k
+        for tail in combinations_with_replacement(range(1, n + 1), free):
+            yield from descend((1,) * (n - free) + tail, n, capped_and_pinned)
+
+
+def _every_spec(family, n_max):
+    """Every spec of ``family`` with n <= n_max: each trapezoid width for
+    Gog and Magog, entry bounds 0..6 for raw GT."""
+    for n in range(1, n_max + 1):
+        if family is Family.GT:
+            yield from (FamilySpec(family, n, bound=bound) for bound in range(7))
+        else:
+            yield from (FamilySpec(family, n, k=k) for k in (None, *range(1, n + 1)))
+
+
+@pytest.mark.parametrize(
+    "family, n_max",
+    [(Family.GT, 5), (Family.GOG, 6), (Family.MAGOG, 6)],
+    ids=["gt", "gog", "magog"],
+)
+def test_row_generators_match_the_cell_by_cell_route(family, n_max):
+    # same triangles in the same order
+    for spec in _every_spec(family, n_max):
+        assert list(generate(spec)) == list(_cell_by_cell(spec)), spec
+
+
+@pytest.mark.slow
+def test_magog_rows_match_the_cell_by_cell_route_n7():
+    spec = FamilySpec(Family.MAGOG, 7)
+    assert list(generate(spec)) == list(_cell_by_cell(spec))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gogam_stream_equals_the_filtering_route(n):
+    for k in (None, *range(1, n + 1)):
+        assert list(generate(FamilySpec(Family.GOGAM, n, k=k))) == list(
+            _generate_gogam_by_filter(n, k)
+        ), k
+
+
+def test_trapezoid_counts_agree_across_widths():
+    # the (n,k) trapezoid theorem (Mills-Robbins-Rumsey 1986, proved by
+    # Zeilberger 1996), at every width
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            gog, magog, gogam = (
+                count(FamilySpec(family, n, k=k))
+                for family in (Family.GOG, Family.MAGOG, Family.GOGAM)
+            )
+            assert gog == magog == gogam, (n, k)
+            if k == n:
+                assert gog == asm_number(n)
+            if k == 2:
+                assert gog == _count_n2(Family.GOG, n)
+
+
+def _gogam_pass_peak(n):
+    """Members and `tracemalloc` peak, in bytes, of one full GOGAm pass."""
+    # build the size-n involution kernel before tracing
+    schutzenberger(next(generate(FamilySpec(Family.MAGOG, n))))
+    tracemalloc.start()
+    try:
+        members = sum(1 for _ in generate(FamilySpec(Family.GOGAM, n)))
+        return members, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gogam_stream_holds_one_top_row_class():
+    members, peak = _gogam_pass_peak(6)
+    assert members == 7436
+    assert peak < 1 << 20
+
+
+@pytest.mark.slow
+def test_gogam_stream_holds_one_top_row_class_n7():
+    members, peak = _gogam_pass_peak(7)
+    assert members == 218_348
+    assert peak < 30 << 20
 
 
 def test_gog_and_magog_generation_leaves_no_cyclic_garbage():
-    # every partial triangle must be freed by reference counting alone
+    # every partial triangle must be freed by reference counting alone,
+    # on every family that goes through `_fill_below`
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for family in (Family.GOG, Family.MAGOG):
-            assert sum(1 for _ in generate(FamilySpec(family, 6))) == 7436
+        for spec, members in (
+            (FamilySpec(Family.GOG, 6), 7436),
+            (FamilySpec(Family.MAGOG, 6), 7436),
+            (FamilySpec(Family.GT, 5, bound=6), 151_008),
+        ):
+            assert sum(1 for _ in generate(spec)) == members
             assert gc.collect() == 0
     finally:
         if was_enabled:
@@ -416,7 +510,7 @@ def test_bijection_n2_enumerates_nothing(monkeypatch):
     def unreachable(*args):
         raise AssertionError("bijection-n2 must not enumerate")
 
-    for name in ("generate", "count", "_descend"):
+    for name in ("generate", "count", "_fill_below"):
         monkeypatch.setattr(enumeration, name, unreachable)
     report = verify("bijection-n2", 5)
     assert report.ok and report.histogram["trapezoids-5"] == 219

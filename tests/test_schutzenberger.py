@@ -340,6 +340,25 @@ def test_fold_past_the_cap_on_drawn_triangles(t, data):
         assert is_valid_gt(t) and not is_valid_gt(broken)
 
 
+# every Bender-Knuth reflection acts on a row below the top, which is
+# what lets the GOGAm generator sort one top-row class at a time
+
+
+@settings(max_examples=100)
+@given(drawn_gt())
+def test_involution_keeps_the_top_row(t):
+    assert schutzenberger(t).rows[0] == t.rows[0]
+
+
+@settings(max_examples=40)
+@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
+def test_fold_keeps_the_top_row(t):
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in _KERNELS:
+            patch.setattr(owner, name, _unreachable)
+        assert schutzenberger(t).rows[0] == t.rows[0]
+
+
 @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)
 @pytest.mark.parametrize("call", [bender_knuth])
 def test_row_indices_must_be_integers(call, index):
