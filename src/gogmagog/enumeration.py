@@ -206,38 +206,38 @@ def generate_asms(n: int) -> Iterator[Asm]:
     those two prunes are exactly the alternating-sign conditions.
     """
     _check_size(n)
-    cols = [0] * n
-    rows: list[tuple[int, ...]] = []
+    return _place_asm(n, [0] * n, [], [0] * n, 0, 0)
 
-    def fill(r: int) -> Iterator[Asm]:
-        if r == n:
-            yield Asm(tuple(rows))
-            return
-        row = [0] * n
 
-        def place(j: int, rsum: int) -> Iterator[Asm]:
-            if j == n:
-                if rsum == 1:
-                    rows.append(tuple(row))
-                    yield from fill(r + 1)
-                    rows.pop()
-                return
-            for e in (-1, 0, 1):
-                if cols[j] + e not in (0, 1):
-                    continue
-                if rsum + e not in (0, 1):
-                    continue
-                if rsum + e + (n - j - 1) < 1:
-                    continue
-                row[j] = e
-                cols[j] += e
-                yield from place(j + 1, rsum + e)
-                cols[j] -= e
-                row[j] = 0
-
-        yield from place(0, 0)
-
-    return fill(0)
+def _place_asm(
+    n: int, cols: list[int], rows: list[tuple[int, ...]], row: list[int], j: int, rsum: int
+) -> Iterator[Asm]:
+    """Every completion of `generate_asms` from cell j of ``row`` on,
+    with ``rows`` the finished rows, ``cols`` the column sums over them
+    and row[:j], and ``rsum`` the sum of row[:j]; entries -1, 0, 1 are
+    tried in that order.  A top-level recursion, not a closure, so
+    reference counting alone frees every frame."""
+    if j == n:
+        if rsum == 1:
+            rows.append(tuple(row))
+            if len(rows) == n:
+                yield Asm(tuple(rows))
+            else:
+                yield from _place_asm(n, cols, rows, [0] * n, 0, 0)
+            rows.pop()
+        return
+    for e in (-1, 0, 1):
+        if cols[j] + e not in (0, 1):
+            continue
+        if rsum + e not in (0, 1):
+            continue
+        if rsum + e + (n - j - 1) < 1:
+            continue
+        row[j] = e
+        cols[j] += e
+        yield from _place_asm(n, cols, rows, row, j + 1, rsum + e)
+        cols[j] -= e
+        row[j] = 0
 
 
 def count(spec: FamilySpec) -> int:

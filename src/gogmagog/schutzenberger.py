@@ -100,7 +100,7 @@ def _kernel(
                     hi = f"({below[c]} if {below[c]} < {hi} else {hi})"
                 body.append(f"    {row[c]} = {lo} + {hi} - {row[c]}")
     body.append(f"    return {_row_tuples(n)}")
-    return _straight_line(n, body, "schutzenberger")
+    return _straight_line(n, _row_tuples(n), body, "schutzenberger")
 
 
 def schutzenberger(t: GtTriangle) -> GtTriangle:
@@ -177,7 +177,7 @@ def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[in
         body.append(f"    d1 = {corner} + f1_0")
     values = "".join(f"d{k}, " for k in range(1, n))
     body.append(f"    return {values}{corner},")
-    return _straight_line(n, body, "diagonal")
+    return _straight_line(n, _row_tuples(n), body, "diagonal")
 
 
 def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:

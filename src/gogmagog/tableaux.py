@@ -14,6 +14,14 @@ row-inserts it without re-checking its letters; the public stages
 (`triangle_to_tableau`, `reading_word`, `complement_reverse`,
 `rsk_insertion_tableau`, `tableau_to_triangle`) compute the same word
 and tableau step by step, and the route runs them on its error path.
+
+Reading the word and counting the tableau's letters back into a
+triangle follow a schedule that depends on n alone, so up to
+`triangles._UNROLL_MAX_N` each runs as a straight-line function per
+size (`_word_kernel`, `_count_kernel`), built by
+`triangles._straight_line` on first use and cached; the count also
+serves `tableau_to_triangle`.  Past the cap the loops run.  The RSK
+insertion in between is data-dependent and stays one loop, `_insert`.
 """
 
 from __future__ import annotations
@@ -21,10 +29,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from operator import le, lt
+from typing import Callable
 
-from .triangles import GtTriangle, _check_size, _int_rows
+from .triangles import (
+    _UNROLL_MAX_N,
+    GtTriangle,
+    _check_size,
+    _int_rows,
+    _row_tuples,
+    _straight_line,
+)
 
 Word = tuple[int, ...]
 
@@ -125,9 +142,27 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     return _count_letters(rows, n)
 
 
+@cache
+def _count_kernel(n: int) -> Callable[[Sequence[Sequence[int]]], tuple[tuple[int, ...], ...]]:
+    """`_count_letters` for size n as one straight-line function: the
+    tableau rows unpacked into ``r0`` .. ``r{n-1}``, and the top-down
+    triangle one tuple expression of ``bisect_right(r{r}, i)``."""
+    rows = (
+        "".join(f"bisect_right(r{r}, {i}), " for r in range(i - 1, -1, -1))
+        for i in range(n, 0, -1)
+    )
+    body = ["    return " + "".join(f"({row}), " for row in rows)]
+    target = "".join(f"r{r}, " for r in range(n))
+    return _straight_line(n, target, body, "letter count", bisect_right=bisect_right)
+
+
 def _count_letters(rows: Sequence[Sequence[int]], n: int) -> GtTriangle:
     """The triangle of n ``rows`` that form a semistandard tableau on
-    1..n, unchecked: x[i, i-r] counts the letters <= i in row r."""
+    1..n, unchecked: x[i, i-r] counts the letters <= i in row r.  Up to
+    `_UNROLL_MAX_N` the cached `_count_kernel` of the size counts; past
+    it, the loop below."""
+    if n <= _UNROLL_MAX_N:
+        return GtTriangle._trusted(_count_kernel(n)(rows))
     # rows r >= i hold no letter <= i
     return GtTriangle._trusted(tuple(
         tuple(map(bisect_right, rows[i - 1::-1], repeat(i))) for i in range(n, 0, -1)
@@ -227,6 +262,21 @@ def _complement_reversed_word(t: GtTriangle) -> list[int]:
     return word
 
 
+@cache
+def _word_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], list[int]]:
+    """`_complement_reversed_word` on top-down rows of size n as one
+    straight-line function: one ``w += (k,) * (a - b)`` per diagonal
+    cell, in the loop's order, so a negative difference still adds no
+    letter.  The constant tuple ``(k,)`` costs no list build."""
+    body = ["    w = []"]
+    for s in range(n - 1, -1, -1):
+        for k in range(1, s + 1):
+            body.append(f"    w += ({k},) * (x{k - 1}_{s - k + 1} - x{k}_{s - k})")
+        body.append(f"    w += ({s + 1},) * x{s}_0")
+    body.append("    return w")
+    return _straight_line(n, _row_tuples(n), body, "word")
+
+
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     """Involution image computed through the word pipeline.
 
@@ -234,17 +284,23 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     insertion tableau -> triangle.
 
     The complement-reversed reading word is read off the triangle in
-    one pass (`_complement_reversed_word`) and row-inserted without a
-    letter check: the library built it, so its letters are ints in
-    1..n.  The insertion tableau is semistandard on 1..n with no empty
-    row by construction, so its rows are converted without
-    `tableau_to_triangle`'s check.  The one way it can fall short is to
-    have fewer than n rows, on a triangle that is not GT; the route
-    then runs the public stages one after another, and
+    one pass and row-inserted without a letter check: the library built
+    it, so its letters are ints in 1..n.  The insertion tableau is
+    semistandard on 1..n with no empty row by construction, so its
+    letters are counted (`_count_letters`) without
+    `tableau_to_triangle`'s check.  Up to `_UNROLL_MAX_N` the word comes
+    from the cached per-size `_word_kernel` and the count from
+    `_count_kernel`, straight-line functions of the cells and the rows;
+    past it, from `_complement_reversed_word` and the counting loop.
+    The insertion is always the one RSK loop, `_insert`, and no stage
+    touches a Bender-Knuth reflection.  The one way the tableau can fall
+    short is to have fewer than n rows, on a triangle that is not GT;
+    the route then runs the public stages one after another, and
     `tableau_to_triangle` raises.
     """
     n = t.n
-    rows = _insert(_complement_reversed_word(t))
+    word = _word_kernel(n)(t.rows) if n <= _UNROLL_MAX_N else _complement_reversed_word(t)
+    rows = _insert(word)
     if len(rows) != n:
         word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
         return tableau_to_triangle(rsk_insertion_tableau(word, n))

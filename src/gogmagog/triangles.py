@@ -12,12 +12,14 @@ are in bijection with alternating sign matrices); a Magog triangle has
 x[i,i] <= i (in bijection with totally symmetric self-complementary
 plane partitions); trapezoids pin everything far from the right edge.
 
-Fixed-schedule tests on triangles of one size can run as straight-line
+Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-every cell unpacked into a local.  Up to `_UNROLL_MAX_N` the GT test
-runs that way (`_gt_kernel`), as do the involution and its diagonal in
-`schutzenberger`; each is built on first use and cached, so importing
-the package builds none.
+its argument unpacked into locals.  Up to `_UNROLL_MAX_N` five per-size
+functions run that way: the GT test here (`_gt_kernel`), the
+involution and its diagonal in `schutzenberger`, and the word route's
+reading of its word and counting of its tableau in `tableaux`.  Each
+is built on first use and cached, so importing the package builds
+none.
 """
 
 from __future__ import annotations
@@ -171,16 +173,18 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
     return bad
 
 
-# Largest n whose fixed-schedule tests run as one `_straight_line`
-# function per size: the GT test, the involution and its diagonal.  The
-# involution's source has (n-1)n(n+1)/6 statements, the other two
-# O(n^2).  Each is built once per size and process; on a 2-vCPU host
-# under Python 3.11 a build takes, at n = 6 / 7 / 12, about
-# 0.2 / 0.3 / 0.5-0.9 ms for the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms
-# for the diagonal and 0.6-1.1 / 0.9-1.4 / 5-8 ms for the involution,
-# which grows as n^3 to 12-20 ms at 16 and 26-31 ms at 20.  Past the cap
-# the loops run instead, so no input size makes the build cost or the
-# code size unbounded.
+# Largest n whose fixed-schedule work runs as one `_straight_line`
+# function per size: the GT test, the involution and its diagonal, and
+# the word route's word reading and letter count.  The involution's
+# source has (n-1)n(n+1)/6 statements, the other four O(n^2).  Each is
+# built once per size and process; on a 2-vCPU host under Python 3.11
+# a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for
+# the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal,
+# 0.25-0.5 / 0.3-0.5 / 0.8-1.4 ms for the word reading, 0.2-0.35 /
+# 0.2-0.45 / 0.5-1.2 ms for the letter count and 0.6-1.1 / 0.9-1.4 /
+# 5-8 ms for the involution, which grows as n^3 to 12-20 ms at 16 and
+# 26-31 ms at 20.  Past the cap the loops run instead, so no input size
+# makes the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
 
 
@@ -192,12 +196,13 @@ def _row_tuples(n: int) -> str:
     return ", ".join(f"({row},)" for row in rows) + ","
 
 
-def _straight_line(n: int, body: list[str], label: str) -> Callable:
-    """Compile ``body``, source lines over the cell locals of
-    `_row_tuples`, into a function of top-down rows of size n that
-    first unpacks every cell."""
-    source = "\n".join(["def kernel(rows):", f"    {_row_tuples(n)} = rows", *body])
-    namespace: dict[str, Callable] = {}
+def _straight_line(n: int, target: str, body: list[str], label: str, **names: Callable) -> Callable:
+    """Compile ``body``, source lines over the locals of the unpacking
+    ``target``, into a function of one argument, ``rows``, of size n
+    that first unpacks it into ``target``; ``names`` are the functions
+    the body may call."""
+    source = "\n".join(["def kernel(rows):", f"    {target} = rows", *body])
+    namespace: dict[str, Callable] = dict(names)
     exec(compile(source, f"<{label} kernel n={n}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -214,7 +219,7 @@ def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
         for c in range(n - r - 1):
             chain += [f"x{r + 1}_{c}", f"x{r}_{c + 1}"]
         tests.append(" <= ".join(chain))
-    return _straight_line(n, [f"    return {' and '.join(tests)}"], "gt test")
+    return _straight_line(n, _row_tuples(n), [f"    return {' and '.join(tests)}"], "gt test")
 
 
 def _is_gt_rows(rows: tuple[tuple[int, ...], ...]) -> bool:

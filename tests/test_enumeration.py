@@ -211,17 +211,19 @@ def test_gogam_stream_holds_one_top_row_class_n7():
 
 def test_gog_and_magog_generation_leaves_no_cyclic_garbage():
     # every partial triangle must be freed by reference counting alone,
-    # on every family that goes through `_fill_below`
+    # on every family that goes through `_fill_below`, and so must every
+    # partial matrix of the direct ASM route
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for spec, members in (
-            (FamilySpec(Family.GOG, 6), 7436),
-            (FamilySpec(Family.MAGOG, 6), 7436),
-            (FamilySpec(Family.GT, 5, bound=6), 151_008),
+        for stream, members in (
+            (generate(FamilySpec(Family.GOG, 6)), 7436),
+            (generate(FamilySpec(Family.MAGOG, 6)), 7436),
+            (generate(FamilySpec(Family.GT, 5, bound=6)), 151_008),
+            (generate_asms(6), 7436),
         ):
-            assert sum(1 for _ in generate(spec)) == members
+            assert sum(1 for _ in stream) == members
             assert gc.collect() == 0
     finally:
         if was_enabled:

@@ -285,13 +285,14 @@ class TestUnrolledKernel:
 
     def test_import_builds_no_kernel(self):
         # a fresh interpreter: importing the package and its CLI compiles
-        # none of the three kernels
+        # none of the five kernels
         probe = (
             "import gogmagog, gogmagog.cli, sys; "
             "s = sys.modules['gogmagog.schutzenberger']; "
             "t = sys.modules['gogmagog.triangles']; "
-            "print([k.cache_info().currsize "
-            "for k in (s._kernel, s._diagonal_kernel, t._gt_kernel)])"
+            "w = sys.modules['gogmagog.tableaux']; "
+            "print([k.cache_info().currsize for k in (s._kernel, s._diagonal_kernel, "
+            "t._gt_kernel, w._word_kernel, w._count_kernel)])"
         )
         src = str(Path(module.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -301,7 +302,7 @@ class TestUnrolledKernel:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout == "[0, 0, 0]\n"
+        assert out.stdout == "[0, 0, 0, 0, 0]\n"
 
 
 def _perturbed(t, r, c, delta):

@@ -5,11 +5,13 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gogmagog.tableaux as module
 from gogmagog.tableaux import (
     Ssyt,
     _complement_reversed_word,
+    _word_kernel,
     complement_reverse,
     reading_word,
     rsk_insertion_tableau,
@@ -309,17 +311,24 @@ def _staged_word(t):
 
 
 def _unreachable(*args):
-    raise AssertionError("a composed stage ran")
+    raise AssertionError("a patched-out stage ran")
+
+
+def _one_pass_words(t):
+    """The word of the per-size kernel and of the loop it unrolls."""
+    return tuple(_word_kernel(t.n)(t.rows)), tuple(_complement_reversed_word(t))
 
 
 class TestOnePassWord:
-    """`_complement_reversed_word` against the staged public pipeline."""
+    """`_complement_reversed_word` and `_word_kernel` against the staged
+    public pipeline."""
 
     def test_gt_triangles(self):
         triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
         assert len(triangles) == 2_896
         for t in triangles:
-            assert tuple(_complement_reversed_word(t)) == _staged_word(t)
+            want = _staged_word(t)
+            assert _one_pass_words(t) == (want, want)
 
     def test_off_gt_perturbations(self):
         # non-positive diagonal differences add no letter, and zero or
@@ -329,14 +338,85 @@ class TestOnePassWord:
         cases += [tri((0,)), tri((-2, 0), (1,)), tri((3, -1, 2), (0, -4), (5,))]
         nonpositive = 0
         for p in cases:
-            assert tuple(_complement_reversed_word(p)) == _staged_word(p)
+            want = _staged_word(p)
+            assert _one_pass_words(p) == (want, want)
             nonpositive += min(x for row in p.rows for x in row) <= 0
         assert nonpositive == 6_091
 
     @settings(max_examples=200)
     @given(drawn_gt(n_max=16))
     def test_drawn_triangles(self, t):
-        assert tuple(_complement_reversed_word(t)) == _staged_word(t)
+        want = _staged_word(t)
+        assert _one_pass_words(t) == (want, want)
+
+
+def _both_paths(fn, inputs):
+    """``fn``'s outcome on each input through the word route's per-size
+    kernels, then through the loops they unroll, which still run past
+    `_UNROLL_MAX_N`; each path runs with the other one patched to fail
+    (the letter-counting loop is the only reader of `tableaux.repeat`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_complement_reversed_word", _unreachable)
+        patch.setattr(module, "repeat", _unreachable)
+        unrolled = [_outcome(fn, x) for x in inputs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_count_kernel", _unreachable)
+        patch.setattr(module, "_UNROLL_MAX_N", 0)
+        looped = [_outcome(fn, x) for x in inputs]
+    return unrolled, looped
+
+
+def _kernels_match_loops(triangles):
+    """How many of ``triangles`` raise in `schutzenberger_via_words` and
+    in `tableau_to_triangle` of their tableaux, once both paths agree on
+    every outcome."""
+    raised = []
+    for fn, inputs in (
+        (schutzenberger_via_words, triangles),
+        (tableau_to_triangle, [triangle_to_tableau(t) for t in triangles]),
+    ):
+        unrolled, looped = _both_paths(fn, inputs)
+        assert unrolled == looped, fn.__name__
+        raised.append(sum(isinstance(x, str) for x in unrolled))
+    return raised
+
+
+class TestWordKernels:
+    """The word route's per-size straight-line functions against the
+    loops they unroll."""
+
+    def test_gt_triangles(self):
+        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
+        assert len(triangles) == 2_896
+        assert _kernels_match_loops(triangles) == [0, 0]
+
+    def test_off_gt_perturbations(self):
+        triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
+        assert len(triangles) == 33_974
+        assert _kernels_match_loops(triangles) == [4_987, 18_739]
+
+    @settings(max_examples=100)
+    @given(drawn_gt(), st.data())
+    def test_drawn_triangles(self, t, data):
+        r = data.draw(st.integers(0, t.n - 1))
+        c = data.draw(st.integers(0, t.n - 1 - r))
+        rows = [list(row) for row in t.rows]
+        rows[r][c] += data.draw(st.sampled_from((-1, 1)))
+        _kernels_match_loops([t, GtTriangle(tuple(map(tuple, rows)))])
+
+
+@settings(max_examples=40)
+@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
+def test_loops_past_the_cap_on_drawn_triangles(t):
+    assert t.n > module._UNROLL_MAX_N
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_count_kernel", _unreachable)
+        s = schutzenberger_via_words(t)
+        assert s == _composed_word_route(t)
+        assert schutzenberger_via_words(s) == t
+        assert tableau_to_triangle(triangle_to_tableau(t)) == t
 
 
 def test_word_route_on_gt_runs_no_composed_stage():
