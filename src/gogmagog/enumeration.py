@@ -5,14 +5,18 @@ Generation is top-down row backtracking through one recursion,
 per-family row function, in lexicographic order.  Raw GT rows are the
 product of their interlacing intervals; Gog and Magog rows take the
 same product with their conditions (pinned trapezoid cells, strict
-rows, the Magog cap) applied per row.  Triangles are emitted in
-lexicographic order of their top-down reading.  GOGAm families are the
-involution's images of Magog families, sorted one top-row class at a
-time; a filtering generator over bounded triangles exists as the
-cross-check.
+rows, the Magog cap) applied per row.  Up to `_UNROLL_MAX_N` raw GT
+triangles come instead from `_gt_fill_kernel`, the recursion unrolled
+into one straight-line generator per size, the sixth function built by
+`triangles._straight_line`.  Triangles are emitted in lexicographic
+order of their top-down reading.  GOGAm families are the involution's
+images of Magog families, sorted one top-row class at a time; a
+filtering generator over bounded triangles exists as the cross-check.
 
 `verify` runs one of the named property suites up to a given size and
-returns a structured report; every suite is deterministic.
+returns a structured report; every suite is deterministic.  The
+`involution` and `oracle` suites run on bare top-down rows, through the
+per-size row functions of both involution routes fetched once per size.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate, combinations_with_replacement, groupby, product
+from functools import cache, partial
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product
 from math import factorial
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -49,13 +53,15 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .schutzenberger import is_gogam, schutzenberger, schutzenberger_diagonal
-from .tableaux import schutzenberger_via_words
+from .schutzenberger import _involution, is_gogam, schutzenberger, schutzenberger_diagonal
+from .tableaux import _word_route
 from .triangles import (
+    _UNROLL_MAX_N,
     Family,
     GtTriangle,
     _check_int,
     _check_size,
+    _straight_line,
     format_triangle,
     inversions,
     is_gog_trapezoid_n2k,
@@ -105,14 +111,15 @@ def asm_number(n: int) -> int:
 def _fill_below(
     rows: tuple[tuple[int, ...], ...],
     lower_rows: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
-) -> Iterator[GtTriangle]:
-    """Every triangle whose top rows are ``rows``, each lower row drawn
-    from ``lower_rows(above)`` in the order it gives; lexicographic row
-    functions give lexicographic triangles.  A plain recursion, so each
-    partial triangle is freed by reference counting."""
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The top-down rows of every triangle whose top rows are ``rows``,
+    each lower row drawn from ``lower_rows(above)`` in the order it
+    gives; lexicographic row functions give lexicographic triangles.  A
+    plain recursion, so each partial triangle is freed by reference
+    counting."""
     above = rows[-1]
     if len(above) == 1:
-        yield GtTriangle._trusted(rows)
+        yield rows
         return
     for row in lower_rows(above):
         yield from _fill_below((*rows, row), lower_rows)
@@ -142,20 +149,56 @@ def _magog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ..
     return product(*map(range, above, [min(x, cap) + 1 for x, cap in zip(above[1:], caps)]))
 
 
+@cache
+def _gt_fill_kernel(
+    n: int,
+) -> Callable[[tuple[int, ...]], Iterator[tuple[tuple[int, ...], ...]]]:
+    """``_fill_below((top,), _gt_rows)`` for a top row of size n as one
+    straight-line generator: one ``for`` per lower row over the product
+    of its interlacing intervals, the row unpacked into the locals the
+    next row's ranges read, yielding the top-down row tuples.
+
+    One loop per row, not per cell: CPython nests at most 20 blocks
+    statically, so a loop per cell fails to compile from n = 7 on, while
+    n - 1 row loops stay within it up to the cap.
+    """
+    body = []
+    for r in range(1, n):
+        indent = "    " * r
+        ranges = ", ".join(f"range(x{r - 1}_{c}, x{r - 1}_{c + 1} + 1)" for c in range(n - r))
+        body.append(f"{indent}for r{r} in product({ranges}):")
+        if r < n - 1:
+            body.append(f"{indent}    " + "".join(f"x{r}_{c}, " for c in range(n - r)) + f"= r{r}")
+    body.append("    " * n + "yield rows, " + "".join(f"r{r}, " for r in range(1, n)))
+    top = "".join(f"x0_{c}, " for c in range(n))
+    return _straight_line(n, top, body, "raw gt", product=product)
+
+
+def _raw_gt(n: int, bound: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The top-down rows of every GT triangle of size n with entries at
+    most ``bound``, in lexicographic order: each weakly increasing top
+    row, filled below by the cached `_gt_fill_kernel` of the size up to
+    `_UNROLL_MAX_N` and by `_fill_below` past it."""
+    tops = combinations_with_replacement(range(1, bound + 1), n)
+    if n <= _UNROLL_MAX_N:
+        return chain.from_iterable(map(_gt_fill_kernel(n), tops))
+    return chain.from_iterable(_fill_below((top,), _gt_rows) for top in tops)
+
+
 def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
-    for top in combinations_with_replacement(range(1, bound + 1), n):
-        yield from _fill_below((top,), _gt_rows)
+    return map(GtTriangle._trusted, _raw_gt(n, bound))
 
 
 def _generate_gog(n: int, k: int | None) -> Iterator[GtTriangle]:
-    return _fill_below((tuple(range(1, n + 1)),), partial(_gog_rows, k))
+    top = tuple(range(1, n + 1))
+    return map(GtTriangle._trusted, _fill_below((top,), partial(_gog_rows, k)))
 
 
 def _generate_magog(n: int, k: int | None) -> Iterator[GtTriangle]:
     lower_rows = partial(_magog_rows, k)
     free = n if k is None else k  # top cells (n, j) with j <= n - k are pinned to 1
     for tail in combinations_with_replacement(range(1, n + 1), free):
-        yield from _fill_below(((1,) * (n - free) + tail,), lower_rows)
+        yield from map(GtTriangle._trusted, _fill_below(((1,) * (n - free) + tail,), lower_rows))
 
 
 def _generate_gogam(n: int, k: int | None) -> Iterator[GtTriangle]:
@@ -355,22 +398,28 @@ def _suite_counts(n: int, report: Report) -> None:
 
 
 def _suite_involution(n: int, report: Report) -> None:
-    bound = n + 1
-    for t in _generate_gt(n, bound):
+    involution = _involution(n)
+    for rows in _raw_gt(n, n + 1):
         report.checks += 1
-        s = schutzenberger(t)
-        if schutzenberger(s) != t:
-            report.failures.append(f"involution broke on {_fail_payload(t)}")
-        elif s[n, n] != t[n, n]:
-            report.failures.append(f"corner moved on {_fail_payload(t)}")
+        image = involution(rows)
+        if involution(image) != rows:
+            failure = "involution broke"
+        elif image[0][-1] != rows[0][-1]:  # the corner x[n,n]
+            failure = "corner moved"
+        else:
+            continue
+        report.failures.append(f"{failure} on {_fail_payload(GtTriangle._trusted(rows))}")
 
 
 def _suite_oracle(n: int, report: Report) -> None:
-    bound = n + 1
-    for t in _generate_gt(n, bound):
+    """Bender-Knuth route against the word route, on bare rows; a word
+    route that falls short (None) is a disagreement like any other."""
+    involution, word_route = _involution(n), _word_route(n)
+    for rows in _raw_gt(n, n + 1):
         report.checks += 1
-        if schutzenberger(t) != schutzenberger_via_words(t):
-            report.failures.append(f"oracle disagreement on {_fail_payload(t)}")
+        if involution(rows) != word_route(rows):
+            payload = _fail_payload(GtTriangle._trusted(rows))
+            report.failures.append(f"oracle disagreement on {payload}")
 
 
 def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:

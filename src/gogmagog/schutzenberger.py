@@ -19,6 +19,8 @@ Both schedules depend on n alone, so for n up to the shared cap
 built by `triangles._straight_line` on first use and cached.  Each
 equals its loop on every triangle, GT or not.  Past the cap the
 unrolled source would cost too much to build, and the loops run.
+`_involution` gives the involution of one size on bare top-down rows,
+kernel or fold, so a caller with many triangles resolves it once.
 """
 
 from __future__ import annotations
@@ -103,24 +105,37 @@ def _kernel(
     return _straight_line(n, _row_tuples(n), body, "schutzenberger")
 
 
+def _fold(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The involution on top-down ``rows``: `_reflect` folded in place
+    over one copy of them, sweeps of lengths n-1, n-2, ..., 1."""
+    out = [list(r) for r in rows]
+    for j in range(len(rows) - 1, 0, -1):
+        for k in range(1, j + 1):
+            _reflect(out, k)
+    return tuple(tuple(r) for r in out)
+
+
+@cache
+def _involution(
+    n: int,
+) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
+    """The involution on top-down rows of size n: the per-size `_kernel`
+    up to `_UNROLL_MAX_N`, which gives the same rows as `_fold` on any
+    triangle, GT or not; past the cap, where the unrolled source would
+    grow too costly to build, `_fold`."""
+    return _kernel(n) if n <= _UNROLL_MAX_N else _fold
+
+
 def schutzenberger(t: GtTriangle) -> GtTriangle:
     """Evacuation on triangles: sweeps of lengths n-1, n-2, ..., 1.
 
     The longest sweep is applied first; this is the composition order
     under which the result is an involution agreeing with both the word
-    oracle and the diagonal formula.  Up to `_UNROLL_MAX_N` the
-    n(n-1)/2 reflections run as the cached per-size `_kernel`, which
-    gives the same rows as the fold below on any triangle, GT or not;
-    past the cap, where the unrolled source would grow too costly to
-    build, they fold `_reflect` in place on one copy of the rows.
+    oracle and the diagonal formula.  The n(n-1)/2 reflections run as
+    `_involution` of the size.
     """
-    if t.n <= _UNROLL_MAX_N:
-        return GtTriangle._trusted(_kernel(t.n)(t.rows))
-    rows = [list(r) for r in t.rows]
-    for j in range(t.n - 1, 0, -1):
-        for k in range(1, j + 1):
-            _reflect(rows, k)
-    return GtTriangle._trusted(tuple(tuple(r) for r in rows))
+    rows = t.rows
+    return GtTriangle._trusted(_involution(len(rows))(rows))
 
 
 def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list[int]]]:

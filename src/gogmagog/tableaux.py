@@ -22,6 +22,8 @@ size (`_word_kernel`, `_count_kernel`), built by
 `triangles._straight_line` on first use and cached; the count also
 serves `tableau_to_triangle`.  Past the cap the loops run.  The RSK
 insertion in between is data-dependent and stays one loop, `_insert`.
+`_word_route` composes the three stages for one size on bare top-down
+rows, so a caller with many triangles resolves it once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from operator import le, lt
 from typing import Callable
@@ -139,7 +141,7 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     rows = s.rows
     if len(rows) != n or not _is_ssyt_rows(rows, n):
         raise ValueError(_tableau_problem(s))
-    return _count_letters(rows, n)
+    return GtTriangle._trusted(_count_letters(rows, n))
 
 
 @cache
@@ -156,17 +158,17 @@ def _count_kernel(n: int) -> Callable[[Sequence[Sequence[int]]], tuple[tuple[int
     return _straight_line(n, target, body, "letter count", bisect_right=bisect_right)
 
 
-def _count_letters(rows: Sequence[Sequence[int]], n: int) -> GtTriangle:
-    """The triangle of n ``rows`` that form a semistandard tableau on
-    1..n, unchecked: x[i, i-r] counts the letters <= i in row r.  Up to
-    `_UNROLL_MAX_N` the cached `_count_kernel` of the size counts; past
-    it, the loop below."""
+def _count_letters(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The top-down triangle rows of n ``rows`` that form a semistandard
+    tableau on 1..n, unchecked: x[i, i-r] counts the letters <= i in
+    row r.  Up to `_UNROLL_MAX_N` the cached `_count_kernel` of the size
+    counts; past it, the loop below."""
     if n <= _UNROLL_MAX_N:
-        return GtTriangle._trusted(_count_kernel(n)(rows))
+        return _count_kernel(n)(rows)
     # rows r >= i hold no letter <= i
-    return GtTriangle._trusted(tuple(
+    return tuple(
         tuple(map(bisect_right, rows[i - 1::-1], repeat(i))) for i in range(n, 0, -1)
-    ))
+    )
 
 
 def _tableau_problem(s: Ssyt) -> str:
@@ -237,9 +239,9 @@ def _insert(word: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def _complement_reversed_word(t: GtTriangle) -> list[int]:
+def _complement_reversed_word(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     """``complement_reverse(reading_word(triangle_to_tableau(t)), n)``
-    in one pass over the triangle.
+    in one pass over the top-down ``rows`` of t.
 
     Tableau rows r = 0..n-1 are read bottom row first, each right to
     left, and letter i is written as n+1-i.  Row r holds
@@ -249,7 +251,6 @@ def _complement_reversed_word(t: GtTriangle) -> list[int]:
     difference of its cells k-1 and k counts the written letter k,
     reading cell s+1 as 0.  A non-positive difference adds nothing.
     """
-    rows = t.rows
     n = len(rows)
     word: list[int] = []
     for s in range(n - 1, -1, -1):
@@ -277,34 +278,55 @@ def _word_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], list[int]]:
     return _straight_line(n, _row_tuples(n), body, "word")
 
 
+@cache
+def _word_route(
+    n: int,
+) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
+    """The word route on top-down rows of size n: the complement-reversed
+    word, row-inserted by the one RSK loop, `_insert`, with its letters
+    counted back into top-down rows; None when the insertion tableau
+    has fewer than n rows, which happens only off GT.
+
+    Up to `_UNROLL_MAX_N` the word comes from the cached per-size
+    `_word_kernel` and the count from `_count_kernel`; past it, from
+    `_complement_reversed_word` and the counting loop.
+    """
+    if n <= _UNROLL_MAX_N:
+        word, count = _word_kernel(n), _count_kernel(n)
+    else:
+        word, count = _complement_reversed_word, partial(_count_letters, n=n)
+
+    def route(rows):
+        tableau = _insert(word(rows))
+        return count(tableau) if len(tableau) == n else None
+
+    return route
+
+
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     """Involution image computed through the word pipeline.
 
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
 
-    The complement-reversed reading word is read off the triangle in
-    one pass and row-inserted without a letter check: the library built
-    it, so its letters are ints in 1..n.  The insertion tableau is
-    semistandard on 1..n with no empty row by construction, so its
-    letters are counted (`_count_letters`) without
-    `tableau_to_triangle`'s check.  Up to `_UNROLL_MAX_N` the word comes
-    from the cached per-size `_word_kernel` and the count from
-    `_count_kernel`, straight-line functions of the cells and the rows;
-    past it, from `_complement_reversed_word` and the counting loop.
-    The insertion is always the one RSK loop, `_insert`, and no stage
-    touches a Bender-Knuth reflection.  The one way the tableau can fall
-    short is to have fewer than n rows, on a triangle that is not GT;
-    the route then runs the public stages one after another, and
-    `tableau_to_triangle` raises.
+    `_word_route` of the size reads the complement-reversed reading word
+    off the triangle in one pass and row-inserts it without a letter
+    check: the library built it, so its letters are ints in 1..n.  The
+    insertion tableau is semistandard on 1..n with no empty row by
+    construction, so its letters are counted without
+    `tableau_to_triangle`'s check.  No stage touches a Bender-Knuth
+    reflection.  The one way the tableau can fall short is to have
+    fewer than n rows, on a triangle that is not GT; the route then
+    runs the public stages one after another, and `tableau_to_triangle`
+    raises.
     """
-    n = t.n
-    word = _word_kernel(n)(t.rows) if n <= _UNROLL_MAX_N else _complement_reversed_word(t)
-    rows = _insert(word)
-    if len(rows) != n:
+    rows = t.rows
+    n = len(rows)
+    image = _word_route(n)(rows)
+    if image is None:
         word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
         return tableau_to_triangle(rsk_insertion_tableau(word, n))
-    return _count_letters(rows, n)
+    return GtTriangle._trusted(image)
 
 
 def format_tableau(s: Ssyt) -> str:

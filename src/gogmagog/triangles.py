@@ -14,12 +14,12 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Up to `_UNROLL_MAX_N` five per-size
+its argument unpacked into locals.  Up to `_UNROLL_MAX_N` six per-size
 functions run that way: the GT test here (`_gt_kernel`), the
-involution and its diagonal in `schutzenberger`, and the word route's
-reading of its word and counting of its tableau in `tableaux`.  Each
-is built on first use and cached, so importing the package builds
-none.
+involution and its diagonal in `schutzenberger`, the word route's
+reading of its word and counting of its tableau in `tableaux`, and the
+raw-GT generator in `enumeration`.  Each is built on first use and
+cached, so importing the package builds none.
 """
 
 from __future__ import annotations
@@ -174,17 +174,21 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
-# function per size: the GT test, the involution and its diagonal, and
-# the word route's word reading and letter count.  The involution's
-# source has (n-1)n(n+1)/6 statements, the other four O(n^2).  Each is
-# built once per size and process; on a 2-vCPU host under Python 3.11
-# a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for
-# the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal,
-# 0.25-0.5 / 0.3-0.5 / 0.8-1.4 ms for the word reading, 0.2-0.35 /
-# 0.2-0.45 / 0.5-1.2 ms for the letter count and 0.6-1.1 / 0.9-1.4 /
+# function per size: the GT test, the involution and its diagonal, the
+# word route's word reading and letter count, and the raw-GT generator.
+# The involution's source has (n-1)n(n+1)/6 statements, the others
+# O(n^2).  Each is built once per size and process; on a 2-vCPU host
+# under Python 3.11 a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 /
+# 0.5-0.9 ms for the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the
+# diagonal, 0.25-0.5 / 0.3-0.5 / 0.8-1.4 ms for the word reading,
+# 0.2-0.35 / 0.2-0.45 / 0.5-1.2 ms for the letter count, 0.3-0.4 /
+# 0.35-0.5 / 0.65-1.25 ms for the generator and 0.6-1.1 / 0.9-1.4 /
 # 5-8 ms for the involution, which grows as n^3 to 12-20 ms at 16 and
-# 26-31 ms at 20.  Past the cap the loops run instead, so no input size
-# makes the build cost or the code size unbounded.
+# 26-31 ms at 20.  The generator nests one loop per lower row, n - 1
+# in all: CPython compiles at most 20 statically nested blocks, which
+# a loop per cell would pass from n = 7 on.  Past the cap the loops
+# run instead, so no input size makes the build cost or the code size
+# unbounded.
 _UNROLL_MAX_N = 12
 
 
@@ -198,9 +202,9 @@ def _row_tuples(n: int) -> str:
 
 def _straight_line(n: int, target: str, body: list[str], label: str, **names: Callable) -> Callable:
     """Compile ``body``, source lines over the locals of the unpacking
-    ``target``, into a function of one argument, ``rows``, of size n
-    that first unpacks it into ``target``; ``names`` are the functions
-    the body may call."""
+    ``target``, into a function (a generator function if the body
+    yields) of one argument, ``rows``, of size n that first unpacks it
+    into ``target``; ``names`` are the functions the body may call."""
     source = "\n".join(["def kernel(rows):", f"    {target} = rows", *body])
     namespace: dict[str, Callable] = dict(names)
     exec(compile(source, f"<{label} kernel n={n}>", "exec"), namespace)

@@ -4,11 +4,11 @@ from collections import Counter
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 
 import pytest
 
-from gogmagog import enumeration
+from gogmagog import enumeration, tableaux
 from gogmagog.bijection import (
     BijectionState,
     BijectionStateError,
@@ -20,12 +20,17 @@ from gogmagog.bijection import (
     gogam_to_gog_n2,
     inverse_step,
 )
+from gogmagog.cli import main
 from gogmagog.enumeration import (
     FamilySpec,
     SUITES,
     _count_n2,
     _fail_payload,
+    _fill_below,
     _generate_gogam_by_filter,
+    _generate_gt,
+    _gt_fill_kernel,
+    _gt_rows,
     _walk_n2,
     asm_number,
     count,
@@ -34,7 +39,7 @@ from gogmagog.enumeration import (
     verify,
 )
 from gogmagog.schutzenberger import is_gogam, schutzenberger
-from gogmagog.triangles import Family, is_gog, is_magog, is_trapezoid, is_valid_gt
+from gogmagog.triangles import _UNROLL_MAX_N, Family, is_gog, is_magog, is_trapezoid, is_valid_gt
 
 from conftest import descend, report_digest
 
@@ -168,6 +173,50 @@ def test_gogam_stream_equals_the_filtering_route(n):
         ), k
 
 
+def _unreachable(*args):
+    raise AssertionError("the other path must not run")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gt_fill_kernel_equals_the_row_recursion(n):
+    # triangle for triangle and in order, under every top row at bounds n and n+1
+    for bound in (n, n + 1):
+        tops = list(combinations_with_replacement(range(1, bound + 1), n))
+        kernel = _gt_fill_kernel(n)
+        for top in tops:
+            assert list(kernel(top)) == list(_fill_below((top,), _gt_rows)), top
+        assert [t.rows for t in _generate_gt(n, bound)] == list(
+            chain.from_iterable(_fill_below((top,), _gt_rows) for top in tops)
+        )
+
+
+def _gt_streams(n, bound, count):
+    """The first ``count`` (None: all) GT triangles of size n with
+    entries <= bound, from `_generate_gt` and from the cell-by-cell
+    `descend`."""
+    tops = combinations_with_replacement(range(1, bound + 1), n)
+    cells = chain.from_iterable(descend(top, n, lambda *a: True) for top in tops)
+    return list(islice(_generate_gt(n, bound), count)), list(islice(cells, count))
+
+
+# every triangle with entries <= 2 (2^n of them) first, so a generator
+# that loses triangles fails before the long stream with entries <= n+1
+def _check_gt_streams(n):
+    for bound, count, want_len in ((2, None, 2**n), (n + 1, 2_000, 2_000)):
+        got, want = _gt_streams(n, bound, count)
+        assert got == want and len(got) == want_len, bound
+
+
+def test_gt_generation_up_to_the_cap_reaches_no_recursion(monkeypatch):
+    monkeypatch.setattr(enumeration, "_fill_below", _unreachable)
+    _check_gt_streams(_UNROLL_MAX_N)
+
+
+def test_gt_generation_past_the_cap_is_the_row_recursion(monkeypatch):
+    monkeypatch.setattr(enumeration, "_gt_fill_kernel", _unreachable)
+    _check_gt_streams(_UNROLL_MAX_N + 1)
+
+
 def test_trapezoid_counts_agree_across_widths():
     # the (n,k) trapezoid theorem (Mills-Robbins-Rumsey 1986, proved by
     # Zeilberger 1996), at every width
@@ -250,6 +299,31 @@ def test_report_json_shape():
     data = json.loads(verify("counts", 2).to_json())
     assert set(data) == {"suite", "n", "checks", "failures", "histogram", "millis"}
     assert data["suite"] == "counts" and data["failures"] == []
+
+
+_FAULTY = ((1, 2, 4), (2, 3), (2,))
+
+
+def _word_route_failing_on(rows):
+    """`_word_route` whose size-n route returns None on ``rows`` alone,
+    as a route whose tableau fell short would."""
+    real = tableaux._word_route
+
+    def word_route(n):
+        route = real(n)
+        return lambda r: None if r == rows else route(r)
+
+    return word_route
+
+
+def test_word_route_fault_is_a_failure_record(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "_word_route", _word_route_failing_on(_FAULTY))
+    report = verify("oracle", 3)
+    assert report.checks == 124
+    assert report.failures == ["oracle disagreement on 3 / 1 2 4 / 2 3 / 2"]
+    # the command line reports a failed check, not a usage error
+    assert main(["verify", "--suite", "oracle", "--n", "3"]) == 1
+    assert "FAIL oracle disagreement on 3 / 1 2 4 / 2 3 / 2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n", [0, -1])

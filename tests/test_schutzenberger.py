@@ -241,12 +241,15 @@ _KERNEL_CALLERS = {
 def _both_paths(fn, triangles):
     """``fn`` on each triangle through the straight-line kernels, then
     through the loops and folds they unroll, which still run past
-    `_UNROLL_MAX_N`; each path runs with the other one patched to fail."""
+    `_UNROLL_MAX_N`; each path runs with the other one patched to fail,
+    and with `_involution` uncached, so that it resolves its own."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_involution", module._involution.__wrapped__)
         for owner, name in _LOOPS:
             patch.setattr(owner, name, _unreachable)
         unrolled = [fn(t) for t in triangles]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_involution", module._involution.__wrapped__)
         for owner, name in _KERNELS:
             patch.setattr(owner, name, _unreachable)
         patch.setattr(gt_module, "_UNROLL_MAX_N", 0)
@@ -285,14 +288,15 @@ class TestUnrolledKernel:
 
     def test_import_builds_no_kernel(self):
         # a fresh interpreter: importing the package and its CLI compiles
-        # none of the five kernels
+        # none of the six kernels
         probe = (
             "import gogmagog, gogmagog.cli, sys; "
             "s = sys.modules['gogmagog.schutzenberger']; "
             "t = sys.modules['gogmagog.triangles']; "
             "w = sys.modules['gogmagog.tableaux']; "
+            "e = sys.modules['gogmagog.enumeration']; "
             "print([k.cache_info().currsize for k in (s._kernel, s._diagonal_kernel, "
-            "t._gt_kernel, w._word_kernel, w._count_kernel)])"
+            "t._gt_kernel, w._word_kernel, w._count_kernel, e._gt_fill_kernel)])"
         )
         src = str(Path(module.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -302,7 +306,7 @@ class TestUnrolledKernel:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert out.stdout == "[0, 0, 0, 0, 0]\n"
+        assert out.stdout == "[0, 0, 0, 0, 0, 0]\n"
 
 
 def _perturbed(t, r, c, delta):

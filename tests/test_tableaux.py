@@ -20,7 +20,8 @@ from gogmagog.tableaux import (
     triangle_to_tableau,
     validate_ssyt,
 )
-from gogmagog.triangles import GtTriangle, ShapeError, is_valid_gt
+from gogmagog.schutzenberger import _fold, _involution, schutzenberger
+from gogmagog.triangles import _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
 
 from conftest import drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
 
@@ -316,7 +317,7 @@ def _unreachable(*args):
 
 def _one_pass_words(t):
     """The word of the per-size kernel and of the loop it unrolls."""
-    return tuple(_word_kernel(t.n)(t.rows)), tuple(_complement_reversed_word(t))
+    return tuple(_word_kernel(t.n)(t.rows)), tuple(_complement_reversed_word(t.rows))
 
 
 class TestOnePassWord:
@@ -354,12 +355,15 @@ def _both_paths(fn, inputs):
     """``fn``'s outcome on each input through the word route's per-size
     kernels, then through the loops they unroll, which still run past
     `_UNROLL_MAX_N`; each path runs with the other one patched to fail
-    (the letter-counting loop is the only reader of `tableaux.repeat`)."""
+    (the letter-counting loop is the only reader of `tableaux.repeat`).
+    `_word_route` runs uncached, so each path resolves its own."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_word_route", module._word_route.__wrapped__)
         patch.setattr(module, "_complement_reversed_word", _unreachable)
         patch.setattr(module, "repeat", _unreachable)
         unrolled = [_outcome(fn, x) for x in inputs]
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_word_route", module._word_route.__wrapped__)
         patch.setattr(module, "_word_kernel", _unreachable)
         patch.setattr(module, "_count_kernel", _unreachable)
         patch.setattr(module, "_UNROLL_MAX_N", 0)
@@ -417,6 +421,46 @@ def test_loops_past_the_cap_on_drawn_triangles(t):
         assert s == _composed_word_route(t)
         assert schutzenberger_via_words(s) == t
         assert tableau_to_triangle(triangle_to_tableau(t)) == t
+
+
+# The GT suites call the per-size row functions directly, fetched once
+# per size; the public routes wrap them.
+
+
+def test_row_functions_give_the_public_rows_on_gt():
+    checked = 0
+    for n in range(1, 5):
+        involution, word_route = _involution(n), module._word_route(n)
+        for t in gt_triangles(n, n + 1):
+            image = schutzenberger(t).rows
+            assert involution(t.rows) == image
+            assert word_route(t.rows) == schutzenberger_via_words(t).rows == image
+            checked += 1
+    assert checked == 2_896
+
+
+def test_word_route_falls_short_exactly_where_the_public_route_raises():
+    short = 0
+    for _, p in gt_perturbations():
+        image = module._word_route(p.n)(p.rows)
+        outcome = _outcome(schutzenberger_via_words, p)
+        if image is None:
+            assert isinstance(outcome, str), p
+            short += 1
+        else:
+            assert image == outcome
+    assert short == 4_987
+
+
+@settings(max_examples=40)
+@given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16))
+def test_row_functions_past_the_cap_are_the_loops(t):
+    assert _involution(t.n) is _fold
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_count_kernel", _unreachable)
+        image = module._word_route.__wrapped__(t.n)(t.rows)
+    assert image == _composed_word_route(t).rows == _fold(t.rows)
 
 
 def test_word_route_on_gt_runs_no_composed_stage():
