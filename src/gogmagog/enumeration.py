@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, combinations_with_replacement, groupby, product
-from math import factorial
+from math import comb, factorial
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -586,13 +586,11 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
 
 
 def _suite_n1(n: int, report: Report) -> None:
-    catalan = [1, 1, 2, 5, 14, 42, 132, 429]
+    catalan = comb(2 * n, n) // (n + 1)
     trapezoids = list(generate(FamilySpec(Family.GOG, n, k=1)))
     report.checks += 1
-    if n < len(catalan) and len(trapezoids) != catalan[n]:
-        report.failures.append(
-            f"n={n}: (n,1) count {len(trapezoids)} != {catalan[n]}"
-        )
+    if len(trapezoids) != catalan:
+        report.failures.append(f"n={n}: (n,1) count {len(trapezoids)} != {catalan}")
     for t in trapezoids:
         report.checks += 1
         via_rules, _ = gog_to_gogam_n2(t)

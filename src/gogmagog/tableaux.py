@@ -15,15 +15,18 @@ row-inserts it without re-checking its letters; the public stages
 `rsk_insertion_tableau`, `tableau_to_triangle`) compute the same word
 and tableau step by step, and the route runs them on its error path.
 
-Reading the word and counting the tableau's letters back into a
-triangle follow a schedule that depends on n alone, so up to
-`triangles._UNROLL_MAX_N` each runs as a straight-line function per
-size (`_word_kernel`, `_count_kernel`), built by
-`triangles._straight_line` on first use and cached; the count also
-serves `tableau_to_triangle`.  Past the cap the loops run.  The RSK
-insertion in between is data-dependent and stays one loop, `_insert`.
-`_word_route` composes the three stages for one size on bare top-down
-rows, so a caller with many triangles resolves it once.
+Up to `triangles._RSK_MAX_N` the route on bare top-down rows,
+`_word_route`, is one straight-line function per size, `_rsk_kernel`,
+built by `triangles._straight_line` on first use and cached.  The word
+is a schedule of runs of equal letters fixed by n, and a weakly
+increasing run row-inserts as one block, so the kernel inserts each
+run on the tableau's letter counts (the piecewise-linear form of row
+insertion; Kirillov 2001, Noumi-Yamada 2004) and reads the triangle
+off the counts.  Past the cap the letter-at-a-time loops run: the word
+`_complement_reversed_word`, the one RSK loop `_insert` and the count
+`_count_letters`, which up to `triangles._UNROLL_MAX_N` is itself a
+straight-line function per size, `_count_kernel`, and also serves
+`tableau_to_triangle`.  The loops are the kernel's test reference.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from operator import le, lt
 from typing import Callable
 
 from .triangles import (
+    _RSK_MAX_N,
     _UNROLL_MAX_N,
     GtTriangle,
     _check_size,
@@ -263,19 +267,74 @@ def _complement_reversed_word(rows: tuple[tuple[int, ...], ...]) -> list[int]:
     return word
 
 
+def _run_source(x: int, n: int, filled: set[tuple[int, int]]) -> list[str]:
+    """Source lines that row-insert a run of ``d`` copies of letter x
+    into a tableau kept as letter counts: ``m{q}_{i}`` copies of letter
+    i in row q, bottom row first.  ``filled`` holds the counts that
+    earlier lines may have made non-zero, and gains those these lines
+    may.
+
+    A weakly increasing block bumps a weakly increasing block into the
+    next row (the row-bumping lemma), so each row takes the block in
+    one pass over its letters i >= x+q, with ``c{i}`` letters i coming
+    in and h the letters that came in below i and still bump: each i
+    gives up t = min(h, m{q}_{i}) letters to the next row, and keeps
+    c{i} - t more.  Where h or the count is known to be 0 nothing is
+    bumped, and after letter n h is not written.
+    """
+    lines: list[str] = []
+    incoming = {x: "d"}
+    q = 0
+    while incoming:
+        bumped, carry = {}, False
+        for i in range(x + q, n + 1):
+            b, m, c, more = incoming.get(i), f"m{q}_{i}", f"c{i}", i < n
+            if carry and (q, i) in filled:
+                # t is h when h < m{q}_{i}, else m{q}_{i}
+                if b is None:
+                    then = [f"{m} -= h", f"{c} = h"] + ["h = 0"] * more
+                    other = [f"h -= {m}"] * more + [f"{c}, {m} = {m}, 0"]
+                else:
+                    then = [f"{m} += {b} - h", f"{c}, h = h, {b}" if more else f"{c} = h"]
+                    other = [f"h += {b} - {m}"] * more + [f"{c}, {m} = {m}, {b}"]
+                lines += [f"if h < {m}:", *("    " + line for line in then)]
+                lines += ["else:", *("    " + line for line in other)]
+                bumped[i] = c
+            elif b is not None:
+                lines.append(f"{m} += {b}" if (q, i) in filled else f"{m} = {b}")
+                lines += [f"h += {b}" if carry else f"h = {b}"] * more
+                filled.add((q, i))
+                carry = True
+        incoming = bumped
+        q += 1
+    return lines
+
+
 @cache
-def _word_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], list[int]]:
-    """`_complement_reversed_word` on top-down rows of size n as one
-    straight-line function: one ``w += (k,) * (a - b)`` per diagonal
-    cell, in the loop's order, so a negative difference still adds no
-    letter.  The constant tuple ``(k,)`` costs no list build."""
-    body = ["    w = []"]
+def _rsk_kernel(
+    n: int,
+) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
+    """The word route on top-down rows of size n as one straight-line
+    function: the complement-reversed word read as runs, one
+    ``d = a - b`` per diagonal cell in `_complement_reversed_word`'s
+    order, each run row-inserted as one block by `_run_source` behind
+    ``if d > 0:``, and the triangle read off the letter counts, x[i,
+    i-r] being the sum of m{r}_l over l <= i.  None when tableau row
+    n-1 is empty, as the loops give it.  Exact on any rows, GT or not,
+    and built from the insertion rule alone."""
+    counts = [f"m{q}_{i}" for q in range(n) for i in range(q + 1, n + 1)]
+    body = ["    " + " = ".join(counts) + " = 0"]
+    filled: set[tuple[int, int]] = set()
     for s in range(n - 1, -1, -1):
-        for k in range(1, s + 1):
-            body.append(f"    w += ({k},) * (x{k - 1}_{s - k + 1} - x{k}_{s - k})")
-        body.append(f"    w += ({s + 1},) * x{s}_0")
-    body.append("    return w")
-    return _straight_line(n, _row_tuples(n), body, "word")
+        for k in range(1, s + 2):
+            run = f"x{k - 1}_{s - k + 1} - x{k}_{s - k}" if k <= s else f"x{s}_0"
+            body += [f"    d = {run}", "    if d > 0:"]
+            body += ["        " + line for line in _run_source(k, n, filled)]
+    body += [f"    if not m{n - 1}_{n}:", "        return None"]
+    body += [f"    m{q}_{i} += m{q}_{i - 1}" for q in range(n) for i in range(q + 2, n + 1)]
+    rows = ("".join(f"m{q}_{i}, " for q in range(i - 1, -1, -1)) for i in range(n, 0, -1))
+    body.append("    return " + "".join(f"({row}), " for row in rows))
+    return _straight_line(n, _row_tuples(n), body, "rsk")
 
 
 @cache
@@ -283,22 +342,20 @@ def _word_route(
     n: int,
 ) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
     """The word route on top-down rows of size n: the complement-reversed
-    word, row-inserted by the one RSK loop, `_insert`, with its letters
-    counted back into top-down rows; None when the insertion tableau
-    has fewer than n rows, which happens only off GT.
+    word, row-inserted, with its letters counted back into top-down
+    rows; None when the insertion tableau has fewer than n rows, which
+    happens only off GT.
 
-    Up to `_UNROLL_MAX_N` the word comes from the cached per-size
-    `_word_kernel` and the count from `_count_kernel`; past it, from
-    `_complement_reversed_word` and the counting loop.
+    Up to `_RSK_MAX_N` that is the cached per-size `_rsk_kernel`, on
+    letter counts; past it, the letter-at-a-time loops
+    `_complement_reversed_word`, `_insert` and `_count_letters`.
     """
-    if n <= _UNROLL_MAX_N:
-        word, count = _word_kernel(n), _count_kernel(n)
-    else:
-        word, count = _complement_reversed_word, partial(_count_letters, n=n)
+    if n <= _RSK_MAX_N:
+        return _rsk_kernel(n)
 
     def route(rows):
-        tableau = _insert(word(rows))
-        return count(tableau) if len(tableau) == n else None
+        tableau = _insert(_complement_reversed_word(rows))
+        return _count_letters(tableau, n) if len(tableau) == n else None
 
     return route
 
@@ -310,15 +367,15 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     insertion tableau -> triangle.
 
     `_word_route` of the size reads the complement-reversed reading word
-    off the triangle in one pass and row-inserts it without a letter
-    check: the library built it, so its letters are ints in 1..n.  The
-    insertion tableau is semistandard on 1..n with no empty row by
-    construction, so its letters are counted without
-    `tableau_to_triangle`'s check.  No stage touches a Bender-Knuth
-    reflection.  The one way the tableau can fall short is to have
-    fewer than n rows, on a triangle that is not GT; the route then
-    runs the public stages one after another, and `tableau_to_triangle`
-    raises.
+    off the triangle and row-inserts it without a letter check: the
+    library built it, so its letters are ints in 1..n.  The insertion
+    tableau is semistandard on 1..n with no empty row by construction,
+    so its letters are counted without `tableau_to_triangle`'s check.
+    Up to `_RSK_MAX_N` all three run fused in `_rsk_kernel` on letter
+    counts.  No stage touches a Bender-Knuth reflection.  The one way
+    the tableau can fall short is to have fewer than n rows, on a
+    triangle that is not GT; the route then runs the public stages one
+    after another, and `tableau_to_triangle` raises.
     """
     rows = t.rows
     n = len(rows)

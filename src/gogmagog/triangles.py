@@ -14,12 +14,13 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Up to `_UNROLL_MAX_N` six per-size
+its argument unpacked into locals.  Up to `_UNROLL_MAX_N` five per-size
 functions run that way: the GT test here (`_gt_kernel`), the
-involution and its diagonal in `schutzenberger`, the word route's
-reading of its word and counting of its tableau in `tableaux`, and the
-raw-GT generator in `enumeration`.  Each is built on first use and
-cached, so importing the package builds none.
+involution and its diagonal in `schutzenberger`, the tableau's letter
+count in `tableaux`, and the raw-GT generator in `enumeration`.  Up to
+the lower `_RSK_MAX_N` a sixth runs the whole word route in `tableaux`,
+RSK insertion included, on letter counts.  Each is built on first use
+and cached, so importing the package builds none.
 """
 
 from __future__ import annotations
@@ -175,12 +176,11 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
 # function per size: the GT test, the involution and its diagonal, the
-# word route's word reading and letter count, and the raw-GT generator.
-# The involution's source has (n-1)n(n+1)/6 statements, the others
-# O(n^2).  Each is built once per size and process; on a 2-vCPU host
-# under Python 3.11 a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 /
-# 0.5-0.9 ms for the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the
-# diagonal, 0.25-0.5 / 0.3-0.5 / 0.8-1.4 ms for the word reading,
+# tableau's letter count, and the raw-GT generator.  The involution's
+# source has (n-1)n(n+1)/6 statements, the others O(n^2).  Each is
+# built once per size and process; on a 2-vCPU host under Python 3.11
+# a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for
+# the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal,
 # 0.2-0.35 / 0.2-0.45 / 0.5-1.2 ms for the letter count, 0.3-0.4 /
 # 0.35-0.5 / 0.65-1.25 ms for the generator and 0.6-1.1 / 0.9-1.4 /
 # 5-8 ms for the involution, which grows as n^3 to 12-20 ms at 16 and
@@ -190,6 +190,17 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 # run instead, so no input size makes the build cost or the code size
 # unbounded.
 _UNROLL_MAX_N = 12
+
+# Largest n whose word route runs as one `_straight_line` function per
+# size, `tableaux._rsk_kernel`: reading the word as runs of equal
+# letters, row-inserting each run as a block on letter counts, and
+# reading the triangle off the counts.  Its source grows about as
+# n^4/8 cells (939 lines at n = 6, 1,727 at 7); on the same host a
+# build takes about 1.0-1.8 / 2.2-3.9 / 5-8.5 / 11-16 / 21-29 /
+# 157-161 ms at n = 4 / 5 / 6 / 7 / 8 / 12, so the cap is the largest n
+# that builds in under about 10 ms.  Past it the letter-at-a-time loops
+# run.
+_RSK_MAX_N = 6
 
 
 def _row_tuples(n: int) -> str:

@@ -62,6 +62,23 @@ def test_n1_trapezoid_counts_are_catalan():
     assert [count(FamilySpec(Family.GOG, n, k=1)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
 
 
+def test_n1_restriction_checks_the_catalan_count_at_every_size(monkeypatch):
+    """A generator that loses one (8,1) trapezoid fails the suite: its
+    count is compared with C(2n, n) / (n + 1) at every n, not only
+    below some table's end."""
+    real = enumeration.generate
+
+    def one_short(spec):
+        members = real(spec)
+        if spec == FamilySpec(Family.GOG, 8, k=1):
+            next(members)
+        return members
+
+    monkeypatch.setattr(enumeration, "generate", one_short)
+    report = verify("n1-restriction", 8)
+    assert report.failures == ["n=8: (n,1) count 1429 != 1430"]
+
+
 def test_gogam_count_via_involution():
     assert count(FamilySpec(Family.GOGAM, 3)) == 7
 

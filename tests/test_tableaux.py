@@ -11,7 +11,6 @@ import gogmagog.tableaux as module
 from gogmagog.tableaux import (
     Ssyt,
     _complement_reversed_word,
-    _word_kernel,
     complement_reverse,
     reading_word,
     rsk_insertion_tableau,
@@ -21,7 +20,7 @@ from gogmagog.tableaux import (
     validate_ssyt,
 )
 from gogmagog.schutzenberger import _fold, _involution, schutzenberger
-from gogmagog.triangles import _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
+from gogmagog.triangles import _RSK_MAX_N, _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
 
 from conftest import drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
 
@@ -315,21 +314,19 @@ def _unreachable(*args):
     raise AssertionError("a patched-out stage ran")
 
 
-def _one_pass_words(t):
-    """The word of the per-size kernel and of the loop it unrolls."""
-    return tuple(_word_kernel(t.n)(t.rows)), tuple(_complement_reversed_word(t.rows))
+def _one_pass_word(t):
+    """The word of the loop that reads it off the triangle in one pass."""
+    return tuple(_complement_reversed_word(t.rows))
 
 
 class TestOnePassWord:
-    """`_complement_reversed_word` and `_word_kernel` against the staged
-    public pipeline."""
+    """`_complement_reversed_word` against the staged public pipeline."""
 
     def test_gt_triangles(self):
         triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
         assert len(triangles) == 2_896
         for t in triangles:
-            want = _staged_word(t)
-            assert _one_pass_words(t) == (want, want)
+            assert _one_pass_word(t) == _staged_word(t)
 
     def test_off_gt_perturbations(self):
         # non-positive diagonal differences add no letter, and zero or
@@ -339,24 +336,24 @@ class TestOnePassWord:
         cases += [tri((0,)), tri((-2, 0), (1,)), tri((3, -1, 2), (0, -4), (5,))]
         nonpositive = 0
         for p in cases:
-            want = _staged_word(p)
-            assert _one_pass_words(p) == (want, want)
+            assert _one_pass_word(p) == _staged_word(p)
             nonpositive += min(x for row in p.rows for x in row) <= 0
         assert nonpositive == 6_091
 
     @settings(max_examples=200)
     @given(drawn_gt(n_max=16))
     def test_drawn_triangles(self, t):
-        want = _staged_word(t)
-        assert _one_pass_words(t) == (want, want)
+        assert _one_pass_word(t) == _staged_word(t)
 
 
 def _both_paths(fn, inputs):
-    """``fn``'s outcome on each input through the word route's per-size
-    kernels, then through the loops they unroll, which still run past
-    `_UNROLL_MAX_N`; each path runs with the other one patched to fail
-    (the letter-counting loop is the only reader of `tableaux.repeat`).
-    `_word_route` runs uncached, so each path resolves its own."""
+    """``fn``'s outcome on each input through the per-size kernels, the
+    fused `_rsk_kernel` and `_count_kernel`, then through the loops they
+    unroll, which still run past the caps; each path runs with the
+    other one patched to fail (the letter-counting loop is the only
+    reader of `tableaux.repeat`, and the public stages of the route's
+    error path still run `_insert`).  `_word_route` runs uncached, so
+    each path resolves its own."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_word_route", module._word_route.__wrapped__)
         patch.setattr(module, "_complement_reversed_word", _unreachable)
@@ -364,8 +361,9 @@ def _both_paths(fn, inputs):
         unrolled = [_outcome(fn, x) for x in inputs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_word_route", module._word_route.__wrapped__)
-        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_rsk_kernel", _unreachable)
         patch.setattr(module, "_count_kernel", _unreachable)
+        patch.setattr(module, "_RSK_MAX_N", 0)
         patch.setattr(module, "_UNROLL_MAX_N", 0)
         looped = [_outcome(fn, x) for x in inputs]
     return unrolled, looped
@@ -386,6 +384,15 @@ def _kernels_match_loops(triangles):
     return raised
 
 
+def _perturbed(t, data):
+    """``t`` with one entry, drawn from ``data``, moved by +-1."""
+    r = data.draw(st.integers(0, t.n - 1))
+    c = data.draw(st.integers(0, t.n - 1 - r))
+    rows = [list(row) for row in t.rows]
+    rows[r][c] += data.draw(st.sampled_from((-1, 1)))
+    return GtTriangle(tuple(map(tuple, rows)))
+
+
 class TestWordKernels:
     """The word route's per-size straight-line functions against the
     loops they unroll."""
@@ -401,13 +408,16 @@ class TestWordKernels:
         assert _kernels_match_loops(triangles) == [4_987, 18_739]
 
     @settings(max_examples=100)
-    @given(drawn_gt(), st.data())
+    @given(drawn_gt(n_max=_RSK_MAX_N), st.data())
     def test_drawn_triangles(self, t, data):
-        r = data.draw(st.integers(0, t.n - 1))
-        c = data.draw(st.integers(0, t.n - 1 - r))
-        rows = [list(row) for row in t.rows]
-        rows[r][c] += data.draw(st.sampled_from((-1, 1)))
-        _kernels_match_loops([t, GtTriangle(tuple(map(tuple, rows)))])
+        _kernels_match_loops([t, _perturbed(t, data)])
+
+    @settings(max_examples=100)
+    @given(drawn_gt(n_max=_UNROLL_MAX_N), st.data())
+    def test_letter_count_on_drawn_tableaux(self, t, data):
+        tableaux = [triangle_to_tableau(x) for x in (t, _perturbed(t, data))]
+        unrolled, looped = _both_paths(tableau_to_triangle, tableaux)
+        assert unrolled == looped
 
 
 @settings(max_examples=40)
@@ -415,12 +425,27 @@ class TestWordKernels:
 def test_loops_past_the_cap_on_drawn_triangles(t):
     assert t.n > module._UNROLL_MAX_N
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_rsk_kernel", _unreachable)
         patch.setattr(module, "_count_kernel", _unreachable)
         s = schutzenberger_via_words(t)
         assert s == _composed_word_route(t)
         assert schutzenberger_via_words(s) == t
         assert tableau_to_triangle(triangle_to_tableau(t)) == t
+
+
+def _rsk_source_lines(n):
+    """How many source lines `_rsk_kernel` compiles for size n."""
+    lines = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_straight_line", lambda n, target, body, label: lines.append(len(body)))
+        module._rsk_kernel.__wrapped__(n)
+    return lines[0]
+
+
+def test_rsk_cap_is_the_largest_size_with_a_short_build():
+    # a build compiles about 7.5 us a source line on a 2-vCPU host under
+    # Python 3.11, so a build of about 10 ms is about 1,300 lines
+    assert _rsk_source_lines(_RSK_MAX_N) <= 1_300 < _rsk_source_lines(_RSK_MAX_N + 1)
 
 
 # The GT suites call the per-size row functions directly, fetched once
@@ -457,10 +482,26 @@ def test_word_route_falls_short_exactly_where_the_public_route_raises():
 def test_row_functions_past_the_cap_are_the_loops(t):
     assert _involution(t.n) is _fold
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_word_kernel", _unreachable)
+        patch.setattr(module, "_rsk_kernel", _unreachable)
         patch.setattr(module, "_count_kernel", _unreachable)
         image = module._word_route.__wrapped__(t.n)(t.rows)
     assert image == _composed_word_route(t).rows == _fold(t.rows)
+
+
+@pytest.mark.parametrize("n", range(_RSK_MAX_N + 1, _UNROLL_MAX_N + 1))
+@settings(max_examples=5)
+@given(data=st.data())
+def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
+    """Between the two caps the route runs the word and insertion loops,
+    and counts with `_count_kernel`."""
+    t = data.draw(drawn_gt(n_min=n, n_max=n))
+    p = _perturbed(t, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "_rsk_kernel", _unreachable)
+        route = module._word_route.__wrapped__(n)
+        assert route(t.rows) == _composed_word_route(t).rows == _fold(t.rows)
+        image, want = route(p.rows), _outcome(_composed_word_route, p)
+    assert isinstance(want, str) if image is None else image == want
 
 
 def test_word_route_on_gt_runs_no_composed_stage():
