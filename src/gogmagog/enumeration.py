@@ -7,8 +7,8 @@ product of their interlacing intervals; Gog and Magog rows take the
 same product with their conditions (pinned trapezoid cells, strict
 rows, the Magog cap) applied per row.  Up to `_UNROLL_MAX_N` raw GT
 triangles come instead from `_gt_fill_kernel`, the recursion unrolled
-into one straight-line generator per size, the sixth function built by
-`triangles._straight_line`.  Triangles are emitted in lexicographic
+into one straight-line generator per size, one of the five functions
+built by `triangles._straight_line`.  Triangles are emitted in lexicographic
 order of their top-down reading.  GOGAm families are the involution's
 images of Magog families, sorted one top-row class at a time; a
 filtering generator over bounded triangles exists as the cross-check.

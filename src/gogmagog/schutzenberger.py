@@ -223,21 +223,9 @@ def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
 def is_gogam(t: GtTriangle) -> bool:
     """True when the involution image is a Magog triangle.
 
-    Checked through the diagonal formula: the corner is at most n and
-    every diagonal value of the image is bounded by its row index.  Up
-    to `_UNROLL_MAX_N` the diagonal comes whole from `_diagonal_kernel`;
-    past it the fold stops at the first row index whose bound breaks.
+    Checked through the diagonal formula: every value of
+    `schutzenberger_diagonal` is bounded by its row index, the corner,
+    its last value, by n.
     """
     rows = t.rows
-    if not _is_gt_rows(rows):
-        return False
-    n = len(rows)
-    if n <= _UNROLL_MAX_N:
-        return all(map(le, _diagonal_kernel(n)(rows), range(1, n + 1)))
-    corner = rows[0][-1]
-    if corner > n:
-        return False
-    for k, f in _chain_optima(rows):
-        if corner + max(f) > k:
-            return False
-    return True
+    return _is_gt_rows(rows) and all(map(le, schutzenberger_diagonal(t), range(1, len(rows) + 1)))

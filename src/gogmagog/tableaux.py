@@ -8,12 +8,11 @@ convention, ``rows[0]`` being the longest bottom row.
 The involution is realised on words: read the tableau top row to bottom
 row, reverse the word, swap each letter i for n+1-i, and row-insert the
 result.  This is the independent oracle against which the triangle-level
-composition of row reflections is checked.  `schutzenberger_via_words`
-reads the complement-reversed word off the triangle in one pass and
-row-inserts it without re-checking its letters; the public stages
+composition of row reflections is checked.  The public stages
 (`triangle_to_tableau`, `reading_word`, `complement_reverse`,
-`rsk_insertion_tableau`, `tableau_to_triangle`) compute the same word
-and tableau step by step, and the route runs them on its error path.
+`rsk_insertion_tableau`, `tableau_to_triangle`) compute the word and
+the tableau step by step, each checking its input; the RSK loop
+`_insert` and the letter count `_count_letters` back them.
 
 Up to `triangles._RSK_MAX_N` the route on bare top-down rows,
 `_word_route`, is one straight-line function per size, `_rsk_kernel`,
@@ -22,11 +21,8 @@ is a schedule of runs of equal letters fixed by n, and a weakly
 increasing run row-inserts as one block, so the kernel inserts each
 run on the tableau's letter counts (the piecewise-linear form of row
 insertion; Kirillov 2001, Noumi-Yamada 2004) and reads the triangle
-off the counts.  Past the cap the letter-at-a-time loops run: the word
-`_complement_reversed_word`, the one RSK loop `_insert` and the count
-`_count_letters`, which up to `triangles._UNROLL_MAX_N` is itself a
-straight-line function per size, `_count_kernel`, and also serves
-`tableau_to_triangle`.  The loops are the kernel's test reference.
+off the counts.  Past the cap the route runs the public stages, which
+are the kernel's letter-at-a-time test reference.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from typing import Callable
 
 from .triangles import (
     _RSK_MAX_N,
-    _UNROLL_MAX_N,
     GtTriangle,
     _check_size,
     _int_rows,
@@ -148,27 +143,10 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
     return GtTriangle._trusted(_count_letters(rows, n))
 
 
-@cache
-def _count_kernel(n: int) -> Callable[[Sequence[Sequence[int]]], tuple[tuple[int, ...], ...]]:
-    """`_count_letters` for size n as one straight-line function: the
-    tableau rows unpacked into ``r0`` .. ``r{n-1}``, and the top-down
-    triangle one tuple expression of ``bisect_right(r{r}, i)``."""
-    rows = (
-        "".join(f"bisect_right(r{r}, {i}), " for r in range(i - 1, -1, -1))
-        for i in range(n, 0, -1)
-    )
-    body = ["    return " + "".join(f"({row}), " for row in rows)]
-    target = "".join(f"r{r}, " for r in range(n))
-    return _straight_line(n, target, body, "letter count", bisect_right=bisect_right)
-
-
 def _count_letters(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
     """The top-down triangle rows of n ``rows`` that form a semistandard
     tableau on 1..n, unchecked: x[i, i-r] counts the letters <= i in
-    row r.  Up to `_UNROLL_MAX_N` the cached `_count_kernel` of the size
-    counts; past it, the loop below."""
-    if n <= _UNROLL_MAX_N:
-        return _count_kernel(n)(rows)
+    row r, found by bisection."""
     # rows r >= i hold no letter <= i
     return tuple(
         tuple(map(bisect_right, rows[i - 1::-1], repeat(i))) for i in range(n, 0, -1)
@@ -243,30 +221,6 @@ def _insert(word: Sequence[int]) -> list[list[int]]:
     return rows
 
 
-def _complement_reversed_word(rows: tuple[tuple[int, ...], ...]) -> list[int]:
-    """``complement_reverse(reading_word(triangle_to_tableau(t)), n)``
-    in one pass over the top-down ``rows`` of t.
-
-    Tableau rows r = 0..n-1 are read bottom row first, each right to
-    left, and letter i is written as n+1-i.  Row r holds
-    x[i, i-r] - x[i-1, i-1-r] copies of letter i, as
-    `triangle_to_tableau` reads it; in the top-down ``rows`` that
-    diagonal is ``rows[k][s-k]`` for k = 0..s, with s = n-1-r, and the
-    difference of its cells k-1 and k counts the written letter k,
-    reading cell s+1 as 0.  A non-positive difference adds nothing.
-    """
-    n = len(rows)
-    word: list[int] = []
-    for s in range(n - 1, -1, -1):
-        prev = rows[0][s]
-        for k in range(1, s + 1):
-            cur = rows[k][s - k]
-            word += [k] * (prev - cur)
-            prev = cur
-        word += [s + 1] * prev
-    return word
-
-
 def _run_source(x: int, n: int, filled: set[tuple[int, int]]) -> list[str]:
     """Source lines that row-insert a run of ``d`` copies of letter x
     into a tableau kept as letter counts: ``m{q}_{i}`` copies of letter
@@ -315,13 +269,16 @@ def _rsk_kernel(
     n: int,
 ) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
     """The word route on top-down rows of size n as one straight-line
-    function: the complement-reversed word read as runs, one
-    ``d = a - b`` per diagonal cell in `_complement_reversed_word`'s
-    order, each run row-inserted as one block by `_run_source` behind
-    ``if d > 0:``, and the triangle read off the letter counts, x[i,
-    i-r] being the sum of m{r}_l over l <= i.  None when tableau row
-    n-1 is empty, as the loops give it.  Exact on any rows, GT or not,
-    and built from the insertion rule alone."""
+    function: the complement-reversed word read as runs, tableau rows
+    bottom row first, each right to left, and each run row-inserted as
+    one block by `_run_source` behind ``if d > 0:``; the triangle is
+    read off the letter counts, x[i, i-r] being the sum of m{r}_l over
+    l <= i.  Tableau row r = n-1-s reads the diagonal ``x{k}_{s-k}``,
+    k = 0..s, of the top-down rows, and ``d``, the difference of its
+    cells k-1 and k (cell s+1 read as 0), counts the written letter k.
+    None when tableau row n-1 is empty, as the public stages give it.
+    Exact on any rows, GT or not, and built from the insertion rule
+    alone."""
     counts = [f"m{q}_{i}" for q in range(n) for i in range(q + 1, n + 1)]
     body = ["    " + " = ".join(counts) + " = 0"]
     filled: set[tuple[int, int]] = set()
@@ -337,6 +294,13 @@ def _rsk_kernel(
     return _straight_line(n, _row_tuples(n), body, "rsk")
 
 
+def _insertion_tableau(t: GtTriangle) -> Ssyt:
+    """The word route's public stages, one after another: the insertion
+    tableau of the complement-reversed reading word of t's tableau."""
+    n = len(t.rows)
+    return rsk_insertion_tableau(complement_reverse(reading_word(triangle_to_tableau(t)), n), n)
+
+
 @cache
 def _word_route(
     n: int,
@@ -347,14 +311,14 @@ def _word_route(
     happens only off GT.
 
     Up to `_RSK_MAX_N` that is the cached per-size `_rsk_kernel`, on
-    letter counts; past it, the letter-at-a-time loops
-    `_complement_reversed_word`, `_insert` and `_count_letters`.
+    letter counts; past it, the public stages `_insertion_tableau`,
+    with the letters counted by `_count_letters`.
     """
     if n <= _RSK_MAX_N:
         return _rsk_kernel(n)
 
     def route(rows):
-        tableau = _insert(_complement_reversed_word(rows))
+        tableau = _insertion_tableau(GtTriangle._trusted(rows)).rows
         return _count_letters(tableau, n) if len(tableau) == n else None
 
     return route
@@ -366,23 +330,18 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
 
-    `_word_route` of the size reads the complement-reversed reading word
-    off the triangle and row-inserts it without a letter check: the
-    library built it, so its letters are ints in 1..n.  The insertion
-    tableau is semistandard on 1..n with no empty row by construction,
-    so its letters are counted without `tableau_to_triangle`'s check.
-    Up to `_RSK_MAX_N` all three run fused in `_rsk_kernel` on letter
-    counts.  No stage touches a Bender-Knuth reflection.  The one way
-    the tableau can fall short is to have fewer than n rows, on a
-    triangle that is not GT; the route then runs the public stages one
-    after another, and `tableau_to_triangle` raises.
+    Up to `_RSK_MAX_N` all of it runs fused in `_rsk_kernel` of the
+    size, on letter counts and without a letter check.  No stage
+    touches a Bender-Knuth reflection.  Past the cap, or when the
+    kernel's tableau falls short (fewer than n rows, on a triangle that
+    is not GT), the public stages run one after another, and
+    `tableau_to_triangle` counts the letters or raises.
     """
     rows = t.rows
     n = len(rows)
-    image = _word_route(n)(rows)
+    image = _rsk_kernel(n)(rows) if n <= _RSK_MAX_N else None
     if image is None:
-        word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
-        return tableau_to_triangle(rsk_insertion_tableau(word, n))
+        return tableau_to_triangle(_insertion_tableau(t))
     return GtTriangle._trusted(image)
 
 

@@ -14,13 +14,13 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Up to `_UNROLL_MAX_N` five per-size
+its argument unpacked into locals.  Up to `_UNROLL_MAX_N` four per-size
 functions run that way: the GT test here (`_gt_kernel`), the
-involution and its diagonal in `schutzenberger`, the tableau's letter
-count in `tableaux`, and the raw-GT generator in `enumeration`.  Up to
-the lower `_RSK_MAX_N` a sixth runs the whole word route in `tableaux`,
-RSK insertion included, on letter counts.  Each is built on first use
-and cached, so importing the package builds none.
+involution and its diagonal in `schutzenberger`, and the raw-GT
+generator in `enumeration`.  Up to the lower `_RSK_MAX_N` a fifth runs
+the whole word route in `tableaux`, RSK insertion included, on letter
+counts.  Each is built on first use and cached, so importing the
+package builds none.
 """
 
 from __future__ import annotations
@@ -175,15 +175,14 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
-# function per size: the GT test, the involution and its diagonal, the
-# tableau's letter count, and the raw-GT generator.  The involution's
-# source has (n-1)n(n+1)/6 statements, the others O(n^2).  Each is
-# built once per size and process; on a 2-vCPU host under Python 3.11
-# a build takes, at n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for
-# the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal,
-# 0.2-0.35 / 0.2-0.45 / 0.5-1.2 ms for the letter count, 0.3-0.4 /
-# 0.35-0.5 / 0.65-1.25 ms for the generator and 0.6-1.1 / 0.9-1.4 /
-# 5-8 ms for the involution, which grows as n^3 to 12-20 ms at 16 and
+# function per size: the GT test, the involution and its diagonal, and
+# the raw-GT generator.  The involution's source has (n-1)n(n+1)/6
+# statements, the others O(n^2).  Each is built once per size and
+# process; on a 2-vCPU host under Python 3.11 a build takes, at
+# n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for the GT test,
+# 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal, 0.3-0.4 / 0.35-0.5
+# / 0.65-1.25 ms for the generator and 0.6-1.1 / 0.9-1.4 / 5-8 ms for
+# the involution, which grows as n^3 to 12-20 ms at 16 and
 # 26-31 ms at 20.  The generator nests one loop per lower row, n - 1
 # in all: CPython compiles at most 20 statically nested blocks, which
 # a loop per cell would pass from n = 7 on.  Past the cap the loops
@@ -198,8 +197,8 @@ _UNROLL_MAX_N = 12
 # n^4/8 cells (939 lines at n = 6, 1,727 at 7); on the same host a
 # build takes about 1.0-1.8 / 2.2-3.9 / 5-8.5 / 11-16 / 21-29 /
 # 157-161 ms at n = 4 / 5 / 6 / 7 / 8 / 12, so the cap is the largest n
-# that builds in under about 10 ms.  Past it the letter-at-a-time loops
-# run.
+# that builds in under about 10 ms.  Past it the route runs the public
+# word stages, letter at a time.
 _RSK_MAX_N = 6
 
 

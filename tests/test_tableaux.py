@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import gogmagog.tableaux as module
 from gogmagog.tableaux import (
     Ssyt,
-    _complement_reversed_word,
     complement_reverse,
     reading_word,
     rsk_insertion_tableau,
@@ -305,83 +304,32 @@ def test_word_route_off_gt_matches_the_composed_route():
     assert raised == {"ValueError: tableau has k rows, needs k": 4_989}
 
 
-def _staged_word(t):
-    """The complement-reversed reading word through the public stages."""
-    return complement_reverse(reading_word(triangle_to_tableau(t)), t.n)
-
-
 def _unreachable(*args):
     raise AssertionError("a patched-out stage ran")
 
 
-def _one_pass_word(t):
-    """The word of the loop that reads it off the triangle in one pass."""
-    return tuple(_complement_reversed_word(t.rows))
+def _route_outcomes(triangles):
+    """Each triangle's `_word_route` rows, or None, with its
+    `schutzenberger_via_words` outcome; `_word_route` runs uncached, so
+    that it resolves the route of the cap in force."""
+    route = module._word_route.__wrapped__
+    return [(route(t.n)(t.rows), _outcome(schutzenberger_via_words, t)) for t in triangles]
 
 
-class TestOnePassWord:
-    """`_complement_reversed_word` against the staged public pipeline."""
-
-    def test_gt_triangles(self):
-        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
-        assert len(triangles) == 2_896
-        for t in triangles:
-            assert _one_pass_word(t) == _staged_word(t)
-
-    def test_off_gt_perturbations(self):
-        # non-positive diagonal differences add no letter, and zero or
-        # negative entries read like any other
-        cases = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
-        assert len(cases) == 33_974
-        cases += [tri((0,)), tri((-2, 0), (1,)), tri((3, -1, 2), (0, -4), (5,))]
-        nonpositive = 0
-        for p in cases:
-            assert _one_pass_word(p) == _staged_word(p)
-            nonpositive += min(x for row in p.rows for x in row) <= 0
-        assert nonpositive == 6_091
-
-    @settings(max_examples=200)
-    @given(drawn_gt(n_max=16))
-    def test_drawn_triangles(self, t):
-        assert _one_pass_word(t) == _staged_word(t)
-
-
-def _both_paths(fn, inputs):
-    """``fn``'s outcome on each input through the per-size kernels, the
-    fused `_rsk_kernel` and `_count_kernel`, then through the loops they
-    unroll, which still run past the caps; each path runs with the
-    other one patched to fail (the letter-counting loop is the only
-    reader of `tableaux.repeat`, and the public stages of the route's
-    error path still run `_insert`).  `_word_route` runs uncached, so
-    each path resolves its own."""
+def _kernel_matches_stages(triangles):
+    """How many of ``triangles`` the word route falls short on, once the
+    `_rsk_kernel` path and the public-stage path (the kernel patched to
+    fail, the cap at 0) agree on every outcome, and the route falls
+    short exactly where `schutzenberger_via_words` raises."""
+    kernel = _route_outcomes(triangles)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_word_route", module._word_route.__wrapped__)
-        patch.setattr(module, "_complement_reversed_word", _unreachable)
-        patch.setattr(module, "repeat", _unreachable)
-        unrolled = [_outcome(fn, x) for x in inputs]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_word_route", module._word_route.__wrapped__)
         patch.setattr(module, "_rsk_kernel", _unreachable)
-        patch.setattr(module, "_count_kernel", _unreachable)
         patch.setattr(module, "_RSK_MAX_N", 0)
-        patch.setattr(module, "_UNROLL_MAX_N", 0)
-        looped = [_outcome(fn, x) for x in inputs]
-    return unrolled, looped
-
-
-def _kernels_match_loops(triangles):
-    """How many of ``triangles`` raise in `schutzenberger_via_words` and
-    in `tableau_to_triangle` of their tableaux, once both paths agree on
-    every outcome."""
-    raised = []
-    for fn, inputs in (
-        (schutzenberger_via_words, triangles),
-        (tableau_to_triangle, [triangle_to_tableau(t) for t in triangles]),
-    ):
-        unrolled, looped = _both_paths(fn, inputs)
-        assert unrolled == looped, fn.__name__
-        raised.append(sum(isinstance(x, str) for x in unrolled))
-    return raised
+        staged = _route_outcomes(triangles)
+    assert kernel == staged
+    short = [image is None for image, _ in kernel]
+    assert short == [isinstance(outcome, str) for _, outcome in kernel]
+    return sum(short)
 
 
 def _perturbed(t, data):
@@ -394,39 +342,33 @@ def _perturbed(t, data):
 
 
 class TestWordKernels:
-    """The word route's per-size straight-line functions against the
-    loops they unroll."""
+    """The word route's per-size straight-line function against the
+    public stages it fuses."""
 
     def test_gt_triangles(self):
         triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
         assert len(triangles) == 2_896
-        assert _kernels_match_loops(triangles) == [0, 0]
+        assert _kernel_matches_stages(triangles) == 0
 
     def test_off_gt_perturbations(self):
         triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
         assert len(triangles) == 33_974
-        assert _kernels_match_loops(triangles) == [4_987, 18_739]
+        assert _kernel_matches_stages(triangles) == 4_987
+        tableaux = [triangle_to_tableau(t) for t in triangles]
+        assert sum(isinstance(_outcome(tableau_to_triangle, s), str) for s in tableaux) == 18_739
 
     @settings(max_examples=100)
     @given(drawn_gt(n_max=_RSK_MAX_N), st.data())
     def test_drawn_triangles(self, t, data):
-        _kernels_match_loops([t, _perturbed(t, data)])
-
-    @settings(max_examples=100)
-    @given(drawn_gt(n_max=_UNROLL_MAX_N), st.data())
-    def test_letter_count_on_drawn_tableaux(self, t, data):
-        tableaux = [triangle_to_tableau(x) for x in (t, _perturbed(t, data))]
-        unrolled, looped = _both_paths(tableau_to_triangle, tableaux)
-        assert unrolled == looped
+        _kernel_matches_stages([t, _perturbed(t, data)])
 
 
 @settings(max_examples=40)
-@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
+@given(drawn_gt(n_min=_RSK_MAX_N + 1, n_max=16))
 def test_loops_past_the_cap_on_drawn_triangles(t):
-    assert t.n > module._UNROLL_MAX_N
+    assert t.n > _RSK_MAX_N
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_rsk_kernel", _unreachable)
-        patch.setattr(module, "_count_kernel", _unreachable)
         s = schutzenberger_via_words(t)
         assert s == _composed_word_route(t)
         assert schutzenberger_via_words(s) == t
@@ -483,7 +425,6 @@ def test_row_functions_past_the_cap_are_the_loops(t):
     assert _involution(t.n) is _fold
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_rsk_kernel", _unreachable)
-        patch.setattr(module, "_count_kernel", _unreachable)
         image = module._word_route.__wrapped__(t.n)(t.rows)
     assert image == _composed_word_route(t).rows == _fold(t.rows)
 
@@ -492,8 +433,9 @@ def test_row_functions_past_the_cap_are_the_loops(t):
 @settings(max_examples=5)
 @given(data=st.data())
 def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
-    """Between the two caps the route runs the word and insertion loops,
-    and counts with `_count_kernel`."""
+    """Past `_RSK_MAX_N` the route runs the public stages and reaches no
+    `_rsk_kernel`: the involution on GT rows, and on a perturbation the
+    composed route's rows, or None where it raises."""
     t = data.draw(drawn_gt(n_min=n, n_max=n))
     p = _perturbed(t, data)
     with pytest.MonkeyPatch.context() as patch:
@@ -505,9 +447,8 @@ def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
 
 
 def test_word_route_on_gt_runs_no_composed_stage():
-    """On GT input the one-pass word and the unchecked insertion give
-    the composed route's triangle with every public stage patched to
-    fail."""
+    """On GT input up to the cap `_rsk_kernel` gives the composed
+    route's triangle with every public stage patched to fail."""
     triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
     want = [_composed_word_route(t) for t in triangles]
     with pytest.MonkeyPatch.context() as patch:
