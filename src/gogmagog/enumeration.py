@@ -5,13 +5,14 @@ Generation is top-down row backtracking through one recursion,
 per-family row function, in lexicographic order.  Raw GT rows are the
 product of their interlacing intervals; Gog and Magog rows take the
 same product with their conditions (pinned trapezoid cells, strict
-rows, the Magog cap) applied per row.  Up to `_UNROLL_MAX_N` raw GT
-triangles come instead from `_gt_fill_kernel`, the recursion unrolled
-into one straight-line generator per size, one of the five functions
-built by `triangles._straight_line`.  Triangles are emitted in lexicographic
-order of their top-down reading.  GOGAm families are the involution's
-images of Magog families, sorted one top-row class at a time; a
-filtering generator over bounded triangles exists as the cross-check.
+rows, the Magog cap) applied per row.  Raw GT triangles come from
+`_gt_fill`, made by `triangles._per_size`: up to `_UNROLL_MAX_N` the
+recursion unrolled into one straight-line generator per size
+(`_gt_fill_kernel`), past it the recursion (`_gt_fill_loop`).
+Triangles are emitted in lexicographic order of their top-down
+reading.  GOGAm families are the involution's images of Magog
+families, sorted one top-row class at a time; a filtering generator
+over bounded triangles exists as the cross-check.
 
 `verify` runs one of the named property suites up to a given size and
 returns a structured report; every suite is deterministic.  The
@@ -25,8 +26,10 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cache, partial
-from itertools import accumulate, chain, combinations_with_replacement, groupby, product
+from functools import partial
+from itertools import (
+    accumulate, chain, combinations, combinations_with_replacement, groupby, product
+)
 from math import comb, factorial
 from operator import attrgetter, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -56,11 +59,11 @@ from .bijection import (
 from .schutzenberger import _involution, is_gogam, schutzenberger, schutzenberger_diagonal
 from .tableaux import _word_route
 from .triangles import (
-    _UNROLL_MAX_N,
     Family,
     GtTriangle,
     _check_int,
     _check_size,
+    _per_size,
     _straight_line,
     format_triangle,
     inversions,
@@ -149,7 +152,6 @@ def _magog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ..
     return product(*map(range, above, [min(x, cap) + 1 for x, cap in zip(above[1:], caps)]))
 
 
-@cache
 def _gt_fill_kernel(
     n: int,
 ) -> Callable[[tuple[int, ...]], Iterator[tuple[tuple[int, ...], ...]]]:
@@ -174,15 +176,21 @@ def _gt_fill_kernel(
     return _straight_line(n, top, body, "raw gt", product=product)
 
 
+def _gt_fill_loop(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """`_gt_fill_kernel` for a top row of any size: the row recursion."""
+    return _fill_below((top,), _gt_rows)
+
+
+# the top-down rows of every GT triangle with a given top row of size n
+_gt_fill = _per_size(_gt_fill_kernel, _gt_fill_loop)
+
+
 def _raw_gt(n: int, bound: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The top-down rows of every GT triangle of size n with entries at
     most ``bound``, in lexicographic order: each weakly increasing top
-    row, filled below by the cached `_gt_fill_kernel` of the size up to
-    `_UNROLL_MAX_N` and by `_fill_below` past it."""
+    row, filled below by `_gt_fill` of the size."""
     tops = combinations_with_replacement(range(1, bound + 1), n)
-    if n <= _UNROLL_MAX_N:
-        return chain.from_iterable(map(_gt_fill_kernel(n), tops))
-    return chain.from_iterable(_fill_below((top,), _gt_rows) for top in tops)
+    return chain.from_iterable(map(_gt_fill(n), tops))
 
 
 def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
@@ -424,8 +432,6 @@ def _suite_oracle(n: int, report: Report) -> None:
 
 def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:
     """Literal maximization over all strictly decreasing chains."""
-    from itertools import combinations
-
     n = t.n
     values = [0] * n
     values[n - 1] = t[n, n]
@@ -433,11 +439,11 @@ def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:
         steps = n - k
         best = None
         for combo in combinations(range(1, n), steps):
-            chain = (n,) + tuple(sorted(combo, reverse=True))
+            cols = (n,) + tuple(sorted(combo, reverse=True))
             total = 0
             for i in range(steps):
-                total += t[chain[i] + i, chain[i]] - t[chain[i + 1] + i, chain[i + 1]]
-            total += t[chain[steps] + steps, chain[steps]]
+                total += t[cols[i] + i, cols[i]] - t[cols[i + 1] + i, cols[i + 1]]
+            total += t[cols[steps] + steps, cols[steps]]
             if best is None or total > best:
                 best = total
         values[k - 1] = best

@@ -16,27 +16,21 @@ Both schedules depend on n alone, so for n up to the shared cap
 `_UNROLL_MAX_N` each runs as one straight-line function per size
 (`_kernel` for the involution, one assignment per reflected cell;
 `_diagonal_kernel` for the diagonal, the dynamic program unrolled),
-built by `triangles._straight_line` on first use and cached.  Each
-equals its loop on every triangle, GT or not.  Past the cap the
-unrolled source would cost too much to build, and the loops run.
-`_involution` gives the involution of one size on bare top-down rows,
-kernel or fold, so a caller with many triangles resolves it once.
+built by `triangles._straight_line`.  Each equals its loop (`_fold`,
+`_diagonal_loop`) on every triangle, GT or not.  Past the cap the
+unrolled source would cost too much to build, and the loops run.  The
+resolvers `_involution` and `_diagonal`, made by `triangles._per_size`,
+give the function of one size on bare top-down rows and hold the one
+choice between kernel and loop, so a caller with many triangles
+resolves it once.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from operator import le
 from typing import Callable, Iterator
 
-from .triangles import (
-    _UNROLL_MAX_N,
-    GtTriangle,
-    _check_int,
-    _is_gt_rows,
-    _row_tuples,
-    _straight_line,
-)
+from .triangles import GtTriangle, _check_int, _gt_test, _per_size, _row_tuples, _straight_line
 
 
 def _reflect(rows: list[list[int]], k: int) -> None:
@@ -75,7 +69,6 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
-@cache
 def _kernel(
     n: int,
 ) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
@@ -84,7 +77,7 @@ def _kernel(
     ``x = lo + hi - x`` per reflected cell, with lo and hi the bounds
     `_reflect` takes over the same neighbours.
 
-    Built on first use from integers only; cell (row r, column c) of
+    Built from integers only; cell (row r, column c) of
     the top-down rows is the local ``x{r}_{c}``.
     """
     cell = [[f"x{r}_{c}" for c in range(n - r)] for r in range(n)]
@@ -115,15 +108,8 @@ def _fold(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in out)
 
 
-@cache
-def _involution(
-    n: int,
-) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
-    """The involution on top-down rows of size n: the per-size `_kernel`
-    up to `_UNROLL_MAX_N`, which gives the same rows as `_fold` on any
-    triangle, GT or not; past the cap, where the unrolled source would
-    grow too costly to build, `_fold`."""
-    return _kernel(n) if n <= _UNROLL_MAX_N else _fold
+# the involution on top-down rows of size n
+_involution = _per_size(_kernel, _fold)
 
 
 def schutzenberger(t: GtTriangle) -> GtTriangle:
@@ -166,7 +152,6 @@ def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list
         yield k, f
 
 
-@cache
 def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
     """`schutzenberger_diagonal` on top-down rows of size n as one
     straight-line function: `_chain_optima` unrolled, ``f{k}_{c}``
@@ -195,6 +180,20 @@ def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[in
     return _straight_line(n, _row_tuples(n), body, "diagonal")
 
 
+def _diagonal_loop(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """`schutzenberger_diagonal` on top-down ``rows`` of any size: the
+    corner plus the maximum of each `_chain_optima` step."""
+    corner = rows[0][-1]
+    values = [corner] * len(rows)
+    for k, f in _chain_optima(rows):
+        values[k - 1] = corner + max(f)
+    return tuple(values)
+
+
+# `schutzenberger_diagonal` on top-down rows of size n
+_diagonal = _per_size(_diagonal_kernel, _diagonal_loop)
+
+
 def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
     """Closed-form rightmost diagonal of the involution image; entry
     k-1 of the tuple is the image entry at (k, k).
@@ -207,17 +206,10 @@ def schutzenberger_diagonal(t: GtTriangle) -> tuple[int, ...]:
     a telescoped form of the chain sum; each step weight is <= 0, and
     the dynamic program runs over (step, column) with suffix maxima.
     For k = n the chain is empty and the corner entry is preserved.
-    Up to `_UNROLL_MAX_N` the cached `_diagonal_kernel` of the size
-    runs the dynamic program; past it, `_chain_optima`.
+    `_diagonal` of the size runs the dynamic program.
     """
     rows = t.rows
-    if len(rows) <= _UNROLL_MAX_N:
-        return _diagonal_kernel(len(rows))(rows)
-    corner = rows[0][-1]
-    values = [corner] * len(rows)
-    for k, f in _chain_optima(rows):
-        values[k - 1] = corner + max(f)
-    return tuple(values)
+    return _diagonal(len(rows))(rows)
 
 
 def is_gogam(t: GtTriangle) -> bool:
@@ -228,4 +220,5 @@ def is_gogam(t: GtTriangle) -> bool:
     its last value, by n.
     """
     rows = t.rows
-    return _is_gt_rows(rows) and all(map(le, schutzenberger_diagonal(t), range(1, len(rows) + 1)))
+    n = len(rows)
+    return _gt_test(n)(rows) and all(map(le, schutzenberger_diagonal(t), range(1, n + 1)))

@@ -14,15 +14,16 @@ composition of row reflections is checked.  The public stages
 the tableau step by step, each checking its input; the RSK loop
 `_insert` and the letter count `_count_letters` back them.
 
-Up to `triangles._RSK_MAX_N` the route on bare top-down rows,
-`_word_route`, is one straight-line function per size, `_rsk_kernel`,
-built by `triangles._straight_line` on first use and cached.  The word
-is a schedule of runs of equal letters fixed by n, and a weakly
-increasing run row-inserts as one block, so the kernel inserts each
-run on the tableau's letter counts (the piecewise-linear form of row
-insertion; Kirillov 2001, Noumi-Yamada 2004) and reads the triangle
-off the counts.  Past the cap the route runs the public stages, which
-are the kernel's letter-at-a-time test reference.
+The route on bare top-down rows, `_word_route`, is the resolver
+`triangles._per_size` makes for it: up to `triangles._RSK_MAX_N` one
+straight-line function per size, `_rsk_kernel`, built by
+`triangles._straight_line`.  The word is a schedule of runs of equal
+letters fixed by n, and a weakly increasing run row-inserts as one
+block, so the kernel inserts each run on the tableau's letter counts
+(the piecewise-linear form of row insertion; Kirillov 2001,
+Noumi-Yamada 2004) and reads the triangle off the counts.  Past the
+cap the route is `_staged_route`, the public stages one after
+another, which is also the kernel's letter-at-a-time test reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 from itertools import repeat
 from operator import le, lt
 from typing import Callable
@@ -40,6 +40,7 @@ from .triangles import (
     GtTriangle,
     _check_size,
     _int_rows,
+    _per_size,
     _row_tuples,
     _straight_line,
 )
@@ -264,7 +265,6 @@ def _run_source(x: int, n: int, filled: set[tuple[int, int]]) -> list[str]:
     return lines
 
 
-@cache
 def _rsk_kernel(
     n: int,
 ) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
@@ -301,27 +301,18 @@ def _insertion_tableau(t: GtTriangle) -> Ssyt:
     return rsk_insertion_tableau(complement_reverse(reading_word(triangle_to_tableau(t)), n), n)
 
 
-@cache
-def _word_route(
-    n: int,
-) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
-    """The word route on top-down rows of size n: the complement-reversed
-    word, row-inserted, with its letters counted back into top-down
-    rows; None when the insertion tableau has fewer than n rows, which
-    happens only off GT.
+def _staged_route(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:
+    """The word route on top-down ``rows`` of any size, through the
+    public stages `_insertion_tableau`, with the letters counted by
+    `_count_letters`; None when the insertion tableau has fewer than n
+    rows, which happens only off GT."""
+    n = len(rows)
+    tableau = _insertion_tableau(GtTriangle._trusted(rows)).rows
+    return _count_letters(tableau, n) if len(tableau) == n else None
 
-    Up to `_RSK_MAX_N` that is the cached per-size `_rsk_kernel`, on
-    letter counts; past it, the public stages `_insertion_tableau`,
-    with the letters counted by `_count_letters`.
-    """
-    if n <= _RSK_MAX_N:
-        return _rsk_kernel(n)
 
-    def route(rows):
-        tableau = _insertion_tableau(GtTriangle._trusted(rows)).rows
-        return _count_letters(tableau, n) if len(tableau) == n else None
-
-    return route
+# the word route on top-down rows of size n, None where it falls short
+_word_route = _per_size(_rsk_kernel, _staged_route, _RSK_MAX_N)
 
 
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
@@ -330,16 +321,15 @@ def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
 
-    Up to `_RSK_MAX_N` all of it runs fused in `_rsk_kernel` of the
-    size, on letter counts and without a letter check.  No stage
-    touches a Bender-Knuth reflection.  Past the cap, or when the
-    kernel's tableau falls short (fewer than n rows, on a triangle that
-    is not GT), the public stages run one after another, and
-    `tableau_to_triangle` counts the letters or raises.
+    Runs as `_word_route` of the size: up to `_RSK_MAX_N` all of it
+    fused in `_rsk_kernel`, on letter counts and without a letter
+    check.  No stage touches a Bender-Knuth reflection.  When the
+    route falls short (fewer than n tableau rows, on a triangle that is
+    not GT), the public stages run one after another, and
+    `tableau_to_triangle` raises.
     """
     rows = t.rows
-    n = len(rows)
-    image = _rsk_kernel(n)(rows) if n <= _RSK_MAX_N else None
+    image = _word_route(len(rows))(rows)
     if image is None:
         return tableau_to_triangle(_insertion_tableau(t))
     return GtTriangle._trusted(image)

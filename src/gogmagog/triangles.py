@@ -14,13 +14,13 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Up to `_UNROLL_MAX_N` four per-size
-functions run that way: the GT test here (`_gt_kernel`), the
-involution and its diagonal in `schutzenberger`, and the raw-GT
-generator in `enumeration`.  Up to the lower `_RSK_MAX_N` a fifth runs
-the whole word route in `tableaux`, RSK insertion included, on letter
-counts.  Each is built on first use and cached, so importing the
-package builds none.
+its argument unpacked into locals.  Five schedules do: the GT test
+here, the involution and its diagonal in `schutzenberger`, and the
+raw-GT generator in `enumeration` up to `_UNROLL_MAX_N`, and the word
+route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs behind
+one resolver made by `_per_size`, which alone chooses between the
+kernel and the loop for a size; a kernel is built on the first call
+of its size, so importing the package builds none.
 """
 
 from __future__ import annotations
@@ -221,9 +221,14 @@ def _straight_line(n: int, target: str, body: list[str], label: str, **names: Ca
     return namespace["kernel"]
 
 
-@cache
+def _per_size(build: Callable[[int], Callable], loop: Callable, cap: int = _UNROLL_MAX_N):
+    """The resolver of one schedule: a cached function of n giving the
+    kernel ``build(n)`` up to ``cap`` and ``loop``, of any size, past it."""
+    return cache(lambda n: build(n) if n <= cap else loop)
+
+
 def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
-    """`_is_gt_rows` for size n as one expression: a positive top-left
+    """`_gt_loop` for size n as one expression: a positive top-left
     entry, then for each row under the one above it the merged chain
     above[0] <= row[0] <= above[1] <= ... <= row[-1] <= above[-1],
     which is weakly increasing exactly when the two rows interlace."""
@@ -236,19 +241,14 @@ def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
     return _straight_line(n, _row_tuples(n), [f"    return {' and '.join(tests)}"], "gt test")
 
 
-def _is_gt_rows(rows: tuple[tuple[int, ...], ...]) -> bool:
+def _gt_loop(rows: tuple[tuple[int, ...], ...]) -> bool:
     """Whether top-down ``rows`` are Gelfand-Tsetlin; stops at the first
     broken inequality.
 
     Interlacing makes the top row weakly increasing and puts every
     entry at or above the top-row entry of its column, so a positive
-    top-left entry makes every entry positive.  Up to `_UNROLL_MAX_N`
-    the cached `_gt_kernel` of the size decides; past it, the loop
-    below.
+    top-left entry makes every entry positive.
     """
-    n = len(rows)
-    if n <= _UNROLL_MAX_N:
-        return _gt_kernel(n)(rows)
     if rows[0][0] < 1:
         return False
     above = rows[0]
@@ -260,14 +260,19 @@ def _is_gt_rows(rows: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
+# whether top-down rows of size n are Gelfand-Tsetlin
+_gt_test = _per_size(_gt_kernel, _gt_loop)
+
+
 def is_valid_gt(t: GtTriangle) -> bool:
-    return _is_gt_rows(t.rows)
+    rows = t.rows
+    return _gt_test(len(rows))(rows)
 
 
 def is_gog(t: GtTriangle) -> bool:
     """Strictly increasing rows below the top, top row pinned to 1..n."""
     rows = t.rows
-    if not _is_gt_rows(rows):
+    if not _gt_test(len(rows))(rows):
         return False
     if rows[0] != tuple(range(1, len(rows) + 1)):
         return False
@@ -280,9 +285,9 @@ def is_gog(t: GtTriangle) -> bool:
 def is_magog(t: GtTriangle) -> bool:
     """Diagonal bound x[i,i] <= i for every i."""
     rows = t.rows
-    if not _is_gt_rows(rows):
-        return False
     n = len(rows)
+    if not _gt_test(n)(rows):
+        return False
     return all(rows[n - i][-1] <= i for i in range(1, n + 1))
 
 

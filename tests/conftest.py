@@ -1,13 +1,19 @@
 import hashlib
+import importlib
 import json
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gogmagog.triangles import GtTriangle
+from gogmagog import enumeration, tableaux
+from gogmagog.triangles import GtTriangle, _gt_kernel, _gt_loop, _gt_test, is_valid_gt
+
+# the package re-exports the function under the module's name
+_involutions = importlib.import_module("gogmagog.schutzenberger")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,17 +66,81 @@ def _place(rows, row, i, j, cell_ok):
             row.pop()
 
 
+@cache
+def gt_up_to_4():
+    """Every GT triangle with n <= 4 and entries <= n+1, 2,896 in all,
+    built once per session."""
+    return tuple(t for n in range(1, 5) for t in gt_triangles(n, n + 1))
+
+
+def perturbed(t, r, c, delta):
+    """``t`` with the entry at top-down row r, column c moved by delta."""
+    rows = [list(row) for row in t.rows]
+    rows[r][c] += delta
+    return GtTriangle(tuple(tuple(row) for row in rows))
+
+
+def drawn_perturbation(data, t):
+    """``t`` with one entry, drawn from ``data``, moved by +-1."""
+    r = data.draw(st.integers(0, t.n - 1))
+    c = data.draw(st.integers(0, t.n - 1 - r))
+    return perturbed(t, r, c, data.draw(st.sampled_from((-1, 1))))
+
+
+@cache
 def gt_perturbations():
-    """(t, p) for every single-entry +-1 perturbation p of every GT
-    triangle t with n <= 4 and entries <= n+1."""
-    for n in range(1, 5):
-        for t in gt_triangles(n, n + 1):
-            for r in range(n):
-                for c in range(n - r):
-                    for delta in (-1, 1):
-                        rows = [list(row) for row in t.rows]
-                        rows[r][c] += delta
-                        yield t, GtTriangle(tuple(tuple(row) for row in rows))
+    """(t, p) for every single-entry +-1 perturbation p of every
+    triangle t of `gt_up_to_4`, 56,848 in all, built once per session."""
+    return tuple(
+        (t, perturbed(t, r, c, delta))
+        for t in gt_up_to_4() for r, row in enumerate(t.rows)
+        for c in range(len(row)) for delta in (-1, 1)
+    )
+
+
+@cache
+def broken_perturbations():
+    """The perturbations of `gt_perturbations` that are not GT, 33,974 in
+    all, built once per session."""
+    return tuple(p for _, p in gt_perturbations() if not is_valid_gt(p))
+
+
+# (resolver, kernel builder, loop, cap) of each size-scheduled function,
+# with the caps the build costs in `triangles` choose; the raw-GT
+# generator maps a top row to triangles, the others map rows
+SCHEDULES = {
+    "gt test": (_gt_test, _gt_kernel, _gt_loop, 12),
+    "involution": (_involutions._involution, _involutions._kernel, _involutions._fold, 12),
+    "diagonal": (_involutions._diagonal, _involutions._diagonal_kernel, _involutions._diagonal_loop, 12),
+    "word route": (tableaux._word_route, tableaux._rsk_kernel, tableaux._staged_route, 6),
+    "gt fill": (enumeration._gt_fill, enumeration._gt_fill_kernel, enumeration._gt_fill_loop, 12),
+}
+
+
+@cache
+def kernel(name, n):
+    """Schedule ``name``'s function of size n: up to the cap its kernel,
+    built once per session apart from the resolver's cache, past it the
+    loop, once the resolver is found to make the same choice."""
+    resolver, build, loop, cap = SCHEDULES[name]
+    assert resolver(n) is resolver(n) and (resolver(n) is loop) == (n > cap), (name, n)
+    return build(n) if n <= cap else loop
+
+
+def composed_word_route(t):
+    """The word route as the composition of its public stages, each
+    stage checking its own input."""
+    n = t.n
+    word = tableaux.complement_reverse(tableaux.reading_word(tableaux.triangle_to_tableau(t)), n)
+    return tableaux.tableau_to_triangle(tableaux.rsk_insertion_tableau(word, n))
+
+
+def outcome(route, t):
+    """The rows ``route(t)`` gives, or the text of the error it raises."""
+    try:
+        return route(t).rows
+    except ValueError as err:
+        return f"ValueError: {err}"
 
 
 def random_gt(rng: random.Random, n: int, bound: int) -> GtTriangle:

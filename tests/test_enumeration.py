@@ -26,11 +26,10 @@ from gogmagog.enumeration import (
     SUITES,
     _count_n2,
     _fail_payload,
-    _fill_below,
     _generate_gogam_by_filter,
     _generate_gt,
-    _gt_fill_kernel,
-    _gt_rows,
+    _gt_fill_loop,
+    _raw_gt,
     _walk_n2,
     asm_number,
     count,
@@ -41,7 +40,7 @@ from gogmagog.enumeration import (
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import _UNROLL_MAX_N, Family, is_gog, is_magog, is_trapezoid, is_valid_gt
 
-from conftest import descend, report_digest
+from conftest import descend, kernel, report_digest
 
 
 def test_count_formula_values():
@@ -190,47 +189,43 @@ def test_gogam_stream_equals_the_filtering_route(n):
         ), k
 
 
-def _unreachable(*args):
-    raise AssertionError("the other path must not run")
-
-
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gt_fill_kernel_equals_the_row_recursion(n):
     # triangle for triangle and in order, under every top row at bounds n and n+1
+    fill = kernel("gt fill", n)
     for bound in (n, n + 1):
         tops = list(combinations_with_replacement(range(1, bound + 1), n))
-        kernel = _gt_fill_kernel(n)
         for top in tops:
-            assert list(kernel(top)) == list(_fill_below((top,), _gt_rows)), top
+            assert list(fill(top)) == list(_gt_fill_loop(top)), top
         assert [t.rows for t in _generate_gt(n, bound)] == list(
-            chain.from_iterable(_fill_below((top,), _gt_rows) for top in tops)
+            chain.from_iterable(map(_gt_fill_loop, tops))
         )
 
 
-def _gt_streams(n, bound, count):
-    """The first ``count`` (None: all) GT triangles of size n with
-    entries <= bound, from `_generate_gt` and from the cell-by-cell
-    `descend`."""
-    tops = combinations_with_replacement(range(1, bound + 1), n)
-    cells = chain.from_iterable(descend(top, n, lambda *a: True) for top in tops)
-    return list(islice(_generate_gt(n, bound), count)), list(islice(cells, count))
-
-
-# every triangle with entries <= 2 (2^n of them) first, so a generator
-# that loses triangles fails before the long stream with entries <= n+1
 def _check_gt_streams(n):
+    """The raw GT stream of size n against the kernel's (past the cap,
+    the loop's), the loop's and the cell-by-cell `descend`'s: every
+    triangle with entries <= 2 (2^n of them) first, so a generator that
+    loses triangles fails before the first 2,000 with entries <= n+1."""
+
+    def cells(top):
+        return (t.rows for t in descend(top, n, lambda *cell: True))
+
     for bound, count, want_len in ((2, None, 2**n), (n + 1, 2_000, 2_000)):
-        got, want = _gt_streams(n, bound, count)
-        assert got == want and len(got) == want_len, bound
+        want = list(islice(_raw_gt(n, bound), count))
+        assert len(want) == want_len, bound
+        for fill in (kernel("gt fill", n), _gt_fill_loop, cells):
+            tops = combinations_with_replacement(range(1, bound + 1), n)
+            assert list(islice(chain.from_iterable(map(fill, tops)), count)) == want, bound
 
 
-def test_gt_generation_up_to_the_cap_reaches_no_recursion(monkeypatch):
-    monkeypatch.setattr(enumeration, "_fill_below", _unreachable)
-    _check_gt_streams(_UNROLL_MAX_N)
+def test_gt_generation_up_to_the_cap_reaches_no_recursion():
+    # up to the cap `kernel` finds the resolver's choice is no loop
+    for n in range(6, _UNROLL_MAX_N + 1):
+        _check_gt_streams(n)
 
 
-def test_gt_generation_past_the_cap_is_the_row_recursion(monkeypatch):
-    monkeypatch.setattr(enumeration, "_gt_fill_kernel", _unreachable)
+def test_gt_generation_past_the_cap_is_the_row_recursion():
     _check_gt_streams(_UNROLL_MAX_N + 1)
 
 
@@ -321,20 +316,13 @@ def test_report_json_shape():
 _FAULTY = ((1, 2, 4), (2, 3), (2,))
 
 
-def _word_route_failing_on(rows):
-    """`_word_route` whose size-n route returns None on ``rows`` alone,
-    as a route whose tableau fell short would."""
-    real = tableaux._word_route
-
-    def word_route(n):
-        route = real(n)
-        return lambda r: None if r == rows else route(r)
-
-    return word_route
-
-
 def test_word_route_fault_is_a_failure_record(monkeypatch, capsys):
-    monkeypatch.setattr(enumeration, "_word_route", _word_route_failing_on(_FAULTY))
+    # a size-n route that returns None on one triangle alone, as a route
+    # whose tableau fell short would
+    real = tableaux._word_route
+    monkeypatch.setattr(
+        enumeration, "_word_route", lambda n: lambda r: None if r == _FAULTY else real(n)(r)
+    )
     report = verify("oracle", 3)
     assert report.checks == 124
     assert report.failures == ["oracle disagreement on 3 / 1 2 4 / 2 3 / 2"]

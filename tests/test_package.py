@@ -72,3 +72,22 @@ def test_every_exported_name_is_used():
         and not re.search(rf"\b{name}\b", bench)
     ]
     assert unused == []
+
+
+def _resolves(node):
+    """Whether ``node`` defines a resolver: ``name = _per_size(...)``."""
+    call = getattr(node, "value", None)
+    return isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_per_size"
+
+
+def test_caps_are_read_only_where_a_schedule_is_resolved():
+    # `_per_size` alone chooses between a kernel and its loop, once per
+    # size; a cap read anywhere else is a second choice that can drift
+    readers = [
+        f"{module}: {name}"
+        for module, tree in _package_trees().items()
+        for name, node in _definitions(tree)
+        if {"_UNROLL_MAX_N", "_RSK_MAX_N"} & set(_mentions(node))
+        and name != "_per_size" and not _resolves(node)
+    ]
+    assert readers == []

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from gogmagog.schutzenberger import bender_knuth, is_gogam, schutzenberger, schutzenberger_diagonal
 from gogmagog.tableaux import schutzenberger_via_words
-from gogmagog.triangles import GtTriangle, is_magog, is_valid_gt, parse_triangle
+from gogmagog.triangles import _UNROLL_MAX_N, GtTriangle, is_magog, is_valid_gt, parse_triangle, validate_gt
 
-from conftest import FIXTURES, drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
+from conftest import (FIXTURES, SCHEDULES, broken_perturbations, drawn_gt, drawn_perturbation,
+                      gt_triangles, gt_up_to_4, kernel, perturbed, random_gt, tri)
 
 # the package re-exports the function under the module's name
 module = importlib.import_module("gogmagog.schutzenberger")
-gt_module = importlib.import_module("gogmagog.triangles")
 
 
 class TestBenderKnuth:
@@ -193,23 +193,19 @@ class TestInPlaceReflections:
     triangle with n <= 4 and entries <= n+1 (2,896 triangles)."""
 
     def test_reflection_matches_cell_reference(self):
-        for n in range(2, 5):
-            for t in gt_triangles(n, n + 1):
-                for k in range(1, n):
-                    assert bender_knuth(t, k) == _bender_knuth_reference(t, k)
+        for t in gt_up_to_4():
+            for k in range(1, t.n):
+                assert bender_knuth(t, k) == _bender_knuth_reference(t, k)
 
     def test_involution_is_the_longest_first_fold_of_sweeps(self):
-        checked = 0
-        for n in range(1, 5):
-            for t in gt_triangles(n, n + 1):
-                by_sweeps = by_cells = t
-                for j in range(n - 1, 0, -1):
-                    for k in range(1, j + 1):
-                        by_sweeps = bender_knuth(by_sweeps, k)
-                        by_cells = _bender_knuth_reference(by_cells, k)
-                assert schutzenberger(t) == by_sweeps == by_cells
-                checked += 1
-        assert checked == 2896
+        for t in gt_up_to_4():
+            by_sweeps = by_cells = t
+            for j in range(t.n - 1, 0, -1):
+                for k in range(1, j + 1):
+                    by_sweeps = bender_knuth(by_sweeps, k)
+                    by_cells = _bender_knuth_reference(by_cells, k)
+            assert schutzenberger(t) == by_sweeps == by_cells
+        assert len(gt_up_to_4()) == 2_896
 
     def test_input_is_left_untouched(self):
         t = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
@@ -220,84 +216,21 @@ class TestInPlaceReflections:
         assert t.rows == rows == ((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 
 
-def _unreachable(*args):
-    raise AssertionError("wrong path")
-
-
-# The straight-line path must reach no loop (the GT loop is the only
-# reader of `triangles.le`); the loop path, with both caps at 0, must
-# build no kernel.
-_LOOPS = ((gt_module, "le"), (module, "_reflect"), (module, "_chain_optima"))
-_KERNELS = ((gt_module, "_gt_kernel"), (module, "_kernel"), (module, "_diagonal_kernel"))
-
-# each straight-line kernel behind the function that calls it
-_KERNEL_CALLERS = {
-    "involution": lambda t: schutzenberger(t).rows,
-    "gt": lambda t: gt_module._is_gt_rows(t.rows),
-    "diagonal": schutzenberger_diagonal,
-    "gogam": is_gogam,
-}
-
-
-def _both_paths(fn, triangles):
-    """``fn`` on each triangle through the straight-line kernels, then
-    through the loops and folds they unroll, which still run past
-    `_UNROLL_MAX_N`; each path runs with the other one patched to fail,
-    and with `_involution` uncached, so that it resolves its own."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_involution", module._involution.__wrapped__)
-        for owner, name in _LOOPS:
-            patch.setattr(owner, name, _unreachable)
-        unrolled = [fn(t) for t in triangles]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_involution", module._involution.__wrapped__)
-        for owner, name in _KERNELS:
-            patch.setattr(owner, name, _unreachable)
-        patch.setattr(gt_module, "_UNROLL_MAX_N", 0)
-        patch.setattr(module, "_UNROLL_MAX_N", 0)
-        folded = [fn(t) for t in triangles]
-    return unrolled, folded
-
-
-def _kernels_match_loops(triangles):
-    """Each kernel caller's results on ``triangles``, once both paths
-    agree on them."""
-    results = {}
-    for caller, fn in _KERNEL_CALLERS.items():
-        unrolled, folded = _both_paths(fn, triangles)
-        assert unrolled == folded, caller
-        results[caller] = unrolled
-    return results
-
-
 class TestUnrolledKernel:
-    """The per-size straight-line functions against the loops and folds
-    they unroll."""
-
-    def test_matches_the_fold_on_gt(self):
-        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
-        assert len(triangles) == 2896
-        got = _kernels_match_loops(triangles)
-        assert all(got["gt"]) and sum(got["gogam"]) == 52
-
-    def test_matches_the_fold_off_gt(self):
-        # same results off GT too: the kernels keep the loops' arithmetic
-        triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
-        assert len(triangles) == 33_974
-        got = _kernels_match_loops(triangles)
-        assert not any(got["gt"]) and not any(got["gogam"])
-
     def test_import_builds_no_kernel(self):
         # a fresh interpreter: importing the package and its CLI compiles
-        # no kernel; every cached module-level `*_kernel` of the package
-        # is found and read, and the list is exact, so adding or deleting
-        # a kernel must update it
+        # no kernel source, and the objects of the package that cache
+        # are exactly the five resolvers, none holding a size yet
         probe = (
-            "import gogmagog, gogmagog.cli, sys; "
-            "print(sorted((name, k, f.cache_info().currsize) "
-            "for name, m in list(sys.modules.items()) if name.startswith('gogmagog') "
-            "for k, f in vars(m).items() if k.endswith('_kernel') "
-            "and hasattr(f, 'cache_info') and f.__module__ == name))"
+            "import builtins, sys\n"
+            "compiled, real = [], builtins.compile\n"
+            "builtins.compile = lambda source, name, *a, **k: "
+            "(compiled.append(str(name)), real(source, name, *a, **k))[1]\n"
+            "import gogmagog, gogmagog.cli\n"
+            "found = {id(f): (k, f.cache_info().currsize)\n"
+            "    for name, m in list(sys.modules.items()) if name.startswith('gogmagog')\n"
+            "    for k, f in vars(m).items() if hasattr(f, 'cache_info')}\n"
+            "print((sorted(found.values()), [c for c in compiled if 'kernel' in c]))"
         )
         src = str(Path(module.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -307,51 +240,72 @@ class TestUnrolledKernel:
             check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        kernels = ast.literal_eval(out.stdout)
-        assert [(name, k) for name, k, _ in kernels] == [
-            ("gogmagog.enumeration", "_gt_fill_kernel"),
-            ("gogmagog.schutzenberger", "_diagonal_kernel"),
-            ("gogmagog.schutzenberger", "_kernel"),
-            ("gogmagog.tableaux", "_rsk_kernel"),
-            ("gogmagog.triangles", "_gt_kernel"),
-        ]
-        assert [built for _, _, built in kernels] == [0] * len(kernels)
+        resolvers, kernels = ast.literal_eval(out.stdout)
+        names = ["_diagonal", "_gt_fill", "_gt_test", "_involution", "_word_route"]
+        assert resolvers == [(name, 0) for name in names]
+        assert kernels == []
+
+    def test_matches_the_fold_on_gt(self):
+        got = [_check_rows(t) for t in gt_up_to_4()]
+        assert len(got) == 2_896 and all(gt for gt, _ in got)
+        assert sum(gogam for _, gogam in got) == 52
+
+    def test_matches_the_fold_off_gt(self):
+        # same results off GT too, entries below 1 included: the kernels
+        # keep the loops' arithmetic
+        cases = [*broken_perturbations(), tri((0,)), tri((-2, 0), (1,))]
+        assert len(cases) == 33_976
+        assert not any(gt or gogam for gt, gogam in map(_check_rows, cases))
 
 
-def _perturbed(t, r, c, delta):
-    """``t`` with the entry at top-down row r, column c moved by delta."""
-    rows = [list(row) for row in t.rows]
-    rows[r][c] += delta
-    return GtTriangle(tuple(tuple(row) for row in rows))
+_ROW_SCHEDULES = ("gt test", "involution", "diagonal")
 
 
-@pytest.mark.parametrize("n", range(1, module._UNROLL_MAX_N + 1))
+def _check_rows(t):
+    """(GT, GOGAm) of ``t``, once the GT test's, the involution's and the
+    diagonal's functions of the size give their loops' results, the loops
+    agree with references and each other, and the public functions give
+    the loops' results."""
+    rows = t.rows
+    gt, image, diagonal = results = [SCHEDULES[name][2](rows) for name in _ROW_SCHEDULES]
+    assert [kernel(name, t.n)(rows) for name in _ROW_SCHEDULES] == results
+    assert gt == (validate_gt(t) == [])
+    assert schutzenberger(t).rows == image and schutzenberger_diagonal(t) == diagonal
+    gogam = is_gogam(t)
+    assert gt or not gogam
+    if gt:
+        # the image's image is the input, the diagonal is the image's
+        s = GtTriangle._trusted(image)
+        assert module._fold(image) == rows
+        assert diagonal == tuple(s[k, k] for k in range(1, t.n + 1))
+        assert gogam == is_magog(s)
+    return gt, gogam
+
+
+def _check_drawn(t, data):
+    """`_check_rows` on a drawn GT triangle, a +-1 perturbation of it and,
+    from n = 2 on, a lower-row entry raised over its upper bound."""
+    assert _check_rows(t)[0]
+    _check_rows(drawn_perturbation(data, t))
+    if t.n >= 2:
+        r = data.draw(st.integers(1, t.n - 1))
+        c = data.draw(st.integers(0, t.n - 1 - r))
+        assert not _check_rows(perturbed(t, r, c, t.rows[r - 1][c + 1] - t.rows[r][c] + 1))[0]
+
+
+@pytest.mark.parametrize("n", range(1, _UNROLL_MAX_N + 1))
 @settings(max_examples=25)
 @given(data=st.data())
 def test_kernels_match_their_loops_on_and_off_drawn_triangles(n, data):
-    t = data.draw(drawn_gt(n_min=n, n_max=n))
-    r = data.draw(st.integers(0, n - 1))
-    p = _perturbed(t, r, data.draw(st.integers(0, n - 1 - r)), data.draw(st.sampled_from((-1, 1))))
-    _kernels_match_loops([t, p])
+    _check_drawn(data.draw(drawn_gt(n_min=n, n_max=n)), data)
 
 
 @settings(max_examples=40)
-@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16), st.data())
+@given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16), st.data())
 def test_fold_past_the_cap_on_drawn_triangles(t, data):
-    assert t.n > module._UNROLL_MAX_N
-    # raise a lower-row entry over its upper bound x[i+1,j+1]
-    r = data.draw(st.integers(1, t.n - 1))
-    c = data.draw(st.integers(0, t.n - 1 - r))
-    broken = _perturbed(t, r, c, t.rows[r - 1][c + 1] - t.rows[r][c] + 1)
-    with pytest.MonkeyPatch.context() as patch:
-        for owner, name in _KERNELS:
-            patch.setattr(owner, name, _unreachable)
-        s = schutzenberger(t)
-        assert s == schutzenberger_via_words(t)
-        assert schutzenberger(s) == t
-        assert is_gogam(t) == is_magog(s)
-        assert schutzenberger_diagonal(t) == tuple(s[k, k] for k in range(1, t.n + 1))
-        assert is_valid_gt(t) and not is_valid_gt(broken)
+    # past the cap each resolver gives its loop, which `kernel` checks
+    _check_drawn(t, data)
+    assert schutzenberger(t) == schutzenberger_via_words(t)
 
 
 # every Bender-Knuth reflection acts on a row below the top, which is
@@ -365,12 +319,9 @@ def test_involution_keeps_the_top_row(t):
 
 
 @settings(max_examples=40)
-@given(drawn_gt(n_min=module._UNROLL_MAX_N + 1, n_max=16))
+@given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16))
 def test_fold_keeps_the_top_row(t):
-    with pytest.MonkeyPatch.context() as patch:
-        for owner, name in _KERNELS:
-            patch.setattr(owner, name, _unreachable)
-        assert schutzenberger(t).rows[0] == t.rows[0]
+    assert kernel("involution", t.n)(t.rows)[0] == t.rows[0]
 
 
 @pytest.mark.parametrize("index", [True, False, 1.0, 1.5, "1", None], ids=repr)

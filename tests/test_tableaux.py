@@ -21,7 +21,9 @@ from gogmagog.tableaux import (
 from gogmagog.schutzenberger import _fold, _involution, schutzenberger
 from gogmagog.triangles import _RSK_MAX_N, _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
 
-from conftest import drawn_gt, gt_perturbations, gt_triangles, random_gt, tri
+from conftest import (SCHEDULES, broken_perturbations, composed_word_route, drawn_gt,
+                      drawn_perturbation, gt_perturbations, gt_triangles, gt_up_to_4, kernel,
+                      outcome, random_gt, tri)
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 TABLEAU5 = Ssyt(((1, 1, 1, 2, 4, 5), (2, 2, 5), (3, 3), (4, 5), (5,)), 5)
@@ -274,105 +276,69 @@ class TestWordOracle:
             assert schutzenberger_via_words(schutzenberger_via_words(t)) == t
 
 
-def _composed_word_route(t):
-    """The word route as the composition of its public stages, each
-    stage checking its own input."""
-    n = t.n
-    word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
-    return tableau_to_triangle(rsk_insertion_tableau(word, n))
-
-
-def _outcome(route, t):
-    try:
-        return route(t).rows
-    except ValueError as err:
-        return f"ValueError: {err}"
-
-
 def test_word_route_off_gt_matches_the_composed_route():
     """On triangles that are not GT the route gives the composed public
     stages' rows, or raises their error with the same text."""
-    cases = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
-    assert len(cases) == 33_974
-    cases += [tri((0,)), tri((-2, 0), (1,))]
+    cases = [*broken_perturbations(), tri((0,)), tri((-2, 0), (1,))]
     raised = Counter()
     for p in cases:
-        want = _outcome(_composed_word_route, p)
-        assert _outcome(schutzenberger_via_words, p) == want
+        want = outcome(composed_word_route, p)
+        assert outcome(schutzenberger_via_words, p) == want
         if isinstance(want, str):
             raised[re.sub(r"\d+", "k", want)] += 1
     assert raised == {"ValueError: tableau has k rows, needs k": 4_989}
 
 
-def _unreachable(*args):
-    raise AssertionError("a patched-out stage ran")
-
-
-def _route_outcomes(triangles):
-    """Each triangle's `_word_route` rows, or None, with its
-    `schutzenberger_via_words` outcome; `_word_route` runs uncached, so
-    that it resolves the route of the cap in force."""
-    route = module._word_route.__wrapped__
-    return [(route(t.n)(t.rows), _outcome(schutzenberger_via_words, t)) for t in triangles]
-
-
-def _kernel_matches_stages(triangles):
-    """How many of ``triangles`` the word route falls short on, once the
-    `_rsk_kernel` path and the public-stage path (the kernel patched to
-    fail, the cap at 0) agree on every outcome, and the route falls
-    short exactly where `schutzenberger_via_words` raises."""
-    kernel = _route_outcomes(triangles)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_rsk_kernel", _unreachable)
-        patch.setattr(module, "_RSK_MAX_N", 0)
-        staged = _route_outcomes(triangles)
-    assert kernel == staged
-    short = [image is None for image, _ in kernel]
-    assert short == [isinstance(outcome, str) for _, outcome in kernel]
-    return sum(short)
-
-
-def _perturbed(t, data):
-    """``t`` with one entry, drawn from ``data``, moved by +-1."""
-    r = data.draw(st.integers(0, t.n - 1))
-    c = data.draw(st.integers(0, t.n - 1 - r))
-    rows = [list(row) for row in t.rows]
-    rows[r][c] += data.draw(st.sampled_from((-1, 1)))
-    return GtTriangle(tuple(map(tuple, rows)))
+def _check_word_route(t):
+    """Whether the word route falls short on ``t``, once its function of
+    the size gives the staged route's result, and that result is the
+    composed public stages' rows, or None exactly where they raise for a
+    short tableau."""
+    image = module._staged_route(t.rows)
+    assert kernel("word route", t.n)(t.rows) == image
+    want = outcome(composed_word_route, t)
+    if image is None:
+        assert re.fullmatch(r"ValueError: tableau has \d+ rows, needs \d+", want)
+    else:
+        assert image == want
+    return image is None
 
 
 class TestWordKernels:
-    """The word route's per-size straight-line function against the
-    public stages it fuses."""
+    """The word route's per-size straight-line function against its loop,
+    the staged route through the public stages."""
 
     def test_gt_triangles(self):
-        triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
+        # never short on GT: the involution
+        triangles = gt_up_to_4()
+        for t in triangles:
+            image = module._staged_route(t.rows)
+            assert kernel("word route", t.n)(t.rows) == image == schutzenberger(t).rows
         assert len(triangles) == 2_896
-        assert _kernel_matches_stages(triangles) == 0
 
     def test_off_gt_perturbations(self):
-        triangles = [p for _, p in gt_perturbations() if not is_valid_gt(p)]
-        assert len(triangles) == 33_974
-        assert _kernel_matches_stages(triangles) == 4_987
-        tableaux = [triangle_to_tableau(t) for t in triangles]
-        assert sum(isinstance(_outcome(tableau_to_triangle, s), str) for s in tableaux) == 18_739
+        short = 0
+        for p in broken_perturbations():
+            image = module._staged_route(p.rows)
+            assert kernel("word route", p.n)(p.rows) == image
+            short += image is None
+        assert short == 4_987
 
     @settings(max_examples=100)
     @given(drawn_gt(n_max=_RSK_MAX_N), st.data())
     def test_drawn_triangles(self, t, data):
-        _kernel_matches_stages([t, _perturbed(t, data)])
+        assert not _check_word_route(t)
+        _check_word_route(drawn_perturbation(data, t))
 
 
 @settings(max_examples=40)
 @given(drawn_gt(n_min=_RSK_MAX_N + 1, n_max=16))
 def test_loops_past_the_cap_on_drawn_triangles(t):
-    assert t.n > _RSK_MAX_N
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_rsk_kernel", _unreachable)
-        s = schutzenberger_via_words(t)
-        assert s == _composed_word_route(t)
-        assert schutzenberger_via_words(s) == t
-        assert tableau_to_triangle(triangle_to_tableau(t)) == t
+    # past the RSK cap the route is the staged route, which `kernel` checks
+    assert not _check_word_route(t)
+    s = schutzenberger_via_words(t)
+    assert schutzenberger_via_words(s) == t
+    assert tableau_to_triangle(triangle_to_tableau(t)) == t
 
 
 def _rsk_source_lines(n):
@@ -380,7 +346,7 @@ def _rsk_source_lines(n):
     lines = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "_straight_line", lambda n, target, body, label: lines.append(len(body)))
-        module._rsk_kernel.__wrapped__(n)
+        module._rsk_kernel(n)
     return lines[0]
 
 
@@ -390,71 +356,66 @@ def test_rsk_cap_is_the_largest_size_with_a_short_build():
     assert _rsk_source_lines(_RSK_MAX_N) <= 1_300 < _rsk_source_lines(_RSK_MAX_N + 1)
 
 
+
 # The GT suites call the per-size row functions directly, fetched once
 # per size; the public routes wrap them.
 
 
 def test_row_functions_give_the_public_rows_on_gt():
-    checked = 0
-    for n in range(1, 5):
-        involution, word_route = _involution(n), module._word_route(n)
-        for t in gt_triangles(n, n + 1):
-            image = schutzenberger(t).rows
-            assert involution(t.rows) == image
-            assert word_route(t.rows) == schutzenberger_via_words(t).rows == image
-            checked += 1
-    assert checked == 2_896
+    for t in gt_up_to_4():
+        image = schutzenberger(t).rows
+        assert _involution(t.n)(t.rows) == image
+        assert module._word_route(t.n)(t.rows) == schutzenberger_via_words(t).rows == image
 
 
 def test_word_route_falls_short_exactly_where_the_public_route_raises():
     short = 0
     for _, p in gt_perturbations():
         image = module._word_route(p.n)(p.rows)
-        outcome = _outcome(schutzenberger_via_words, p)
+        got = outcome(schutzenberger_via_words, p)
         if image is None:
-            assert isinstance(outcome, str), p
+            assert isinstance(got, str), p
             short += 1
         else:
-            assert image == outcome
+            assert image == got
     assert short == 4_987
 
 
 @settings(max_examples=40)
 @given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16))
 def test_row_functions_past_the_cap_are_the_loops(t):
-    assert _involution(t.n) is _fold
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_rsk_kernel", _unreachable)
-        image = module._word_route.__wrapped__(t.n)(t.rows)
-    assert image == _composed_word_route(t).rows == _fold(t.rows)
+    for name, (resolver, _, loop, _) in SCHEDULES.items():
+        assert resolver(t.n) is loop, name
+    assert _involution(t.n)(t.rows) == module._word_route(t.n)(t.rows) == _fold(t.rows)
 
 
 @pytest.mark.parametrize("n", range(_RSK_MAX_N + 1, _UNROLL_MAX_N + 1))
 @settings(max_examples=5)
 @given(data=st.data())
 def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
-    """Past `_RSK_MAX_N` the route runs the public stages and reaches no
-    `_rsk_kernel`: the involution on GT rows, and on a perturbation the
-    composed route's rows, or None where it raises."""
+    """Past `_RSK_MAX_N` the route is the staged route, with no
+    `_rsk_kernel` (`kernel` checks it): the involution on GT rows, and
+    on a perturbation the composed route's rows, or None where it
+    raises."""
     t = data.draw(drawn_gt(n_min=n, n_max=n))
-    p = _perturbed(t, data)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_rsk_kernel", _unreachable)
-        route = module._word_route.__wrapped__(n)
-        assert route(t.rows) == _composed_word_route(t).rows == _fold(t.rows)
-        image, want = route(p.rows), _outcome(_composed_word_route, p)
-    assert isinstance(want, str) if image is None else image == want
+    assert not _check_word_route(t)
+    assert kernel("word route", n)(t.rows) == _involution(n)(t.rows)
+    _check_word_route(drawn_perturbation(data, t))
+
+
+def _unreachable(*args):
+    raise AssertionError("a patched-out stage ran")
 
 
 def test_word_route_on_gt_runs_no_composed_stage():
     """On GT input up to the cap `_rsk_kernel` gives the composed
     route's triangle with every public stage patched to fail."""
-    triangles = [t for n in range(1, 5) for t in gt_triangles(n, n + 1)]
-    want = [_composed_word_route(t) for t in triangles]
+    triangles = gt_up_to_4()
+    want = [composed_word_route(t) for t in triangles]
     with pytest.MonkeyPatch.context() as patch:
         # the public stages, which the route runs only on its error path
         for name in ("triangle_to_tableau", "reading_word", "complement_reverse",
-                     "rsk_insertion_tableau", "tableau_to_triangle"):
+                     "rsk_insertion_tableau", "tableau_to_triangle", "_insertion_tableau"):
             patch.setattr(module, name, _unreachable)
         got = [schutzenberger_via_words(t) for t in triangles]
     assert got == want
@@ -540,15 +501,16 @@ class TestAgainstParentConversions:
 
     def test_tableau_rows_of_broken_perturbations(self):
         """Triangles that are not GT still give the parent's rows, all n
-        of them, empty ones included."""
-        broken = 0
+        of them, empty ones included; most of them are not semistandard."""
+        broken = rejected = 0
         for _, p in gt_perturbations():
             if not is_valid_gt(p):
                 tab = triangle_to_tableau(p)
                 assert tab == _triangle_to_tableau_reference(p)
                 assert len(tab.rows) == p.n
                 broken += 1
-        assert broken == 33_974
+                rejected += isinstance(outcome(tableau_to_triangle, tab), str)
+        assert (broken, rejected) == (33_974, 18_739)
 
     def test_rsk_on_every_short_word(self):
         words = 0

@@ -22,7 +22,7 @@ from gogmagog.triangles import (
     validate_gt,
 )
 
-from conftest import gt_perturbations, gt_triangles, tri
+from conftest import gt_perturbations, gt_triangles, gt_up_to_4, tri
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
 GOG5 = tri((1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 4, 5), (2, 4), (3,))
@@ -314,18 +314,15 @@ def test_family_tests_match_cell_reference():
     """`is_gog`, `is_magog` and `is_trapezoid` read rows directly; their
     definitions through ``t[i, j]`` must agree on every GT triangle with
     n <= 4 and entries <= n+1."""
-    for n in range(1, 5):
+    for t in gt_up_to_4():
+        n = t.n
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-        for t in gt_triangles(n, n + 1):
-            gog = all(t[n, j] == j for j in range(1, n + 1)) and all(
-                t[i, j] < t[i, j + 1] for i in range(2, n) for j in range(1, i)
-            )
-            assert is_gog(t) == gog
-            assert is_magog(t) == all(t[i, i] <= i for i in range(1, n + 1))
-            for k in range(1, n + 1):
-                assert is_trapezoid(t, Family.GOG, k) == all(
-                    t[i, j] == j for i, j in cells if i - j >= k
-                )
-                assert is_trapezoid(t, Family.MAGOG, k) == all(
-                    t[i, j] == 1 for i, j in cells if i - j >= k
-                )
+        gog = all(t[n, j] == j for j in range(1, n + 1)) and all(
+            t[i, j] < t[i, j + 1] for i in range(2, n) for j in range(1, i)
+        )
+        assert is_gog(t) == gog
+        assert is_magog(t) == all(t[i, i] <= i for i in range(1, n + 1))
+        for k in range(1, n + 1):
+            pinned = [t[i, j] for i, j in cells if i - j >= k]
+            assert is_trapezoid(t, Family.GOG, k) == (pinned == [j for i, j in cells if i - j >= k])
+            assert is_trapezoid(t, Family.MAGOG, k) == (pinned == [1] * len(pinned))
