@@ -31,7 +31,7 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .enumeration import SUITES, FamilySpec, _n2_trapezoids, generate, generate_asms, verify
+from .enumeration import SUITES, FamilySpec, _n2_trapezoids, count, generate, generate_asms, verify
 from .schutzenberger import is_gogam, schutzenberger
 from .tableaux import Ssyt, format_tableau, triangle_to_tableau
 from .triangles import (
@@ -169,16 +169,21 @@ def _cmd_schutzenberger(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec(args: argparse.Namespace) -> FamilySpec:
+    return FamilySpec(Family(args.kind), args.n, k=args.k, bound=args.bound)
+
+
 def _members(args: argparse.Namespace) -> Iterator[GtTriangle | Asm]:
     if args.kind == "asm":
         if args.k is not None or args.bound is not None:
             raise ValueError("--k and --bound do not apply to --kind asm")
         return generate_asms(args.n)
-    return generate(FamilySpec(Family(args.kind), args.n, k=args.k, bound=args.bound))
+    return generate(_spec(args))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    print(sum(1 for _ in _members(args)))
+    # matrices are counted by enumeration, the route independent of the families
+    print(sum(1 for _ in _members(args)) if args.kind == "asm" else count(_spec(args)))
     return 0
 
 
@@ -213,18 +218,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # each rule named once, not once per path edge
     named = sorted((rule.value, times) for rule, times in rules.items())
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "rules": dict(named),
-                    "bottom_entry": {
-                        str(v): {"count": c, "preserved": p, "row_statistic": r}
-                        for v, (c, p, r) in sorted(per_value.items())
-                    },
-                }
-            )
-        )
+        bottom = {str(v): {"count": c, "preserved": p, "row_statistic": r}
+                  for v, (c, p, r) in sorted(per_value.items())}
+        print(json.dumps({"n": n, "rules": dict(named), "bottom_entry": bottom}))
         return 0
     print(f"({n},2) trapezoids: rule usage")
     for rule, times in named:
@@ -292,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (OSError, ValueError) as exc:  # OSError: a missing or unreadable file
         print(str(exc), file=sys.stderr)
+        return 2
+    except RecursionError:  # the generators and the (n,2) walk recurse once per row or cell
+        print(f"size too large for {args.command}: recursion limit reached", file=sys.stderr)
         return 2
 
 

@@ -1,18 +1,16 @@
 """Exhaustive generators, counters, and the verification harness.
 
-Generation is top-down row backtracking through one recursion,
-`_fill_below`: the top row is chosen first, then each lower row from a
-per-family row function, in lexicographic order.  Raw GT rows are the
-product of their interlacing intervals; Gog and Magog rows take the
-same product with their conditions (pinned trapezoid cells, strict
-rows, the Magog cap) applied per row.  Raw GT triangles come from
-`_gt_fill`, made by `triangles._per_size`: up to `_UNROLL_MAX_N` the
-recursion unrolled into one straight-line generator per size
-(`_gt_fill_kernel`), past it the recursion (`_gt_fill_loop`).
-Triangles are emitted in lexicographic order of their top-down
-reading.  GOGAm families are the involution's images of Magog
-families, sorted one top-row class at a time; a filtering generator
-over bounded triangles exists as the cross-check.
+Each triangle family is described once: `_tops` gives its top rows and
+`_lower_rows` its row function, every row that may sit below a given
+one, both in lexicographic order.  Raw GT rows are the product of their
+interlacing intervals; Gog and Magog rows take the same product with
+their conditions (pinned trapezoid cells, strict rows, the Magog cap)
+applied per row.  `_rows` fills each top row, with `_gt_fill` for raw GT
+and the recursion `_fill_below` otherwise, so triangles come in
+lexicographic order of their top-down reading.  GOGAm families are the
+involution's images of Magog families, sorted one top row at a time; a
+filtering generator over bounded triangles is the cross-check.  `count`
+reads the same two functions, generating nothing.
 
 `verify` runs one of the named property suites up to a given size and
 returns a structured report; every suite is deterministic.  The
@@ -24,14 +22,15 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import (
-    accumulate, chain, combinations, combinations_with_replacement, groupby, product
+    accumulate, chain, combinations, combinations_with_replacement, product
 )
 from math import comb, factorial
-from operator import attrgetter, lt
+from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
@@ -73,6 +72,9 @@ from .triangles import (
     is_trapezoid,
 )
 
+_Row = tuple[int, ...]
+_Rows = tuple[_Row, ...]  # a triangle's top-down rows
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -85,6 +87,8 @@ class FamilySpec:
     bound: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise ValueError(f"unknown family {self.family!r}")
         _check_size(self.n)
         for name, value in (("k", self.k), ("bound", self.bound)):
             if value is not None:
@@ -111,10 +115,7 @@ def asm_number(n: int) -> int:
     return value.numerator
 
 
-def _fill_below(
-    rows: tuple[tuple[int, ...], ...],
-    lower_rows: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _fill_below(rows: _Rows, lower_rows: Callable[[_Row], Iterable[_Row]]) -> Iterator[_Rows]:
     """The top-down rows of every triangle whose top rows are ``rows``,
     each lower row drawn from ``lower_rows(above)`` in the order it
     gives; lexicographic row functions give lexicographic triangles.  A
@@ -128,12 +129,12 @@ def _fill_below(
         yield from _fill_below((*rows, row), lower_rows)
 
 
-def _gt_rows(above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+def _gt_rows(above: _Row) -> Iterable[_Row]:
     """The product of the interlacing intervals [above[j], above[j+1]]."""
     return product(*map(range, above, [x + 1 for x in above[1:]]))
 
 
-def _gog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+def _gog_rows(k: int | None, above: _Row) -> Iterable[_Row]:
     """`_gt_rows` with each cell (i, j), i - j >= k, pinned to j,
     filtered for strictly increasing rows."""
     i = len(above) - 1
@@ -144,7 +145,7 @@ def _gog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ...]
     return (row for row in product(*ranges) if all(map(lt, row, row[1:])))
 
 
-def _magog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+def _magog_rows(k: int | None, above: _Row) -> Iterable[_Row]:
     """`_gt_rows` with cell (i, j) capped at j, as x[i,j] <= x[j,j] <= j
     by interlacing, or pinned to 1 where i - j >= k."""
     i = len(above) - 1
@@ -152,9 +153,7 @@ def _magog_rows(k: int | None, above: tuple[int, ...]) -> Iterable[tuple[int, ..
     return product(*map(range, above, [min(x, cap) + 1 for x, cap in zip(above[1:], caps)]))
 
 
-def _gt_fill_kernel(
-    n: int,
-) -> Callable[[tuple[int, ...]], Iterator[tuple[tuple[int, ...], ...]]]:
+def _gt_fill_kernel(n: int) -> Callable[[_Row], Iterator[_Rows]]:
     """``_fill_below((top,), _gt_rows)`` for a top row of size n as one
     straight-line generator: one ``for`` per lower row over the product
     of its interlacing intervals, the row unpacked into the locals the
@@ -176,7 +175,7 @@ def _gt_fill_kernel(
     return _straight_line(n, top, body, "raw gt", product=product)
 
 
-def _gt_fill_loop(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _gt_fill_loop(top: _Row) -> Iterator[_Rows]:
     """`_gt_fill_kernel` for a top row of any size: the row recursion."""
     return _fill_below((top,), _gt_rows)
 
@@ -185,42 +184,46 @@ def _gt_fill_loop(top: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]
 _gt_fill = _per_size(_gt_fill_kernel, _gt_fill_loop)
 
 
-def _raw_gt(n: int, bound: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The top-down rows of every GT triangle of size n with entries at
-    most ``bound``, in lexicographic order: each weakly increasing top
-    row, filled below by `_gt_fill` of the size."""
-    tops = combinations_with_replacement(range(1, bound + 1), n)
-    return chain.from_iterable(map(_gt_fill(n), tops))
+def _tops(spec: FamilySpec) -> Iterator[_Row]:
+    """The family's top rows in lexicographic order: weakly increasing over
+    1..bound (GT), 1..n itself (Gog), or weakly increasing over 1..n with cells
+    (n, j), j <= n - k, pinned to 1 (Magog; GOGAm too, as the involution keeps it)."""
+    n, k = spec.n, spec.k
+    if spec.family is Family.GT:
+        assert spec.bound is not None
+        return combinations_with_replacement(range(1, spec.bound + 1), n)
+    if spec.family is Family.GOG:
+        return iter((tuple(range(1, n + 1)),))
+    free = n if k is None else k
+    return ((1,) * (n - free) + tail for tail in combinations_with_replacement(range(1, n + 1), free))
 
 
-def _generate_gt(n: int, bound: int) -> Iterator[GtTriangle]:
-    return map(GtTriangle._trusted, _raw_gt(n, bound))
+def _lower_rows(spec: FamilySpec) -> Callable[[_Row], Iterable[_Row]]:
+    """The family's row function (Magog's for a GOGAm family)."""
+    if spec.family is Family.GT:
+        return _gt_rows
+    return partial(_gog_rows if spec.family is Family.GOG else _magog_rows, spec.k)
 
 
-def _generate_gog(n: int, k: int | None) -> Iterator[GtTriangle]:
-    top = tuple(range(1, n + 1))
-    return map(GtTriangle._trusted, _fill_below((top,), partial(_gog_rows, k)))
+def _rows(spec: FamilySpec) -> Iterator[_Rows]:
+    """The top-down rows of every member of the family, in lexicographic
+    order: each top row of `_tops` filled by `_gt_fill` of the size (GT)
+    or by `_fill_below` over `_lower_rows`.
 
-
-def _generate_magog(n: int, k: int | None) -> Iterator[GtTriangle]:
-    lower_rows = partial(_magog_rows, k)
-    free = n if k is None else k  # top cells (n, j) with j <= n - k are pinned to 1
-    for tail in combinations_with_replacement(range(1, n + 1), free):
-        yield from map(GtTriangle._trusted, _fill_below(((1,) * (n - free) + tail,), lower_rows))
-
-
-def _generate_gogam(n: int, k: int | None) -> Iterator[GtTriangle]:
-    """The involution's images of the Magog family, in lexicographic
-    order, holding one top-row class at a time.
-
-    Magog triangles come in lexicographic order, so grouped by top row.
-    Every Bender-Knuth reflection acts on a row below the top, so the
-    involution keeps the top row, and the lexicographic order compares
-    the top row first: sorting each class's images gives the sorted
-    stream of all of them.
+    A GOGAm family is the involution's image of the Magog family.  Every
+    Bender-Knuth reflection acts on a row below the top, so the images
+    of one top row's Magog triangles keep that top row, and sorting
+    them one top row at a time gives the sorted stream of all of them.
     """
-    for _, magogs in groupby(_generate_magog(n, k), key=lambda t: t.rows[0]):
-        yield from sorted(map(schutzenberger, magogs), key=attrgetter("rows"))
+    n, tops = spec.n, _tops(spec)
+    if spec.family is Family.GT:
+        return chain.from_iterable(map(_gt_fill(n), tops))
+    lower_rows = _lower_rows(spec)
+    fills = (_fill_below((top,), lower_rows) for top in tops)
+    if spec.family is Family.GOGAM:
+        involution = _involution(n)
+        fills = (sorted(map(involution, fill)) for fill in fills)
+    return chain.from_iterable(fills)
 
 
 def _generate_gogam_by_filter(n: int, k: int | None) -> Iterator[GtTriangle]:
@@ -229,7 +232,7 @@ def _generate_gogam_by_filter(n: int, k: int | None) -> Iterator[GtTriangle]:
     Complete because a GOGAm triangle has corner at most n and the
     corner dominates every entry.
     """
-    for t in _generate_gt(n, n):
+    for t in generate(FamilySpec(Family.GT, n, bound=n)):
         if k is not None and not is_trapezoid(t, Family.GOGAM, k):
             continue
         if is_gogam(t):
@@ -238,16 +241,7 @@ def _generate_gogam_by_filter(n: int, k: int | None) -> Iterator[GtTriangle]:
 
 def generate(spec: FamilySpec) -> Iterator[GtTriangle]:
     """Stream every member of the family exactly once, deterministically."""
-    if spec.family is Family.GT:
-        assert spec.bound is not None
-        return _generate_gt(spec.n, spec.bound)
-    if spec.family is Family.GOG:
-        return _generate_gog(spec.n, spec.k)
-    if spec.family is Family.MAGOG:
-        return _generate_magog(spec.n, spec.k)
-    if spec.family is Family.GOGAM:
-        return _generate_gogam(spec.n, spec.k)
-    raise ValueError(f"unknown family {spec.family}")
+    return map(GtTriangle._trusted, _rows(spec))
 
 
 def generate_asms(n: int) -> Iterator[Asm]:
@@ -292,7 +286,17 @@ def _place_asm(
 
 
 def count(spec: FamilySpec) -> int:
-    return sum(1 for _ in generate(spec))
+    """How many members the family has, generating none: the number of ways
+    to reach each row, carried down from `_tops` one `_lower_rows` level at a time."""
+    lower_rows = _lower_rows(spec)
+    ways = Counter(_tops(spec))
+    for _ in range(spec.n - 1):
+        below: Counter[_Row] = Counter()
+        for above, w in ways.items():
+            for row in lower_rows(above):
+                below[row] += w
+        ways = below
+    return sum(ways.values())
 
 
 def _count_n2(family: Family, n: int) -> int:
@@ -370,9 +374,8 @@ class Report:
         ]
         for f in self.failures:
             lines.append(f"  FAIL {f}")
-        if self.histogram:
-            for key in sorted(self.histogram):
-                lines.append(f"  {key}: {self.histogram[key]}")
+        for key in sorted(self.histogram):
+            lines.append(f"  {key}: {self.histogram[key]}")
         return "\n".join(lines)
 
 
@@ -381,14 +384,11 @@ def _fail_payload(t: GtTriangle) -> str:
 
 
 def _suite_counts(n: int, report: Report) -> None:
-    spec_counts = (
-        count(FamilySpec(Family.GOG, n)),
-        count(FamilySpec(Family.MAGOG, n)),
-        sum(1 for _ in generate_asms(n)),
-    )
+    streams = generate(FamilySpec(Family.GOG, n)), generate(FamilySpec(Family.MAGOG, n))
     want = asm_number(n)
     report.checks += 3
-    for label, got in zip(("gog", "magog", "asm"), spec_counts):
+    for label, stream in zip(("gog", "magog", "asm"), (*streams, generate_asms(n))):
+        got = sum(1 for _ in stream)
         report.histogram[f"{label}-{n}"] = got
         if got != want:
             report.failures.append(f"n={n}: {label} count {got} != {want}")
@@ -407,7 +407,7 @@ def _suite_counts(n: int, report: Report) -> None:
 
 def _suite_involution(n: int, report: Report) -> None:
     involution = _involution(n)
-    for rows in _raw_gt(n, n + 1):
+    for rows in _rows(FamilySpec(Family.GT, n, bound=n + 1)):
         report.checks += 1
         image = involution(rows)
         if involution(image) != rows:
@@ -423,7 +423,7 @@ def _suite_oracle(n: int, report: Report) -> None:
     """Bender-Knuth route against the word route, on bare rows; a word
     route that falls short (None) is a disagreement like any other."""
     involution, word_route = _involution(n), _word_route(n)
-    for rows in _raw_gt(n, n + 1):
+    for rows in _rows(FamilySpec(Family.GT, n, bound=n + 1)):
         report.checks += 1
         if involution(rows) != word_route(rows):
             payload = _fail_payload(GtTriangle._trusted(rows))
@@ -451,8 +451,7 @@ def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:
 
 
 def _suite_lemma1(n: int, report: Report) -> None:
-    bound = n + 1
-    for t in _generate_gt(n, bound):
+    for t in generate(FamilySpec(Family.GT, n, bound=n + 1)):
         report.checks += 1
         diag = schutzenberger_diagonal(t)
         brute = _brute_diagonal(t)

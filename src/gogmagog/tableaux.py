@@ -296,9 +296,11 @@ def _rsk_kernel(
 
 def _insertion_tableau(t: GtTriangle) -> Ssyt:
     """The word route's public stages, one after another: the insertion
-    tableau of the complement-reversed reading word of t's tableau."""
+    tableau of the complement-reversed reading word of t's tableau, its
+    letters checked once, by `complement_reverse`, and kept in 1..n."""
     n = len(t.rows)
-    return rsk_insertion_tableau(complement_reverse(reading_word(triangle_to_tableau(t)), n), n)
+    word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
+    return Ssyt._trusted(tuple(map(tuple, _insert(word))), n)
 
 
 def _staged_route(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:

@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from gogmagog import enumeration, tableaux
-from gogmagog.triangles import GtTriangle, _gt_kernel, _gt_loop, _gt_test, is_valid_gt
+from gogmagog.triangles import Family, GtTriangle, _gt_kernel, _gt_loop, _gt_test, is_valid_gt
 
 # the package re-exports the function under the module's name
 _involutions = importlib.import_module("gogmagog.schutzenberger")
@@ -30,9 +30,7 @@ def tri(*rows_top_down):
 
 def gt_triangles(n, bound):
     """Every Gelfand-Tsetlin triangle of the given size and entry bound."""
-    from gogmagog.enumeration import _generate_gt
-
-    yield from _generate_gt(n, bound)
+    return enumeration.generate(enumeration.FamilySpec(Family.GT, n, bound=bound))
 
 
 def descend(top, n, cell_ok):

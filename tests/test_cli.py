@@ -31,6 +31,34 @@ def test_count_asm(capsys):
     assert code == 0 and out.strip() == "42"
 
 
+def test_count_of_a_deep_family_recurses_nowhere(capsys):
+    # the one GT triangle of size 1100 with entries <= 1
+    code, out, err = run(capsys, "count", "--kind", "gt", "--n", "1100", "--bound", "1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+def test_count_magog_8_counts_without_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "_fill_below", None)
+    code, out, _ = run(capsys, "count", "--kind", "magog", "--n", "8")
+    assert code == 0 and out == "10850216\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--kind", "gog", "--n", "1100"),
+        ("stats", "--n", "1100"),
+        ("count", "--kind", "asm", "--n", "40"),
+    ],
+    ids=["enumerate-gog", "stats", "count-asm"],
+)
+def test_size_past_the_recursion_limit_is_a_usage_error(capsys, argv):
+    # one stderr line, no traceback, nothing on stdout
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"size too large for {argv[0]}: recursion limit reached\n"
+
+
 def test_validate_gog_ok(capsys):
     code, _, err = run(capsys, "validate", "--kind", "gog", str(FIXTURES / "gog_52.txt"))
     assert code == 0 and err == ""

@@ -27,9 +27,8 @@ from gogmagog.enumeration import (
     _count_n2,
     _fail_payload,
     _generate_gogam_by_filter,
-    _generate_gt,
     _gt_fill_loop,
-    _raw_gt,
+    _rows,
     _walk_n2,
     asm_number,
     count,
@@ -99,9 +98,10 @@ def test_generate_gt_requires_bound():
         (Family.GOG, 3, {"bound": 9}),
         (Family.MAGOG, 3, {"bound": 3}),
         (Family.GOGAM, 3, {"bound": 3}),
+        ("gog", 3, {}),
     ],
     ids=["bool-n", "float-n", "float-k", "bool-k", "float-bound", "bool-bound",
-         "gog-bound", "magog-bound", "gogam-bound"],
+         "gog-bound", "magog-bound", "gogam-bound", "family-name"],
 )
 def test_family_spec_rejects_ignored_or_non_integer_arguments(family, n, extra):
     with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ def test_gt_fill_kernel_equals_the_row_recursion(n):
         tops = list(combinations_with_replacement(range(1, bound + 1), n))
         for top in tops:
             assert list(fill(top)) == list(_gt_fill_loop(top)), top
-        assert [t.rows for t in _generate_gt(n, bound)] == list(
+        assert list(_rows(FamilySpec(Family.GT, n, bound=bound))) == list(
             chain.from_iterable(map(_gt_fill_loop, tops))
         )
 
@@ -212,7 +212,7 @@ def _check_gt_streams(n):
         return (t.rows for t in descend(top, n, lambda *cell: True))
 
     for bound, count, want_len in ((2, None, 2**n), (n + 1, 2_000, 2_000)):
-        want = list(islice(_raw_gt(n, bound), count))
+        want = list(islice(_rows(FamilySpec(Family.GT, n, bound=bound)), count))
         assert len(want) == want_len, bound
         for fill in (kernel("gt fill", n), _gt_fill_loop, cells):
             tops = combinations_with_replacement(range(1, bound + 1), n)
@@ -229,10 +229,10 @@ def test_gt_generation_past_the_cap_is_the_row_recursion():
     _check_gt_streams(_UNROLL_MAX_N + 1)
 
 
-def test_trapezoid_counts_agree_across_widths():
+def _check_trapezoid_counts(sizes):
     # the (n,k) trapezoid theorem (Mills-Robbins-Rumsey 1986, proved by
     # Zeilberger 1996), at every width
-    for n in range(1, 7):
+    for n in sizes:
         for k in range(1, n + 1):
             gog, magog, gogam = (
                 count(FamilySpec(family, n, k=k))
@@ -243,6 +243,40 @@ def test_trapezoid_counts_agree_across_widths():
                 assert gog == asm_number(n)
             if k == 2:
                 assert gog == _count_n2(Family.GOG, n)
+
+
+def test_trapezoid_counts_agree_across_widths():
+    _check_trapezoid_counts(range(1, 10))
+
+
+@pytest.mark.slow
+def test_trapezoid_counts_agree_across_widths_n10():
+    _check_trapezoid_counts([10])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_equals_enumeration(n):
+    # every width of each family, and raw GT at bounds n and n+1 up to 5
+    specs = [FamilySpec(family, n, k=k)
+             for family in (Family.GOG, Family.MAGOG, Family.GOGAM)
+             for k in (None, *range(1, n + 1))]
+    if n <= 5:
+        specs += [FamilySpec(Family.GT, n, bound=bound) for bound in (n, n + 1)]
+    for spec in specs:
+        assert count(spec) == sum(1 for _ in generate(spec)), spec
+
+
+def test_count_generates_nothing(monkeypatch):
+    """`count` reads the tops and the row function alone: no generator runs."""
+
+    def unreachable(*args):
+        raise AssertionError("count must not enumerate")
+
+    for name in ("generate", "_rows", "_fill_below"):
+        monkeypatch.setattr(enumeration, name, unreachable)
+    assert count(FamilySpec(Family.MAGOG, 7)) == count(FamilySpec(Family.GOGAM, 7)) == 218_348
+    assert count(FamilySpec(Family.GOG, 7, k=2)) == 12_935
+    assert count(FamilySpec(Family.GT, 6, bound=7)) == 18_076_916
 
 
 def _gogam_pass_peak(n):

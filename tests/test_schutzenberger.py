@@ -73,13 +73,11 @@ class TestInvolution:
                 assert s[n, n] == t[n, n]
 
     def test_matches_word_oracle(self):
-        for t in gt_triangles(3, 5):
-            assert schutzenberger(t) == schutzenberger_via_words(t)
+        assert _check_slice(gt_triangles(3, 5), words=True) == (294, 7)
 
     def test_matches_word_oracle_random(self, rng):
-        for _ in range(100):
-            t = random_gt(rng, 5, 7)
-            assert schutzenberger(t) == schutzenberger_via_words(t)
+        triangles = [random_gt(rng, 5, 7) for _ in range(100)]
+        assert _check_slice(triangles, words=True)[0] == 100
 
 
 class TestDiagonalFormula:
@@ -91,11 +89,9 @@ class TestDiagonalFormula:
         assert schutzenberger_diagonal(flat) == (2, 2, 2)
 
     def test_matches_image_diagonal(self):
-        for n, bound in ((2, 4), (3, 5), (4, 5)):
-            for t in gt_triangles(n, bound):
-                s = schutzenberger(t)
-                got = schutzenberger_diagonal(t)
-                assert got == tuple(s[k, k] for k in range(1, n + 1))
+        # sizes 3 and 4 of this set are `test_matches_word_oracle`'s and
+        # `TestUnrolledKernel::test_matches_the_fold_on_gt`'s slices
+        assert _check_slice(gt_triangles(2, 4)) == (20, 2)
 
 
 class TestGogam:
@@ -109,9 +105,12 @@ class TestGogam:
         assert not is_gogam(tri((1, 3), (2,)))
 
     def test_agrees_with_involution_image(self):
-        for n, bound in ((2, 4), (3, 5), (4, 5)):
-            for t in gt_triangles(n, bound):
-                assert is_gogam(t) == is_magog(schutzenberger(t))
+        # `_check_rows` compares `is_gogam` with the image's Magog test on
+        # each of these triangles (in `_check_slice` or on
+        # `gt_up_to_4`); here the members are counted: all the GOGAm
+        # triangles of each size, as the corner bounds every entry
+        sizes = ((2, 4), (3, 5), (4, 5))
+        assert [sum(map(is_gogam, gt_triangles(n, bound))) for n, bound in sizes] == [2, 7, 42]
 
 
 def _diagonal_reference(t):
@@ -282,6 +281,21 @@ def _check_rows(t):
     return gt, gogam
 
 
+def _check_slice(triangles, words=False):
+    """`_check_rows` on a slice of GT triangles and, with ``words``, the
+    word route against the involution; returns (triangles, GOGAm
+    members)."""
+    seen = members = 0
+    for t in triangles:
+        gt, gogam = _check_rows(t)
+        assert gt
+        if words:
+            assert schutzenberger_via_words(t) == schutzenberger(t)
+        seen += 1
+        members += gogam
+    return seen, members
+
+
 def _check_drawn(t, data):
     """`_check_rows` on a drawn GT triangle, a +-1 perturbation of it and,
     from n = 2 on, a lower-row entry raised over its upper bound."""
@@ -335,8 +349,4 @@ def test_row_indices_must_be_integers(call, index):
 @settings(max_examples=200)
 @given(drawn_gt())
 def test_involution_properties_on_drawn_triangles(t):
-    s = schutzenberger(t)
-    assert s == schutzenberger_via_words(t)
-    assert schutzenberger(s) == t
-    assert schutzenberger_diagonal(t) == tuple(s[k, k] for k in range(1, t.n + 1))
-    assert is_gogam(t) == is_magog(s)
+    _check_slice([t], words=True)

@@ -403,6 +403,24 @@ def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
     _check_word_route(drawn_perturbation(data, t))
 
 
+def test_staged_route_checks_its_word_once(monkeypatch):
+    # `complement_reverse` checks the letters; the insertion of its
+    # complement, whose letters stay in 1..n, checks nothing again
+    calls = Counter()
+    real = module._check_word
+
+    def counted(word, n):
+        calls["check"] += 1
+        return real(word, n)
+
+    monkeypatch.setattr(module, "_check_word", counted)
+    for t in gt_up_to_4():
+        before = calls["check"]
+        module._staged_route(t.rows)
+        assert calls["check"] == before + 1, t
+    assert calls["check"] == 2_896
+
+
 def _unreachable(*args):
     raise AssertionError("a patched-out stage ran")
 
