@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import (
-    accumulate, chain, combinations, combinations_with_replacement, product
+    accumulate, chain, combinations, combinations_with_replacement, product, repeat
 )
 from math import comb, factorial
 from operator import lt
@@ -287,16 +287,17 @@ def _place_asm(
 
 def count(spec: FamilySpec) -> int:
     """How many members the family has, generating none: the number of ways
-    to reach each row, carried down from `_tops` one `_lower_rows` level at a time."""
+    to reach each row, carried down from `_tops` one `_lower_rows` level at a time.
+    The top rows stream in, one way each, so only the levels below are stored."""
     lower_rows = _lower_rows(spec)
-    ways = Counter(_tops(spec))
+    ways: Iterable[tuple[_Row, int]] = zip(_tops(spec), repeat(1))
     for _ in range(spec.n - 1):
         below: Counter[_Row] = Counter()
-        for above, w in ways.items():
+        for above, w in ways:
             for row in lower_rows(above):
                 below[row] += w
-        ways = below
-    return sum(ways.values())
+        ways = below.items()
+    return sum(w for _, w in ways)
 
 
 def _count_n2(family: Family, n: int) -> int:

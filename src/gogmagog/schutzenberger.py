@@ -28,7 +28,7 @@ resolves it once.
 from __future__ import annotations
 
 from operator import le
-from typing import Callable, Iterator
+from typing import Callable
 
 from .triangles import GtTriangle, _check_int, _gt_test, _per_size, _row_tuples, _straight_line
 
@@ -124,37 +124,9 @@ def schutzenberger(t: GtTriangle) -> GtTriangle:
     return GtTriangle._trusted(_involution(len(rows))(rows))
 
 
-def _chain_optima(rows: tuple[tuple[int, ...], ...]) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(k, f)`` for k = n-1 down to 1, where ``f[c-1]`` is the
-    best sum over chains of m = n-k steps whose last column is c, for
-    c = 1..k (see `schutzenberger_diagonal`).
-
-    Step m at column c weighs x[c+m, c] - x[c+m-1, c]; a chain reaches
-    column c at step m from any column in (c, k+1] at step m-1, so each
-    step takes a running suffix maximum of the previous ``f``.
-    """
-    n = len(rows)
-    if n == 1:
-        return
-    # m = 1: the chain starts at column n, any column c < n follows
-    f = [rows[n - c - 1][c - 1] - rows[n - c][c - 1] for c in range(1, n)]
-    yield n - 1, f
-    for k in range(n - 2, 0, -1):
-        g = [0] * k
-        best = f[k]
-        for c in range(k, 0, -1):
-            x = f[c]
-            if x > best:
-                best = x
-            # row index k - c holds row c + m, with m = n - k
-            g[c - 1] = best + rows[k - c][c - 1] - rows[k - c + 1][c - 1]
-        f = g
-        yield k, f
-
-
 def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
     """`schutzenberger_diagonal` on top-down rows of size n as one
-    straight-line function: `_chain_optima` unrolled, ``f{k}_{c}``
+    straight-line function: `_diagonal_loop` unrolled, ``f{k}_{c}``
     holding its ``f[c]`` for k and ``s`` the running suffix maximum.
 
     The maximum of one step's ``f`` is never computed apart: it is the
@@ -181,11 +153,28 @@ def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[in
 
 
 def _diagonal_loop(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """`schutzenberger_diagonal` on top-down ``rows`` of any size: the
-    corner plus the maximum of each `_chain_optima` step."""
+    """`schutzenberger_diagonal` on top-down ``rows`` of any size: entry
+    k-1 is the corner plus the maximum of ``f``, where for k = n-1 down
+    to 1 ``f[c-1]`` is the best sum over chains of m = n-k steps whose
+    last column is c, for c = 1..k.
+
+    Step m at column c weighs x[c+m, c] - x[c+m-1, c]; a chain reaches
+    column c at step m from any column in (c, k+1] at step m-1, so each
+    step takes a running suffix maximum of the previous ``f``.
+    """
+    n = len(rows)
     corner = rows[0][-1]
-    values = [corner] * len(rows)
-    for k, f in _chain_optima(rows):
+    values = [corner] * n
+    # step 0, the empty chain at column n: step 1 may go to any c < n
+    f = [0] * n
+    for k in range(n - 1, 0, -1):
+        g = [0] * k
+        best = f[k]
+        for c in range(k, 0, -1):
+            best = max(best, f[c])
+            # row index k - c holds row c + m, with m = n - k
+            g[c - 1] = best + rows[k - c][c - 1] - rows[k - c + 1][c - 1]
+        f = g
         values[k - 1] = corner + max(f)
     return tuple(values)
 

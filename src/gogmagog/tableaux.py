@@ -12,7 +12,8 @@ composition of row reflections is checked.  The public stages
 (`triangle_to_tableau`, `reading_word`, `complement_reverse`,
 `rsk_insertion_tableau`, `tableau_to_triangle`) compute the word and
 the tableau step by step, each checking its input; the RSK loop
-`_insert` and the letter count `_count_letters` back them.
+`_insert` and the letter count `_count_letters` back them.  Every
+tableau they build goes through the checked constructor `Ssyt(...)`.
 
 The route on bare top-down rows, `_word_route`, is the resolver
 `triangles._per_size` makes for it: up to `triangles._RSK_MAX_N` one
@@ -32,7 +33,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from operator import le, lt
 from typing import Callable
 
 from .triangles import (
@@ -58,19 +58,6 @@ class Ssyt:
     def __post_init__(self) -> None:
         _check_size(self.n, "alphabet size")
         object.__setattr__(self, "rows", _int_rows(self.rows))
-
-    @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...], n: int) -> "Ssyt":
-        """Wrap rows the library built itself: a tuple of int tuples.
-        No coercion, no checks."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "rows", rows)
-        object.__setattr__(s, "n", n)
-        return s
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
 
 
 def validate_ssyt(s: Ssyt) -> list[str]:
@@ -110,23 +97,8 @@ def triangle_to_tableau(t: GtTriangle) -> Ssyt:
             length = rows[n - i][i - r - 1]
             row += [i] * (length - have)
             have = length
-        out.append(tuple(row))
-    return Ssyt._trusted(tuple(out), n)
-
-
-def _is_ssyt_rows(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """Whether French-convention ``rows`` form a semistandard tableau on
-    1..n with no empty row; stops at the first broken condition."""
-    below: tuple[int, ...] | None = None
-    for row in rows:
-        # non-empty, letters in 1..n, weakly increasing
-        if not row or row[0] < 1 or row[-1] > n or not all(map(le, row, row[1:])):
-            return False
-        # no longer than the row below, columns strict
-        if below is not None and (len(row) > len(below) or not all(map(lt, below, row))):
-            return False
-        below = row
-    return True
+        out.append(row)
+    return Ssyt(out, n)
 
 
 def tableau_to_triangle(s: Ssyt) -> GtTriangle:
@@ -134,14 +106,12 @@ def tableau_to_triangle(s: Ssyt) -> GtTriangle:
 
     The tableau must be semistandard on 1..``s.n`` with exactly n rows,
     none empty (fewer rows would give zero entries); otherwise
-    `ValueError` says why.  Entry x[i, i-r] is the number of letters
-    <= i in tableau row r.
+    `ValueError` gives `_tableau_problem`'s reason.  Entry x[i, i-r] is
+    the number of letters <= i in tableau row r.
     """
-    n = s.n
-    rows = s.rows
-    if len(rows) != n or not _is_ssyt_rows(rows, n):
-        raise ValueError(_tableau_problem(s))
-    return GtTriangle._trusted(_count_letters(rows, n))
+    if problem := _tableau_problem(s):
+        raise ValueError(problem)
+    return GtTriangle._trusted(_count_letters(s.rows, s.n))
 
 
 def _count_letters(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -154,10 +124,11 @@ def _count_letters(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ..
     )
 
 
-def _tableau_problem(s: Ssyt) -> str:
-    """Why `tableau_to_triangle` rejects ``s``: the alphabet bound first,
-    then a letter <= i above row i (largest i first), then everything
-    `validate_ssyt` and the empty-row check report, then too few rows."""
+def _tableau_problem(s: Ssyt) -> str | None:
+    """Why `tableau_to_triangle` rejects ``s``, or None when it takes it:
+    the alphabet bound first, then a letter <= i above row i (largest i
+    first), then everything `validate_ssyt` and the empty-row check
+    report, then a row count other than n."""
     n = s.n
     if any(x > n for row in s.rows for x in row):
         return f"tableau letters exceed the alphabet bound {n}"
@@ -166,9 +137,11 @@ def _tableau_problem(s: Ssyt) -> str:
             return f"letter <= {i} appears above tableau row {i}"
     bad = validate_ssyt(s)
     bad += [f"row {r} is empty" for r, row in enumerate(s.rows, start=1) if not row]
-    if not bad:
+    if bad:
+        return "tableau is not semistandard: " + "; ".join(bad)
+    if len(s.rows) != n:
         return f"tableau has {len(s.rows)} rows, needs {n}"
-    return "tableau is not semistandard: " + "; ".join(bad)
+    return None
 
 
 def reading_word(s: Ssyt) -> Word:
@@ -204,7 +177,7 @@ def rsk_insertion_tableau(word: Word, n: int) -> Ssyt:
     longest nondecreasing subsequence of the word.
     """
     _check_word(word, n)
-    return Ssyt._trusted(tuple(map(tuple, _insert(word))), n)
+    return Ssyt(_insert(word), n)
 
 
 def _insert(word: Sequence[int]) -> list[list[int]]:
@@ -296,11 +269,12 @@ def _rsk_kernel(
 
 def _insertion_tableau(t: GtTriangle) -> Ssyt:
     """The word route's public stages, one after another: the insertion
-    tableau of the complement-reversed reading word of t's tableau, its
-    letters checked once, by `complement_reverse`, and kept in 1..n."""
+    tableau of the complement-reversed reading word of t's tableau.  The
+    letters are checked once, by `complement_reverse`, and insertion
+    keeps them in 1..n, so `_insert` runs without a second check."""
     n = len(t.rows)
     word = complement_reverse(reading_word(triangle_to_tableau(t)), n)
-    return Ssyt._trusted(tuple(map(tuple, _insert(word))), n)
+    return Ssyt(_insert(word), n)
 
 
 def _staged_route(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...] | None:

@@ -86,18 +86,12 @@ def test_convert_worked_example(capsys):
     assert out == (FIXTURES / "gogam_52.txt").read_text()
 
 
-def test_convert_round_trip_is_byte_identical(capsys, tmp_path):
-    code, out, _ = run(
-        capsys,
-        "convert", "--from", "gog", "--to", "gogam", "--trapezoid", "2",
-        str(FIXTURES / "gog_52.txt"),
-    )
-    assert code == 0
-    middle = tmp_path / "middle.txt"
-    middle.write_text(out)
+def test_convert_round_trip_is_byte_identical(capsys):
+    # `test_convert_worked_example` takes gog_52.txt to gogam_52.txt
     code, back, _ = run(
         capsys,
-        "convert", "--from", "gogam", "--to", "gog", "--trapezoid", "2", str(middle)
+        "convert", "--from", "gogam", "--to", "gog", "--trapezoid", "2",
+        str(FIXTURES / "gogam_52.txt"),
     )
     assert code == 0
     assert back == (FIXTURES / "gog_52.txt").read_text()

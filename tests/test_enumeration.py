@@ -279,16 +279,27 @@ def test_count_generates_nothing(monkeypatch):
     assert count(FamilySpec(Family.GT, 6, bound=7)) == 18_076_916
 
 
+def _peak(call):
+    """``call()`` and its `tracemalloc` peak, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_streams_the_top_rows():
+    # only the levels below the top are stored: 1.2 MiB if the 6,435 top
+    # rows are, about 0.1-0.3 MiB if not
+    members, peak = _peak(lambda: count(FamilySpec(Family.MAGOG, 8)))
+    assert members == 10_850_216 and peak < 0.4 * 2**20
+
+
 def _gogam_pass_peak(n):
     """Members and `tracemalloc` peak, in bytes, of one full GOGAm pass."""
     # build the size-n involution kernel before tracing
     schutzenberger(next(generate(FamilySpec(Family.MAGOG, n))))
-    tracemalloc.start()
-    try:
-        members = sum(1 for _ in generate(FamilySpec(Family.GOGAM, n)))
-        return members, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _peak(lambda: sum(1 for _ in generate(FamilySpec(Family.GOGAM, n))))
 
 
 def test_gogam_stream_holds_one_top_row_class():

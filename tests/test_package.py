@@ -1,11 +1,13 @@
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import gogmagog
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gogmagog"
+BENCH = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
 
 
 def _definitions(tree):
@@ -64,12 +66,30 @@ def test_every_exported_name_is_used():
     del trees["__init__.py"]
     mentions = {node: set(_mentions(node)) for tree in trees.values() for node in tree.body}
     definitions = {name: node for tree in trees.values() for name, node in _definitions(tree)}
-    bench = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
     unused = [
         name
         for name in gogmagog.__all__
         if not _mentioned_elsewhere(name, definitions.get(name), mentions)
-        and not re.search(rf"\b{name}\b", bench)
+        and not re.search(rf"\b{name}\b", BENCH)
+    ]
+    assert unused == []
+
+
+def test_every_class_member_is_used():
+    # a method or property that neither code in src/ reads as an attribute
+    # (outside its own definition) nor bench/ names is dead: delete it
+    def reads(node):
+        return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+    trees = _package_trees().values()
+    everywhere = sum(map(reads, trees), Counter())
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    unused = [
+        f"{cls.name}.{member.name}"
+        for cls in classes for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not re.fullmatch(r"__\w+__", member.name)
+        and everywhere[member.name] == reads(member)[member.name]
+        and not re.search(rf"\b{member.name}\b", BENCH)
     ]
     assert unused == []
 

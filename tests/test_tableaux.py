@@ -1,6 +1,7 @@
 import re
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
+from functools import cache
 from itertools import product
 
 import pytest
@@ -148,9 +149,6 @@ class TestSsytEntries:
     def test_constructor_accepts_int_lists(self):
         assert Ssyt([[1, 1, 2], [2]], 2).rows == ((1, 1, 2), (2,))
 
-    def test_trusted_equals_checked(self):
-        assert Ssyt._trusted(TABLEAU5.rows, 5) == TABLEAU5
-
 
 class TestAlphabetSize:
     # each bad size with the whole message it must raise
@@ -276,32 +274,43 @@ class TestWordOracle:
             assert schutzenberger_via_words(schutzenberger_via_words(t)) == t
 
 
-def test_word_route_off_gt_matches_the_composed_route():
-    """On triangles that are not GT the route gives the composed public
-    stages' rows, or raises their error with the same text."""
-    cases = [*broken_perturbations(), tri((0,)), tri((-2, 0), (1,))]
-    raised = Counter()
-    for p in cases:
-        want = outcome(composed_word_route, p)
-        assert outcome(schutzenberger_via_words, p) == want
-        if isinstance(want, str):
-            raised[re.sub(r"\d+", "k", want)] += 1
-    assert raised == {"ValueError: tableau has k rows, needs k": 4_989}
+# outcomes: top-down rows, None where a route falls short, or its error's text
+Routes = namedtuple("Routes", "kernel resolved staged public composed ran_stage")
 
 
-def _check_word_route(t):
-    """Whether the word route falls short on ``t``, once its function of
-    the size gives the staged route's result, and that result is the
-    composed public stages' rows, or None exactly where they raise for a
-    short tableau."""
-    image = module._staged_route(t.rows)
-    assert kernel("word route", t.n)(t.rows) == image
-    want = outcome(composed_word_route, t)
-    if image is None:
-        assert re.fullmatch(r"ValueError: tableau has \d+ rows, needs \d+", want)
-    else:
-        assert image == want
-    return image is None
+def _stage(*args):
+    raise ValueError("a public stage ran")
+
+
+def _routes(triangles):
+    """`Routes` of each of ``triangles``, each route run once: the size's
+    `kernel("word route", n)`, built apart from the resolver's
+    `_word_route(n)`, `_staged_route`, `schutzenberger_via_words` (first
+    with every public stage patched to fail), `composed_word_route`, and
+    whether the public route ran a stage.  All give the staged rows, or
+    None exactly where the composed stages raise for a short tableau, and
+    only there, up to `_RSK_MAX_N`, does a stage run."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("triangle_to_tableau", "reading_word", "complement_reverse",
+                     "rsk_insertion_tableau", "tableau_to_triangle", "_insertion_tableau"):
+            patch.setattr(module, name, _stage)
+        stageless = [outcome(schutzenberger_via_words, t) for t in triangles]
+    for t, public in zip(triangles, stageless):
+        ran = public == "ValueError: a public stage ran"
+        r = Routes(kernel("word route", t.n)(t.rows), module._word_route(t.n)(t.rows),
+                   module._staged_route(t.rows),
+                   outcome(schutzenberger_via_words, t) if ran else public,
+                   outcome(composed_word_route, t), ran)
+        short = bool(re.fullmatch(r"ValueError: tableau has \d+ rows, needs \d+", str(r.composed)))
+        assert r.kernel == r.resolved == r.staged == (None if short else r.composed), t
+        assert r.public == r.composed and ran == (short or t.n > _RSK_MAX_N), t
+        yield r
+
+
+@cache
+def routes(inputs):
+    """`_routes` of `gt_up_to_4` ("gt") or `broken_perturbations` ("broken"), once per session."""
+    return list(_routes(gt_up_to_4() if inputs == "gt" else broken_perturbations()))
 
 
 class TestWordKernels:
@@ -310,35 +319,73 @@ class TestWordKernels:
 
     def test_gt_triangles(self):
         # never short on GT: the involution
-        triangles = gt_up_to_4()
-        for t in triangles:
-            image = module._staged_route(t.rows)
-            assert kernel("word route", t.n)(t.rows) == image == schutzenberger(t).rows
-        assert len(triangles) == 2_896
+        images = [schutzenberger(t).rows for t in gt_up_to_4()]
+        assert [r.staged for r in routes("gt")] == images
+        assert len(images) == 2_896
 
     def test_off_gt_perturbations(self):
-        short = 0
-        for p in broken_perturbations():
-            image = module._staged_route(p.rows)
-            assert kernel("word route", p.n)(p.rows) == image
-            short += image is None
-        assert short == 4_987
+        assert sum(r.staged is None for r in routes("broken")) == 4_987
 
     @settings(max_examples=100)
     @given(drawn_gt(n_max=_RSK_MAX_N), st.data())
     def test_drawn_triangles(self, t, data):
-        assert not _check_word_route(t)
-        _check_word_route(drawn_perturbation(data, t))
+        r, _ = _routes([t, drawn_perturbation(data, t)])
+        assert r.staged is not None
+
+
+def test_word_route_off_gt_matches_the_composed_route():
+    """Off GT the route gives the composed stages' rows or error text (`_routes` checks it)."""
+    every = [*routes("broken"), *_routes([tri((0,)), tri((-2, 0), (1,))])]
+    raised = Counter(re.sub(r"\d+", "k", r.public) for r in every if isinstance(r.public, str))
+    assert raised == {"ValueError: tableau has k rows, needs k": 4_989}
+
+
+def test_word_route_falls_short_exactly_where_the_public_route_raises():
+    # `_routes` checks the broken ones (a stage runs only there); GT ones are never short
+    assert sum(r.ran_stage for r in routes("broken")) == 4_987
+    for p in (p for _, p in gt_perturbations() if is_valid_gt(p)):
+        assert module._word_route(p.n)(p.rows) == schutzenberger_via_words(p).rows
+
+
+def test_word_route_on_gt_runs_no_composed_stage():
+    # `_routes` first runs the public route with every stage patched to fail
+    assert not any(r.ran_stage for r in routes("gt"))
+    assert len(routes("gt")) == 2_896
+
+
+def test_row_functions_give_the_public_rows_on_gt():
+    # the GT suites call the per-size row functions directly, fetched
+    # once per size; the public routes wrap them
+    for t, r in zip(gt_up_to_4(), routes("gt"), strict=True):
+        assert _involution(t.n)(t.rows) == schutzenberger(t).rows == r.public
 
 
 @settings(max_examples=40)
 @given(drawn_gt(n_min=_RSK_MAX_N + 1, n_max=16))
 def test_loops_past_the_cap_on_drawn_triangles(t):
     # past the RSK cap the route is the staged route, which `kernel` checks
-    assert not _check_word_route(t)
-    s = schutzenberger_via_words(t)
-    assert schutzenberger_via_words(s) == t
+    (r,) = _routes([t])
+    assert schutzenberger_via_words(GtTriangle(r.public)) == t
     assert tableau_to_triangle(triangle_to_tableau(t)) == t
+
+
+@pytest.mark.parametrize("n", range(_RSK_MAX_N + 1, _UNROLL_MAX_N + 1))
+@settings(max_examples=5)
+@given(data=st.data())
+def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
+    """Past `_RSK_MAX_N` the route is the staged route, with no
+    `_rsk_kernel` (`kernel` checks it), on GT rows and a perturbation."""
+    t = data.draw(drawn_gt(n_min=n, n_max=n))
+    r, _ = _routes([t, drawn_perturbation(data, t)])
+    assert r.kernel == _involution(n)(t.rows)
+
+
+@settings(max_examples=40)
+@given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16))
+def test_row_functions_past_the_cap_are_the_loops(t):
+    for name, (resolver, _, loop, _) in SCHEDULES.items():
+        assert resolver(t.n) is loop, name
+    assert _involution(t.n)(t.rows) == module._word_route(t.n)(t.rows) == _fold(t.rows)
 
 
 def _rsk_source_lines(n):
@@ -356,88 +403,15 @@ def test_rsk_cap_is_the_largest_size_with_a_short_build():
     assert _rsk_source_lines(_RSK_MAX_N) <= 1_300 < _rsk_source_lines(_RSK_MAX_N + 1)
 
 
-
-# The GT suites call the per-size row functions directly, fetched once
-# per size; the public routes wrap them.
-
-
-def test_row_functions_give_the_public_rows_on_gt():
-    for t in gt_up_to_4():
-        image = schutzenberger(t).rows
-        assert _involution(t.n)(t.rows) == image
-        assert module._word_route(t.n)(t.rows) == schutzenberger_via_words(t).rows == image
-
-
-def test_word_route_falls_short_exactly_where_the_public_route_raises():
-    short = 0
-    for _, p in gt_perturbations():
-        image = module._word_route(p.n)(p.rows)
-        got = outcome(schutzenberger_via_words, p)
-        if image is None:
-            assert isinstance(got, str), p
-            short += 1
-        else:
-            assert image == got
-    assert short == 4_987
-
-
-@settings(max_examples=40)
-@given(drawn_gt(n_min=_UNROLL_MAX_N + 1, n_max=16))
-def test_row_functions_past_the_cap_are_the_loops(t):
-    for name, (resolver, _, loop, _) in SCHEDULES.items():
-        assert resolver(t.n) is loop, name
-    assert _involution(t.n)(t.rows) == module._word_route(t.n)(t.rows) == _fold(t.rows)
-
-
-@pytest.mark.parametrize("n", range(_RSK_MAX_N + 1, _UNROLL_MAX_N + 1))
-@settings(max_examples=5)
-@given(data=st.data())
-def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
-    """Past `_RSK_MAX_N` the route is the staged route, with no
-    `_rsk_kernel` (`kernel` checks it): the involution on GT rows, and
-    on a perturbation the composed route's rows, or None where it
-    raises."""
-    t = data.draw(drawn_gt(n_min=n, n_max=n))
-    assert not _check_word_route(t)
-    assert kernel("word route", n)(t.rows) == _involution(n)(t.rows)
-    _check_word_route(drawn_perturbation(data, t))
-
-
 def test_staged_route_checks_its_word_once(monkeypatch):
     # `complement_reverse` checks the letters; the insertion of its
     # complement, whose letters stay in 1..n, checks nothing again
-    calls = Counter()
-    real = module._check_word
-
-    def counted(word, n):
-        calls["check"] += 1
-        return real(word, n)
-
-    monkeypatch.setattr(module, "_check_word", counted)
+    checked = []
+    monkeypatch.setattr(module, "_check_word", lambda word, n: checked.append(word))
     for t in gt_up_to_4():
-        before = calls["check"]
         module._staged_route(t.rows)
-        assert calls["check"] == before + 1, t
-    assert calls["check"] == 2_896
-
-
-def _unreachable(*args):
-    raise AssertionError("a patched-out stage ran")
-
-
-def test_word_route_on_gt_runs_no_composed_stage():
-    """On GT input up to the cap `_rsk_kernel` gives the composed
-    route's triangle with every public stage patched to fail."""
-    triangles = gt_up_to_4()
-    want = [composed_word_route(t) for t in triangles]
-    with pytest.MonkeyPatch.context() as patch:
-        # the public stages, which the route runs only on its error path
-        for name in ("triangle_to_tableau", "reading_word", "complement_reverse",
-                     "rsk_insertion_tableau", "tableau_to_triangle", "_insertion_tableau"):
-            patch.setattr(module, name, _unreachable)
-        got = [schutzenberger_via_words(t) for t in triangles]
-    assert got == want
-    assert len(got) == 2_896
+        assert len(checked) == 1, t
+        checked.clear()
 
 
 # The parent commit's conversions, copied before they were rewritten to
