@@ -13,9 +13,14 @@ bottom.
 
 The inverse algorithm classifies the same six cases from the finished
 triangle alone and undoes them, recovering the Gog trapezoid diagonal
-by diagonal.  Rule tags are recorded at every step; the tag of the
-opening size-1 -> size-2 step is BASE (it is degenerate: only the two
-simplest rules can match there).
+by diagonal.  Both steps classify first and then apply the rule's
+entry of one table, `_SHIFT`: the amount the rule lowers every kept
+entry of the two diagonals by, which `forward_step` subtracts and
+`inverse_step` adds back.  Only rule IIIb's new second-diagonal cell,
+and rule IVb's run of constants with the pair it gives back, are
+patched case by case.  Rule tags are recorded at every step; the tag
+of the opening size-1 -> size-2 step is BASE (it is degenerate: only
+the two simplest rules can match there).
 """
 
 from __future__ import annotations
@@ -61,6 +66,28 @@ class StepRecord:
 
 
 Trace = tuple[StepRecord, ...]
+
+# (du, dv): what each rule subtracts from every kept entry of the
+# rightmost and second diagonals; `inverse_step` adds it back
+_SHIFT = {
+    Rule.I: (1, 1),
+    Rule.II: (0, 1),
+    Rule.IIIA: (1, 0),
+    Rule.IIIB: (1, 1),
+    Rule.IVA: (0, 0),
+    Rule.IVB: (0, 0),
+}
+
+
+def _grown(
+    rule: Rule, u: tuple[int, ...], v: tuple[int, ...], u_k: int, v_k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The diagonals (u, v) shifted by ``rule``, with u_k and v_k appended."""
+    du, dv = _SHIFT[rule]
+    # a zero shift reuses the entries: cheaper than a comprehension on Python 3.11
+    new_u = [x - du for x in u] if du else u
+    new_v = [x - dv for x in v] if dv else v
+    return (*new_u, u_k), (*new_v, v_k)
 
 
 def _two_diagonals(t: GtTriangle) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -227,7 +254,7 @@ def forward_step(
     """
     n, k = state.n, state.k
     c = n - k  # constant of the grown triangle
-    u, v = list(state.u), list(state.v)
+    u, v = state.u, state.v
     u_k, v_k = a_k, b_k
     prev_u_last = u[-1]
     if not (c <= v_k <= u_k and v_k < prev_u_last and u_k <= prev_u_last and u_k <= n):
@@ -235,40 +262,28 @@ def forward_step(
             f"appended pair (b,a) = ({b_k},{a_k}) out of range at step {k}"
         )
 
+    l = None  # IVb's run length
+    last = v_k  # the new second-diagonal cell
     if v_k == c and u_k == c:
         rule = Rule.I
-        new_u = [x - 1 for x in u] + [u_k]
-        new_v = [x - 1 for x in v] + [v_k]
     elif v_k == c and u_k > c:
         rule = Rule.II
-        new_u = u + [u_k]
-        new_v = [x - 1 for x in v] + [v_k]
-    elif v_k == u_k:  # c < v_k
-        dec_u = [x - 1 for x in u] + [u_k]
-        if _is_gt_state(n, dec_u, v + [v_k]):
-            rule = Rule.IIIA
-            new_u = dec_u
-            new_v = v + [v_k]
-        else:
-            rule = Rule.IIIB
-            new_u = dec_u
-            new_v = [x - 1 for x in v] + [c]
+    elif v_k == u_k:  # c < v_k: IIIa unless its patch leaves the state not GT
+        rule = Rule.IIIA
+        if not _is_gt_state(n, *_grown(rule, u, v, u_k, v_k)):
+            rule, last = Rule.IIIB, c
     elif k == 1 or v_k <= v[-1]:  # c < v_k < u_k
         rule = Rule.IVA
-        new_u = u + [u_k]
-        new_v = v + [v_k]
     else:  # c < v_k < u_k and v_k > v[k-1]
         rule = Rule.IVB
         l = 1
         while l + 1 <= k - 1 and v[k - (l + 1) - 1] <= v_k - (l + 1):
             l += 1
-        new_u = u + [u_k]
-        new_v = v + [v_k]
-        for m in range(k - l + 1, k + 1):
-            new_v[m - 1] = c
-        new_v[k - l - 1] = v_k - l
+    new_u, new_v = _grown(rule, u, v, u_k, last)
+    if l is not None:  # IVb: the cell above the run, then the run
+        new_v = new_v[: k - l - 1] + (v_k - l,) + (c,) * l
 
-    new_state = BijectionState._trusted(n, tuple(new_u), tuple(new_v))
+    new_state = BijectionState._trusted(n, new_u, new_v)
     problems = new_state.check_invariants()
     if problems:
         raise BijectionStateError(
@@ -329,53 +344,39 @@ def inverse_step(
     k = size - 1
     n = state.n
     c = n - k  # constant of this state
-    u, v = list(state.u), list(state.v)
+    u, v = state.u, state.v
     u_k, v_k = u[k], v[k - 1]
     l = None
+    emit = (v_k, u_k)
 
     if v_k == c and u_k == c:
         rule = Rule.I
-        old_u = [x + 1 for x in u[:k]]
-        old_v = [x + 1 for x in v[: k - 1]]
-        emit = (v_k, u_k)
     elif v_k > c and v_k == u_k:
         rule = Rule.IIIA
-        old_u = [x + 1 for x in u[:k]]
-        old_v = list(v[: k - 1])
-        emit = (v_k, u_k)
     elif v_k > c and v_k < u_k:
         rule = Rule.IVA
-        old_u = list(u[:k])
-        old_v = list(v[: k - 1])
-        emit = (v_k, u_k)
     elif v_k == c and v_k < u_k:
         if all(v[i - 1] < u[i] for i in range(1, k)):
             rule = Rule.II
-            old_u = list(u[:k])
-            old_v = [x + 1 for x in v[: k - 1]]
-            emit = (v_k, u_k)
         else:
             l = _trailing_run_length(state)
             if k - l < 1:
                 raise InvalidGogamInput("equality pair with an all-constant diagonal")
             if v[k - l - 1] + l < u_k:
-                rule = Rule.IVB
-                old_u = list(u[:k])
-                old_v = list(v[: k - 1])
-                for m in range(k - l, k):
-                    old_v[m - 1] = n - k + 1
-                emit = (v[k - l - 1] + l, u_k)
+                rule, emit = Rule.IVB, (v[k - l - 1] + l, u_k)
             else:
-                rule = Rule.IIIB
-                old_u = [x + 1 for x in u[:k]]
-                old_v = [x + 1 for x in v[: k - 1]]
-                emit = (u_k, u_k)
+                rule, emit = Rule.IIIB, (u_k, u_k)
     else:
         raise InvalidGogamInput(
             f"stripped diagonal pair ({v_k},{u_k}) matches no rule at step {k}"
         )
+    du, dv = _SHIFT[rule]
+    old_u = tuple([x + du for x in u[:k]]) if du else u[:k]
+    old_v = tuple([x + dv for x in v[: k - 1]]) if dv else v[: k - 1]
+    if rule is Rule.IVB:  # the run of constants it rewrote
+        old_v = old_v[: k - l - 1] + (n - k + 1,) * l
 
-    shrunk = BijectionState._trusted(n, tuple(old_u), tuple(old_v))
+    shrunk = BijectionState._trusted(n, old_u, old_v)
     problems = shrunk.check_invariants()
     if problems:
         raise InvalidGogamInput(f"undoing rule {rule.value} broke invariants: {problems}")

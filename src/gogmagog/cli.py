@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -131,8 +132,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         ("gogam", "gog"): lambda t: gogam_to_gog_n2(t)[0],
     }.get(pair)
     if convert is None:
-        print(f"unsupported conversion {args.src} -> {args.dst}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unsupported conversion {args.src} -> {args.dst}")
     trapezoid_map = pair in _TRAPEZOID_CONVERSIONS
     if args.trapezoid is not None and not trapezoid_map:
         raise ValueError("--trapezoid applies only to gog <-> gogam conversion")
@@ -149,8 +149,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 f"tableau would hold {letters} letters, over the limit of {MAX_TABLEAU_LETTERS}"
             )
     elif args.trapezoid != 2:
-        print("gog <-> gogam conversion requires --trapezoid 2", file=sys.stderr)
-        return 2
+        raise ValueError("gog <-> gogam conversion requires --trapezoid 2")
     try:
         out = convert(obj)
     except ValueError as exc:  # the trapezoid maps validate their own input
@@ -286,6 +285,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        if sys.stdout is sys.__stdout__:
+            # the flush at exit would fail again: point the descriptor at devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 0
     except (OSError, ValueError) as exc:  # OSError: a missing or unreadable file
         print(str(exc), file=sys.stderr)
         return 2

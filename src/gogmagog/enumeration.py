@@ -661,38 +661,25 @@ def _suite_asm_roundtrip(n: int, report: Report) -> None:
         report.failures.append(f"n={n}: ASM count {count_asm} != {asm_number(n)}")
 
 
-def _base_rule(before: BijectionState, after: BijectionState) -> Rule:
-    """Resolve the BASE tag of the opening step to its underlying rule."""
-    return Rule.I if after.u[0] == before.u[0] - 1 else Rule.II
-
-
 def _suite_trace_lemmas(n: int, report: Report) -> None:
     for _, path, _ in _walk_n2(n):
-        rules = [
-            _base_rule(e.before, e.after) if e.record.rule is Rule.BASE else e.record.rule
-            for e in path
-        ]
-        for idx in range(1, len(path)):
-            prev_rule = rules[idx - 1]
-            this_rule = rules[idx]
-            report.checks += 1
-            if this_rule is Rule.IIIB and prev_rule in (Rule.I, Rule.II):
-                report.failures.append(
-                    f"IIIb follows {prev_rule.value} on {_path_payload(n, path)}"
-                )
-            report.checks += 1
-            if this_rule is Rule.IVB and prev_rule not in (Rule.IIIB, Rule.IVB):
-                report.failures.append(
-                    f"IVb follows {prev_rule.value} on {_path_payload(n, path)}"
-                )
+        prev = None  # the rule of the edge before
         for k, e in enumerate(path, 1):
             before, after, rule, l = e.before, e.after, e.record.rule, e.record.l
+            if rule is Rule.BASE:  # the opening step: I lowers the corner, II keeps it
+                rule = Rule.I if after.u[0] == before.u[0] - 1 else Rule.II
+            if prev is not None:
+                report.checks += 2
+                if rule is Rule.IIIB and prev in (Rule.I, Rule.II):
+                    report.failures.append(f"IIIb follows {prev.value} on {_path_payload(n, path)}")
+                if rule is Rule.IVB and prev not in (Rule.IIIB, Rule.IVB):
+                    report.failures.append(f"IVb follows {prev.value} on {_path_payload(n, path)}")
+            prev = rule
             if rule is Rule.IVB:
                 report.checks += 1
                 # the second diagonal just below the patch must sit one
                 # above the new constant, for l cells
-                c = before.constant
-                if any(before.v[k - i - 1] != c for i in range(1, l + 1)):
+                if any(before.v[k - i - 1] != before.constant for i in range(1, l + 1)):
                     report.failures.append(
                         f"IVb fired without the constant run on {_path_payload(n, path)}"
                     )
@@ -702,18 +689,15 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 # IVb guarantees a pair strictly below the rewritten run;
                 # IIIb only guarantees that the pair survives somewhere
                 top = k - l if rule is Rule.IVB else k
-                good = any(after.u[i] == after.v[i - 1] for i in range(1, top))
-                if not good:
+                if not any(after.u[i] == after.v[i - 1] for i in range(1, top)):
                     report.failures.append(
                         f"no equality pair after {rule.value} on {_path_payload(n, path)}"
                     )
-        # undoing the subtle rules must also leave an equality pair behind
-        for e in reversed(path):
+            # undoing the subtle rules must also leave an equality pair behind
             state, _, rec = e.undone
             if rec.rule in (Rule.IIIB, Rule.IVB):
                 report.checks += 1
-                kk = state.k
-                if not any(state.u[i] == state.v[i - 1] for i in range(1, kk)):
+                if not any(state.u[i] == state.v[i - 1] for i in range(1, state.k)):
                     report.failures.append(
                         f"no pair after undoing {rec.rule.value} on {_path_payload(n, path)}"
                     )

@@ -20,7 +20,8 @@ raw-GT generator in `enumeration` up to `_UNROLL_MAX_N`, and the word
 route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs behind
 one resolver made by `_per_size`, which alone chooses between the
 kernel and the loop for a size; a kernel is built on the first call
-of its size, so importing the package builds none.
+of its size, so importing the package builds none.  Past the cap the
+GT test is `validate_gt` itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from operator import le
 from typing import Callable, NamedTuple, TypeVar
 
 _T = TypeVar("_T")
@@ -186,8 +186,8 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 # 26-31 ms at 20.  The generator nests one loop per lower row, n - 1
 # in all: CPython compiles at most 20 statically nested blocks, which
 # a loop per cell would pass from n = 7 on.  Past the cap the loops
-# run instead, so no input size makes the build cost or the code size
-# unbounded.
+# run instead (for the GT test, `validate_gt`), so no input size makes
+# the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
 
 # Largest n whose word route runs as one `_straight_line` function per
@@ -228,10 +228,13 @@ def _per_size(build: Callable[[int], Callable], loop: Callable, cap: int = _UNRO
 
 
 def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
-    """`_gt_loop` for size n as one expression: a positive top-left
+    """The GT test for size n as one expression: a positive top-left
     entry, then for each row under the one above it the merged chain
     above[0] <= row[0] <= above[1] <= ... <= row[-1] <= above[-1],
-    which is weakly increasing exactly when the two rows interlace."""
+    which is weakly increasing exactly when the two rows interlace.
+    Interlacing makes the top row weakly increasing and puts every
+    entry at or above the top-row entry of its column, so a positive
+    top-left entry makes every entry positive."""
     tests = ["x0_0 >= 1"]
     for r in range(n - 1):
         chain = [f"x{r}_0"]
@@ -242,22 +245,8 @@ def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
 
 
 def _gt_loop(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether top-down ``rows`` are Gelfand-Tsetlin; stops at the first
-    broken inequality.
-
-    Interlacing makes the top row weakly increasing and puts every
-    entry at or above the top-row entry of its column, so a positive
-    top-left entry makes every entry positive.
-    """
-    if rows[0][0] < 1:
-        return False
-    above = rows[0]
-    for row in rows[1:]:
-        # x[i+1,j] <= x[i,j] and x[i,j] <= x[i+1,j+1]
-        if not (all(map(le, above, row)) and all(map(le, row, above[1:]))):
-            return False
-        above = row
-    return True
+    """Whether top-down ``rows`` are Gelfand-Tsetlin: `validate_gt` finds nothing."""
+    return not validate_gt(GtTriangle._trusted(rows))
 
 
 # whether top-down rows of size n are Gelfand-Tsetlin

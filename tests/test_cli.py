@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -161,17 +165,17 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path, kind, text):
 
 
 def test_convert_needs_trapezoid_flag(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "convert", "--from", "gog", "--to", "gogam", str(FIXTURES / "gog_52.txt")
     )
-    assert code == 2 and "--trapezoid" in err
+    assert (code, out, err) == (2, "", "gog <-> gogam conversion requires --trapezoid 2\n")
 
 
 def test_convert_unsupported_pair(capsys):
-    code, _, _ = run(
+    code, out, err = run(
         capsys, "convert", "--from", "magog", "--to", "asm", str(FIXTURES / "gog_52.txt")
     )
-    assert code == 2
+    assert (code, out, err) == (2, "", "unsupported conversion magog -> asm\n")
 
 
 def test_schutzenberger_command_is_involutive(capsys, tmp_path):
@@ -197,6 +201,22 @@ def test_enumerate_json_lines(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 7
     assert all(obj["n"] == 3 for obj in lines)
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # 7,436 triangles, about 370 kB, more than a pipe holds: the command
+    # is still writing when the reader leaves after one line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gogmagog.cli", "enumerate", "--kind", "gog", "--n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"6\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_verify_json(capsys):

@@ -424,24 +424,26 @@ def test_walk_equals_the_public_maps():
     assert total == 14_793
 
 
+def _counted(calls, name, fn):
+    """``fn``, counting each call under ``name`` in ``calls``."""
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 def test_walk_visits_each_prefix_once(monkeypatch):
     """One forward and one inverse step per tree edge: 1,857 edges for
     the 1,594 (6,2) trapezoids, where one fold per trapezoid takes
     7,970 steps each way."""
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     prefixes = set()
     for t in generate(FamilySpec(Family.GOG, 6, k=2)):
         pairs = extract_diagonals(t)
         prefixes.update(pairs[:k] for k in range(1, 6))
-    monkeypatch.setattr(enumeration, "forward_step", counted("forward", forward_step))
-    monkeypatch.setattr(enumeration, "inverse_step", counted("inverse", inverse_step))
+    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
+    monkeypatch.setattr(enumeration, "inverse_step", _counted(calls, "inverse", inverse_step))
     leaves = sum(1 for _ in _walk_n2(6))
     assert leaves == 1_594
     assert calls == {"forward": 1_857, "inverse": 1_857} and len(prefixes) == 1_857
@@ -674,17 +676,11 @@ def test_walk_suites_make_one_sweep(monkeypatch, suite):
     steps; the public map is never reached."""
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     def unreachable(t):
         raise AssertionError("the public map must not run")
 
-    monkeypatch.setattr(enumeration, "forward_step", counted("forward", forward_step))
-    monkeypatch.setattr(enumeration, "inverse_step", counted("inverse", inverse_step))
+    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
+    monkeypatch.setattr(enumeration, "inverse_step", _counted(calls, "inverse", inverse_step))
     monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
     assert verify(suite, 6).ok
     assert calls == {"forward": 2_175, "inverse": 2_175}
