@@ -21,16 +21,24 @@ and rule IVb's run of constants with the pair it gives back, are
 patched case by case.  Rule tags are recorded at every step; the tag
 of the opening size-1 -> size-2 step is BASE (it is degenerate: only
 the two simplest rules can match there).
+
+Every state a step returns goes through
+`BijectionState.check_invariants`.  One straight-line test per state
+size, `_state_ok`, built like the triangle kernels of `triangles`,
+clears a good state; only a state it rejects is listed, bound by
+bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .schutzenberger import is_gogam
-from .triangles import Family, GtTriangle, Inversion, inversions, is_gog, is_trapezoid
+from .triangles import (
+    Family, GtTriangle, Inversion, _per_size, _straight_line, inversions, is_gog, is_trapezoid
+)
 
 
 class BijectionStateError(RuntimeError):
@@ -66,6 +74,10 @@ class StepRecord:
 
 
 Trace = tuple[StepRecord, ...]
+
+# the two rules that patch more than the shift; a module-level tuple,
+# since reading a member off the `Enum` class is slow
+_SUBTLE = (Rule.IIIB, Rule.IVB)
 
 # (du, dv): what each rule subtracts from every kept entry of the
 # rightmost and second diagonals; `inverse_step` adds it back
@@ -198,11 +210,15 @@ class BijectionState:
 
     def check_invariants(self) -> list[str]:
         """Growth conditions plus the three inequality families of
-        `_diagonal_bound_violations`."""
+        `_diagonal_bound_violations`.  One test, `_state_ok`, clears a
+        good state; only a state it rejects is listed."""
+        n, u, v = self.n, self.u, self.v
+        if _state_ok(len(u))((n, u, v)):
+            return []
         bad = []
-        if not _is_gt_state(self.n, self.u, self.v):
+        if not _is_gt_state(n, u, v):
             bad.append("materialized triangle is not Gelfand-Tsetlin")
-        return bad + _diagonal_bound_violations(self.n, self.u, self.v)
+        return bad + _diagonal_bound_violations(n, u, v)
 
 
 def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -227,6 +243,50 @@ def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
         if not (c <= v[m] <= v[m - 1]):
             return False
     return True
+
+
+def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ...]]], bool]:
+    """`_state_loop` for states with k = len(u), as straight-line code.
+
+    First `_is_gt_state` as one chained expression: u and v
+    nonincreasing, v[m-1] <= u[m], the last u and the last v at least
+    1, and from k = 3 on the constant n - k + 1 between 1 and the last
+    v.  Then `_diagonal_bounds_hold` unrolled, ``top`` being the running
+    max of u[0] + v[i-1] - u[i] over i < j.
+    """
+    us = [f"u{m}" for m in range(k)]
+    vs = [f"v{m}" for m in range(k - 1)]
+    gt = [" <= ".join(["1", *reversed(us)])]
+    if k >= 3:
+        gt.append(" <= ".join(["1", f"n - {k - 1}", *reversed(vs)]))
+    elif k == 2:
+        gt.append("1 <= v0")
+    gt += [f"v{m - 1} <= u{m}" for m in range(1, k)]
+    body = [f"    if not ({' and '.join(gt)}): return False", "    if u0 > n: return False"]
+    if k >= 2:
+        body += ["    top = u0 + v0 - u1", "    if top >= n: return False"]
+    for j in range(2, k):
+        body += [
+            f"    if top - v{j - 1} > {j - 2}: return False",
+            f"    d = u0 + v{j - 1} - u{j}",
+            "    if d >= n: return False",
+        ]
+        if j < k - 1:
+            body.append("    if d > top: top = d")
+    body.append("    return True")
+    target = f"n, ({''.join(x + ',' for x in us)}), ({''.join(x + ',' for x in vs)})"
+    return _straight_line(k, target, body, "state test")
+
+
+def _state_loop(state: tuple[int, tuple[int, ...], tuple[int, ...]]) -> bool:
+    """Whether the state (n, u, v) is Gelfand-Tsetlin and meets the three
+    (n,2) bound families."""
+    n, u, v = state
+    return _is_gt_state(n, u, v) and _diagonal_bounds_hold(n, u, v)
+
+
+# whether a state (n, u, v) with k = len(u) passes `check_invariants`
+_state_ok = _per_size(_state_kernel, _state_loop)
 
 
 def extract_diagonals(t: GtTriangle) -> tuple[tuple[int, int], ...]:
@@ -290,7 +350,7 @@ def forward_step(
             f"rule {rule.value} at step {k} broke invariants: {problems}"
         )
 
-    l_rec = _trailing_run_length(new_state) if rule in (Rule.IIIB, Rule.IVB) else None
+    l_rec = _trailing_run_length(new_state) if rule in _SUBTLE else None
     if rule is Rule.IVB and l_rec != l:
         raise BijectionStateError("run length disagrees with its inverse reading")
     tag = Rule.BASE if k == 1 else rule

@@ -47,6 +47,7 @@ from .bijection import (
     BijectionStateError,
     Rule,
     StepRecord,
+    _SUBTLE,
     _gog_trapezoid,
     covering_subtraction_map,
     forward_step,
@@ -661,6 +662,10 @@ def _suite_asm_roundtrip(n: int, report: Report) -> None:
         report.failures.append(f"n={n}: ASM count {count_asm} != {asm_number(n)}")
 
 
+# the rules IIIb never follows
+_I_OR_II = (Rule.I, Rule.II)
+
+
 def _suite_trace_lemmas(n: int, report: Report) -> None:
     for _, path, _ in _walk_n2(n):
         prev = None  # the rule of the edge before
@@ -670,9 +675,9 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 rule = Rule.I if after.u[0] == before.u[0] - 1 else Rule.II
             if prev is not None:
                 report.checks += 2
-                if rule is Rule.IIIB and prev in (Rule.I, Rule.II):
+                if rule is Rule.IIIB and prev in _I_OR_II:
                     report.failures.append(f"IIIb follows {prev.value} on {_path_payload(n, path)}")
-                if rule is Rule.IVB and prev not in (Rule.IIIB, Rule.IVB):
+                if rule is Rule.IVB and prev not in _SUBTLE:
                     report.failures.append(f"IVb follows {prev.value} on {_path_payload(n, path)}")
             prev = rule
             if rule is Rule.IVB:
@@ -683,7 +688,7 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                     report.failures.append(
                         f"IVb fired without the constant run on {_path_payload(n, path)}"
                     )
-            if rule in (Rule.IIIB, Rule.IVB):
+            if rule in _SUBTLE:
                 report.checks += 1
                 assert l is not None
                 # IVb guarantees a pair strictly below the rewritten run;
@@ -695,7 +700,7 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                     )
             # undoing the subtle rules must also leave an equality pair behind
             state, _, rec = e.undone
-            if rec.rule in (Rule.IIIB, Rule.IVB):
+            if rec.rule in _SUBTLE:
                 report.checks += 1
                 if not any(state.u[i] == state.v[i - 1] for i in range(1, state.k)):
                     report.failures.append(

@@ -14,12 +14,13 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Five schedules do: the GT test
-here, the involution and its diagonal in `schutzenberger`, and the
-raw-GT generator in `enumeration` up to `_UNROLL_MAX_N`, and the word
-route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs behind
-one resolver made by `_per_size`, which alone chooses between the
-kernel and the loop for a size; a kernel is built on the first call
+its argument unpacked into locals.  Six schedules do: the GT test
+here, the involution and its diagonal in `schutzenberger`, the raw-GT
+generator in `enumeration` and the bijection state test in
+`bijection` (keyed by the state's size) up to `_UNROLL_MAX_N`, and
+the word route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs
+behind one resolver made by `_per_size`, which alone chooses between
+the kernel and the loop for a size; a kernel is built on the first call
 of its size, so importing the package builds none.  Past the cap the
 GT test is `validate_gt` itself.
 """
@@ -175,19 +176,21 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
-# function per size: the GT test, the involution and its diagonal, and
-# the raw-GT generator.  The involution's source has (n-1)n(n+1)/6
-# statements, the others O(n^2).  Each is built once per size and
-# process; on a 2-vCPU host under Python 3.11 a build takes, at
-# n = 6 / 7 / 12, about 0.2 / 0.3 / 0.5-0.9 ms for the GT test,
-# 0.3-0.5 / 0.4-0.6 / 1.1-1.9 ms for the diagonal, 0.3-0.4 / 0.35-0.5
-# / 0.65-1.25 ms for the generator and 0.6-1.1 / 0.9-1.4 / 5-8 ms for
-# the involution, which grows as n^3 to 12-20 ms at 16 and
-# 26-31 ms at 20.  The generator nests one loop per lower row, n - 1
-# in all: CPython compiles at most 20 statically nested blocks, which
-# a loop per cell would pass from n = 7 on.  Past the cap the loops
-# run instead (for the GT test, `validate_gt`), so no input size makes
-# the build cost or the code size unbounded.
+# function per size: the GT test, the involution and its diagonal, the
+# raw-GT generator, and the bijection state test, whose size is the
+# state's k.  The involution's source has (n-1)n(n+1)/6 statements,
+# the state test's O(k), the others O(n^2).  Each is built once per
+# size and process; on a 2-vCPU host under Python 3.11 a build takes,
+# at n = 6 / 7 / 12, about 0.3 / 0.3 / 0.5 ms for the state test,
+# 0.2 / 0.3 / 0.5-0.9 ms for the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9
+# ms for the diagonal, 0.3-0.4 / 0.35-0.5 / 0.65-1.25 ms for the
+# generator and 0.6-1.1 / 0.9-1.4 / 5-8 ms for the involution, which
+# grows as n^3 to 12-20 ms at 16 and 26-31 ms at 20.  The generator
+# nests one loop per lower row, n - 1 in all: CPython compiles at most
+# 20 statically nested blocks, which a loop per cell would pass from
+# n = 7 on.  Past the cap the loops run instead (for the GT test,
+# `validate_gt`), so no input size makes the build cost or the code
+# size unbounded.
 _UNROLL_MAX_N = 12
 
 # Largest n whose word route runs as one `_straight_line` function per

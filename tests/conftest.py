@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gogmagog import enumeration, tableaux
+from gogmagog import bijection, enumeration, tableaux
 from gogmagog.triangles import Family, GtTriangle, _gt_kernel, _gt_loop, _gt_test, is_valid_gt
 
 # the package re-exports the function under the module's name
@@ -105,13 +105,15 @@ def broken_perturbations():
 
 # (resolver, kernel builder, loop, cap) of each size-scheduled function,
 # with the caps the build costs in `triangles` choose; the raw-GT
-# generator maps a top row to triangles, the others map rows
+# generator maps a top row to triangles, the state test maps a
+# bijection state (n, u, v) of size k = len(u), the others map rows
 SCHEDULES = {
     "gt test": (_gt_test, _gt_kernel, _gt_loop, 12),
     "involution": (_involutions._involution, _involutions._kernel, _involutions._fold, 12),
     "diagonal": (_involutions._diagonal, _involutions._diagonal_kernel, _involutions._diagonal_loop, 12),
     "word route": (tableaux._word_route, tableaux._rsk_kernel, tableaux._staged_route, 6),
     "gt fill": (enumeration._gt_fill, enumeration._gt_fill_kernel, enumeration._gt_fill_loop, 12),
+    "state": (bijection._state_ok, bijection._state_kernel, bijection._state_loop, 12),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from gogmagog.bijection import (
     Rule,
     _diagonal_bound_violations,
     _gog_trapezoid,
+    _state_loop,
     _two_diagonals,
     covering_subtraction_map,
     extract_diagonals,
@@ -25,9 +27,11 @@ from gogmagog.bijection import (
 )
 from gogmagog.enumeration import FamilySpec, generate
 from gogmagog.schutzenberger import is_gogam, schutzenberger
-from gogmagog.triangles import Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
+from gogmagog.triangles import (
+    _UNROLL_MAX_N, Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
+)
 
-from conftest import descend, tri
+from conftest import descend, kernel, tri
 
 GOG52 = tri((1, 2, 3, 4, 5), (1, 2, 4, 5), (1, 3, 4), (1, 3), (2,))
 GOGAM52 = tri((1, 1, 1, 2, 3), (1, 1, 2, 3), (1, 1, 3), (1, 3), (2,))
@@ -210,12 +214,12 @@ class TestInverseMap:
 
 
 @st.composite
-def gog_trapezoids_n2(draw, n_max=12):
-    """A (n,2) Gog trapezoid with 2 <= n <= n_max, drawn row by row
+def gog_trapezoids_n2(draw, n_min=2, n_max=12):
+    """A (n,2) Gog trapezoid with n_min <= n <= n_max, drawn row by row
     below the top row 1..n: cells with i - j >= 2 are pinned to j, and
     each free cell is drawn inside its interlacing interval, above its
     left neighbour so that the row stays strict."""
-    n = draw(st.integers(2, n_max))
+    n = draw(st.integers(n_min, n_max))
     rows = [tuple(range(1, n + 1))]
     for i in range(n - 1, 0, -1):
         above = rows[-1]
@@ -398,6 +402,57 @@ def _bound_violations_reference(n, u, v):
             if u[0] - u[i] + v[i - 1] - v[j - 1] + 1 > j - 1:
                 bad.append(f"double-dip bound broken at depths ({i},{j})")
     return bad
+
+
+def _state_misses(test_of_size):
+    """(states, passing states, states on which ``test_of_size(k)`` and
+    `_state_loop` disagree) over every state (n, u, v) with
+    1 <= k <= n <= 4 and entries 0..n+1."""
+    states = held = 0
+    misses = []
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            test = test_of_size(k)
+            for entries in product(range(n + 2), repeat=2 * k - 1):
+                state = (n, entries[:k], entries[k:])
+                got = test(state)
+                if got != _state_loop(state):
+                    misses.append(state)
+                states += 1
+                held += got
+    return states, held, misses
+
+
+class TestStateKernel:
+    def test_matches_the_loop_exhaustively(self):
+        assert _state_misses(partial(kernel, "state")) == (291_260, 84, [])
+
+    def test_a_kernel_without_the_double_dip_bound_is_caught(self, monkeypatch):
+        real = bijection._straight_line
+
+        def without_double_dip(k, target, body, label):
+            return real(k, target, [line for line in body if "top - v" not in line], label)
+
+        monkeypatch.setattr(bijection, "_straight_line", without_double_dip)
+        _, _, misses = _state_misses(bijection._state_kernel)
+        assert misses and all(len(u) >= 3 for _, u, _ in misses)
+
+    @settings(max_examples=20)
+    @given(gog_trapezoids_n2(n_min=_UNROLL_MAX_N + 1, n_max=16), st.data())
+    def test_states_past_the_cap_reach_the_loop(self, t, data):
+        # `kernel` checks that the resolver gives the loop past the cap;
+        # the last steps of both maps check states of those sizes
+        assert kernel("state", t.n) is _state_loop
+        image, trace = gog_to_gogam_n2(t)
+        assert gogam_to_gog_n2(image) == (t, trace[::-1])
+        # one entry of the image's state moved by +-1 is listed in full
+        n = t.n
+        u, v = _two_diagonals(image)
+        entries = [*u, *v]
+        entries[data.draw(st.integers(0, 2 * n - 2))] += data.draw(st.sampled_from((-1, 1)))
+        state = BijectionState(n, entries[:n], entries[n:])
+        gt = [] if is_valid_gt(state.materialize()) else [TestStateInvariants.NOT_GT]
+        assert state.check_invariants() == gt + _bound_violations_reference(n, state.u, state.v)
 
 
 class TestDiagonalBounds:
