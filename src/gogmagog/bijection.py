@@ -24,15 +24,16 @@ the two simplest rules can match there).
 
 Every state a step returns goes through
 `BijectionState.check_invariants`.  One straight-line test per state
-size, `_state_ok`, built like the triangle kernels of `triangles`,
-clears a good state; only a state it rejects is listed, bound by
-bound.
+size, `_state_ok`, clears a good state; past `_UNROLL_MAX_N` it is the
+GT test and the bound-by-bound listing, asked for an empty list.  Only
+a state the test rejects is listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .schutzenberger import is_gogam
@@ -109,30 +110,6 @@ def _two_diagonals(t: GtTriangle) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row[-1] for row in rows), tuple(row[-2] for row in rows[:-1])
 
 
-def _diagonal_bounds_hold(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Whether all three families of `_diagonal_bound_violations` hold,
-    in O(k): the double-dip bound holds for every i < j exactly when it
-    holds for the largest v[i-1] - u[i] with i < j."""
-    top = u[0]
-    if top > n:
-        return False
-    if len(u) == 1:
-        return True
-    dip = v[0] - u[1]  # running max of v[i-1] - u[i] over i < j
-    if top + dip > n - 1:
-        return False
-    for j in range(2, len(u)):
-        vj = v[j - 1]
-        if top + dip - vj + 1 > j - 1:
-            return False
-        d = vj - u[j]
-        if top + d > n - 1:
-            return False
-        if d > dip:
-            dip = d
-    return True
-
-
 def _diagonal_bound_violations(
     n: int, u: tuple[int, ...], v: tuple[int, ...]
 ) -> list[str]:
@@ -141,21 +118,21 @@ def _diagonal_bound_violations(
     u[0] <= n;  u[0] - u[i] + v[i-1] <= n-1;  and for i < j
     u[0] - u[i] + v[i-1] - v[j-1] + 1 <= j - 1.
 
-    Every broken bound is listed, but the O(k^2) listing only runs
-    once the O(k) `_diagonal_bounds_hold` has found one.
+    Every broken bound is listed, in this order; a Gelfand-Tsetlin
+    state passes `_state_loop` exactly when the list is empty.  The pair
+    (i, j) breaks the last family when d = u[0] - u[i] + v[i-1] exceeds
+    v[j-1] + j - 2, so the pairs of i are read only when d exceeds the
+    least of these over j > i: O(k) on a good state.
     """
-    if _diagonal_bounds_hold(n, u, v):
-        return []
-    bad = []
-    if u[0] > n:
-        bad.append(f"top corner {u[0]} exceeds {n}")
-    for i in range(1, len(u)):
-        if u[0] - u[i] + v[i - 1] > n - 1:
-            bad.append(f"single-dip bound broken at depth {i}")
-    for i in range(1, len(u)):
-        for j in range(i + 1, len(u)):
-            if u[0] - u[i] + v[i - 1] - v[j - 1] + 1 > j - 1:
-                bad.append(f"double-dip bound broken at depths ({i},{j})")
+    k = len(u)
+    dips = [u[0] - u[i] + v[i - 1] for i in range(1, k)]  # d for i = 1 .. k-1
+    bad = [f"top corner {u[0]} exceeds {n}"] if u[0] > n else []
+    bad += [f"single-dip bound broken at depth {i}" for i, d in enumerate(dips, 1) if d > n - 1]
+    least = [*accumulate([v[j - 1] + j - 2 for j in range(k - 1, 1, -1)], min)][::-1]
+    for i, d in enumerate(dips[:-1], 1):
+        if d > least[i - 1]:  # the least over j = i+1 .. k-1
+            bad += [f"double-dip bound broken at depths ({i},{j})"
+                    for j in range(i + 1, k) if d > v[j - 1] + j - 2]
     return bad
 
 
@@ -251,8 +228,9 @@ def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ..
     First `_is_gt_state` as one chained expression: u and v
     nonincreasing, v[m-1] <= u[m], the last u and the last v at least
     1, and from k = 3 on the constant n - k + 1 between 1 and the last
-    v.  Then `_diagonal_bounds_hold` unrolled, ``top`` being the running
-    max of u[0] + v[i-1] - u[i] over i < j.
+    v.  Then `_diagonal_bound_violations` in O(k): the double-dip bound
+    holds for all i < j exactly when it holds for the largest u[0] +
+    v[i-1] - u[i] with i < j, whose running max ``top`` keeps.
     """
     us = [f"u{m}" for m in range(k)]
     vs = [f"v{m}" for m in range(k - 1)]
@@ -279,10 +257,10 @@ def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ..
 
 
 def _state_loop(state: tuple[int, tuple[int, ...], tuple[int, ...]]) -> bool:
-    """Whether the state (n, u, v) is Gelfand-Tsetlin and meets the three
-    (n,2) bound families."""
+    """Whether the state (n, u, v) is Gelfand-Tsetlin and breaks none of
+    the three (n,2) bound families."""
     n, u, v = state
-    return _is_gt_state(n, u, v) and _diagonal_bounds_hold(n, u, v)
+    return _is_gt_state(n, u, v) and not _diagonal_bound_violations(n, u, v)
 
 
 # whether a state (n, u, v) with k = len(u) passes `check_invariants`
@@ -322,16 +300,16 @@ def forward_step(
             f"appended pair (b,a) = ({b_k},{a_k}) out of range at step {k}"
         )
 
-    l = None  # IVb's run length
-    last = v_k  # the new second-diagonal cell
+    l = grown = None  # IVb's run length; IIIa's trial, kept if IIIa is
     if v_k == c and u_k == c:
         rule = Rule.I
     elif v_k == c and u_k > c:
         rule = Rule.II
     elif v_k == u_k:  # c < v_k: IIIa unless its patch leaves the state not GT
         rule = Rule.IIIA
-        if not _is_gt_state(n, *_grown(rule, u, v, u_k, v_k)):
-            rule, last = Rule.IIIB, c
+        grown = _grown(rule, u, v, u_k, v_k)
+        if not _is_gt_state(n, *grown):  # IIIb: the constant as the new cell
+            rule, grown = Rule.IIIB, _grown(Rule.IIIB, u, v, u_k, c)
     elif k == 1 or v_k <= v[-1]:  # c < v_k < u_k
         rule = Rule.IVA
     else:  # c < v_k < u_k and v_k > v[k-1]
@@ -339,7 +317,7 @@ def forward_step(
         l = 1
         while l + 1 <= k - 1 and v[k - (l + 1) - 1] <= v_k - (l + 1):
             l += 1
-    new_u, new_v = _grown(rule, u, v, u_k, last)
+    new_u, new_v = grown or _grown(rule, u, v, u_k, v_k)
     if l is not None:  # IVb: the cell above the run, then the run
         new_v = new_v[: k - l - 1] + (v_k - l,) + (c,) * l
 

@@ -22,7 +22,7 @@ the word route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs
 behind one resolver made by `_per_size`, which alone chooses between
 the kernel and the loop for a size; a kernel is built on the first call
 of its size, so importing the package builds none.  Past the cap the
-GT test is `validate_gt` itself.
+GT test is `validate_gt` itself, the state test its bound listing.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 # nests one loop per lower row, n - 1 in all: CPython compiles at most
 # 20 statically nested blocks, which a loop per cell would pass from
 # n = 7 on.  Past the cap the loops run instead (for the GT test,
-# `validate_gt`), so no input size makes the build cost or the code
-# size unbounded.
+# `validate_gt`; for the state test, its bound listing), so no input
+# size makes the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
 
 # Largest n whose word route runs as one `_straight_line` function per

@@ -423,19 +423,33 @@ def _state_misses(test_of_size):
     return states, held, misses
 
 
+def _sizes_missed_without(monkeypatch, marker):
+    """The sizes k at which a kernel built without its lines holding
+    ``marker`` disagrees with `_state_loop` (states of `_state_misses`)."""
+    real = bijection._straight_line
+
+    def without(k, target, body, label):
+        return real(k, target, [line for line in body if marker not in line], label)
+
+    monkeypatch.setattr(bijection, "_straight_line", without)
+    return {len(u) for _, u, _ in _state_misses(bijection._state_kernel)[2]}
+
+
 class TestStateKernel:
     def test_matches_the_loop_exhaustively(self):
         assert _state_misses(partial(kernel, "state")) == (291_260, 84, [])
 
     def test_a_kernel_without_the_double_dip_bound_is_caught(self, monkeypatch):
-        real = bijection._straight_line
+        assert _sizes_missed_without(monkeypatch, "top - v") == {3, 4}
 
-        def without_double_dip(k, target, body, label):
-            return real(k, target, [line for line in body if "top - v" not in line], label)
-
-        monkeypatch.setattr(bijection, "_straight_line", without_double_dip)
-        _, _, misses = _state_misses(bijection._state_kernel)
-        assert misses and all(len(u) >= 3 for _, u, _ in misses)
+    @pytest.mark.parametrize(
+        "marker, sizes",
+        [("if u0 > n", {1, 2, 3, 4}), ("if top >= n", {2}), ("if d >= n", {3, 4}),
+         ("if d > top", {4})],
+        ids=["corner", "first-single-dip", "single-dip", "running-max"],
+    )
+    def test_a_kernel_without_a_bound_line_is_caught(self, monkeypatch, marker, sizes):
+        assert _sizes_missed_without(monkeypatch, marker) == sizes
 
     @settings(max_examples=20)
     @given(gog_trapezoids_n2(n_min=_UNROLL_MAX_N + 1, n_max=16), st.data())

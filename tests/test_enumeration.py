@@ -8,7 +8,7 @@ from itertools import chain, combinations_with_replacement, islice
 
 import pytest
 
-from gogmagog import enumeration, tableaux
+from gogmagog import bijection, enumeration, tableaux
 from gogmagog.bijection import (
     BijectionState,
     BijectionStateError,
@@ -42,22 +42,66 @@ from gogmagog.triangles import _UNROLL_MAX_N, Family, is_gog, is_magog, is_trape
 from conftest import descend, kernel, report_digest
 
 
+_ASM = (1, 2, 7, 42, 429, 7_436, 218_348)
+_CATALAN = (1, 2, 5, 14, 42)
+_N2 = (1, 2, 7, 35, 219, 1_594, 12_935, 113_945, 1_070_324, 10_586_856, 109_259_633)
+_GOGS = (Family.GOG, Family.MAGOG)
+
+
+def _pin(n, k):
+    pins = _ASM if k in (None, n) else {1: _CATALAN, 2: _N2}.get(k, ())
+    return pins[n - 1] if n <= len(pins) else None
+
+
+# (FamilySpec(family, n, k), want): the family's (n,k) trapezoids, all
+# of it for k None, GT triangles with entries <= bound; want None pins
+# nothing.  By the (n,k) trapezoid theorem (Mills-Robbins-Rumsey 1986,
+# proved by Zeilberger 1996) the three families agree at each (n, k)
+COUNTS = [
+    *((FamilySpec(family, n, k=k), _pin(n, k)) for family in (*_GOGS, Family.GOGAM)
+      for n in range(1, 11) for k in (None, *range(1, n + 1))),
+    *((FamilySpec(family, n, k=2), _pin(n, 2)) for family in _GOGS for n in range(11, 41)),
+    *((FamilySpec(Family.GT, n, bound=bound), None) for n in range(1, 6) for bound in (n, n + 1)),
+]
+
+# each route's count of a spec, None off its reach
+_ROUTES = {
+    "count": count,
+    "generate": lambda spec: sum(1 for _ in generate(spec)),
+    "formula": lambda s: asm_number(s.n) if s.family is not Family.GT and s.k in (None, s.n) else None,
+    "n2": lambda s: _count_n2(s.family, s.n) if s.family in _GOGS and s.k == min(2, s.n) else None,
+}
+
+
+def _counts(where, *routes):
+    """The count at each (n, k, bound) of the `COUNTS` entries that
+    ``where(spec)`` selects, in table order, taking each named route
+    once per entry: the routes, the families and the pinned want agree."""
+    found = {}
+    for spec, want in COUNTS:
+        if where(spec):
+            counts = found.setdefault((spec.n, spec.k, spec.bound), set())
+            counts.update((want, *(_ROUTES[route](spec) for route in routes)))
+    found = [counts - {None} for counts in found.values()]
+    assert all(len(counts) == 1 for counts in found), found
+    return [counts.pop() for counts in found]
+
+
 def test_count_formula_values():
-    assert [asm_number(n) for n in range(1, 8)] == [1, 2, 7, 42, 429, 7436, 218348]
+    assert _counts(lambda s: s.family is Family.GOG and s.k is None and s.n <= 7, "formula") == [*_ASM]
 
 
 @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (3, 7), (4, 42), (5, 429)])
 def test_gog_and_magog_counts(n, want):
-    assert count(FamilySpec(Family.GOG, n)) == want
-    assert count(FamilySpec(Family.MAGOG, n)) == want
+    assert _counts(lambda s: s.family in _GOGS and (s.n, s.k) == (n, None), "count") == [want]
 
 
 def test_gog_trapezoid_32_is_whole_family():
-    assert count(FamilySpec(Family.GOG, 3, k=2)) == 7
+    assert _counts(lambda s: s.family is Family.GOG and s.n == 3 and s.k in (None, 2), "count") == [7, 7]
 
 
 def test_n1_trapezoid_counts_are_catalan():
-    assert [count(FamilySpec(Family.GOG, n, k=1)) for n in range(1, 6)] == [1, 2, 5, 14, 42]
+    assert _counts(lambda s: s.family is Family.GOG and s.k == 1 and s.n <= 5, "count") == [*_CATALAN]
 
 
 def test_n1_restriction_checks_the_catalan_count_at_every_size(monkeypatch):
@@ -229,41 +273,23 @@ def test_gt_generation_past_the_cap_is_the_row_recursion():
     _check_gt_streams(_UNROLL_MAX_N + 1)
 
 
-def _check_trapezoid_counts(sizes):
-    # the (n,k) trapezoid theorem (Mills-Robbins-Rumsey 1986, proved by
-    # Zeilberger 1996), at every width
-    for n in sizes:
-        for k in range(1, n + 1):
-            gog, magog, gogam = (
-                count(FamilySpec(family, n, k=k))
-                for family in (Family.GOG, Family.MAGOG, Family.GOGAM)
-            )
-            assert gog == magog == gogam, (n, k)
-            if k == n:
-                assert gog == asm_number(n)
-            if k == 2:
-                assert gog == _count_n2(Family.GOG, n)
+def _widths(sizes):
+    return lambda spec: spec.family is not Family.GT and spec.n in sizes and spec.k is not None
 
 
 def test_trapezoid_counts_agree_across_widths():
-    _check_trapezoid_counts(range(1, 10))
+    assert len(_counts(_widths(range(1, 10)), "count", "formula", "n2")) == 45
 
 
 @pytest.mark.slow
 def test_trapezoid_counts_agree_across_widths_n10():
-    _check_trapezoid_counts([10])
+    assert len(_counts(_widths([10]), "count", "formula", "n2")) == 10
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_count_equals_enumeration(n):
     # every width of each family, and raw GT at bounds n and n+1 up to 5
-    specs = [FamilySpec(family, n, k=k)
-             for family in (Family.GOG, Family.MAGOG, Family.GOGAM)
-             for k in (None, *range(1, n + 1))]
-    if n <= 5:
-        specs += [FamilySpec(Family.GT, n, bound=bound) for bound in (n, n + 1)]
-    for spec in specs:
-        assert count(spec) == sum(1 for _ in generate(spec)), spec
+    assert len(_counts(lambda spec: spec.n == n, "count", "generate")) == n + 1 + 2 * (n <= 5)
 
 
 def test_count_generates_nothing(monkeypatch):
@@ -449,6 +475,16 @@ def test_walk_visits_each_prefix_once(monkeypatch):
     assert calls == {"forward": 1_857, "inverse": 1_857} and len(prefixes) == 1_857
 
 
+def test_forward_steps_grow_each_state_once(monkeypatch):
+    """One `_grown` per forward step of the n <= 6 sweep (2,175), plus
+    one for each IIIa trial that falls back to IIIb (94)."""
+    calls = Counter()
+    monkeypatch.setattr(bijection, "_grown", _counted(calls, "grown", bijection._grown))
+    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
+    assert verify("bijection-n2", 6).ok
+    assert calls == {"grown": 2_269, "forward": 2_175}
+
+
 def test_bijection_histogram_key_order():
     # the CLI prints the histogram in insertion order
     assert list(verify("bijection-n2", 6).histogram) == [
@@ -573,34 +609,30 @@ def test_walk_rejects_bad_size(n):
 # --- the (n,2) count DP behind the bijection-n2 cardinality check ---------
 
 
-def _enumerated_n2(family, n):
-    return len(list(generate(FamilySpec(family, n, k=min(2, n)))))
+def _n2(families, sizes):
+    return lambda spec: spec.family in families and spec.n in sizes and spec.k == min(2, spec.n)
 
 
 @pytest.mark.parametrize("family", [Family.GOG, Family.MAGOG], ids=["gog", "magog"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_count_n2_equals_enumeration(family, n):
-    assert _count_n2(family, n) == _enumerated_n2(family, n)
+    assert _counts(_n2([family], [n]), "n2", "generate") == [_N2[n - 1]]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("family", [Family.GOG, Family.MAGOG], ids=["gog", "magog"])
 def test_count_n2_equals_enumeration_n8(family):
-    assert _count_n2(family, 8) == _enumerated_n2(family, 8) == 113_945
+    assert _counts(_n2([family], [8]), "n2", "generate") == [113_945]
 
 
 def test_count_n2_values():
-    assert [_count_n2(Family.GOG, n) for n in range(1, 12)] == [
-        1, 2, 7, 35, 219, 1_594, 12_935, 113_945, 1_070_324, 10_586_856, 109_259_633,
-    ]
+    assert _counts(_n2([Family.GOG], range(1, 12)), "n2") == [*_N2]
 
 
 def test_count_n2_gog_equals_magog_to_40():
-    # the (n,2) case of the Mills-Robbins-Rumsey trapezoid conjecture
-    # (Zeilberger 1996), far past what enumeration reaches
+    # the (n,2) case of the trapezoid theorem, far past what enumeration reaches
     start = time.process_time()
-    for n in range(1, 41):
-        assert _count_n2(Family.GOG, n) == _count_n2(Family.MAGOG, n)
+    assert len(_counts(_n2(_GOGS, range(1, 41)), "n2")) == 40
     assert time.process_time() - start < 1.0
 
 

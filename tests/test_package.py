@@ -111,3 +111,22 @@ def test_caps_are_read_only_where_a_schedule_is_resolved():
         and name != "_per_size" and not _resolves(node)
     ]
     assert readers == []
+
+
+def test_docs_name_only_private_names_that_exist():
+    # every backticked `_x`, `Cls._x` or `module._x` in README.md and in
+    # the package's docstrings and comments (code holds no backticks) is
+    # defined in src/, so a deleted helper leaves no mention behind
+    trees = _package_trees()
+    scopes = {path[:-3]: tree for path, tree in trees.items()}
+    scopes.update((node.name, node) for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef))
+    defined = {(scope, name) for scope, node in scopes.items() for name, _ in _definitions(node)}
+    names = {name for _, name in defined}
+    text = "\n".join(path.read_text() for path in [ROOT / "README.md", *PACKAGE.glob("*.py")])
+    missing = {
+        f"{scope}.{name}".lstrip(".")
+        for scope, name in re.findall(r"(?<!`)`(?:\w+\.)*?(?:(\w+)\.)?(_\w+)(?:\([^`]*\))?`(?!`)", text)
+        if (scope, name) not in defined and (scope in scopes or name not in names)
+    }
+    assert missing == set()
