@@ -22,11 +22,12 @@ patched case by case.  Rule tags are recorded at every step; the tag
 of the opening size-1 -> size-2 step is BASE (it is degenerate: only
 the two simplest rules can match there).
 
-Every state a step returns goes through
-`BijectionState.check_invariants`.  One straight-line test per state
-size, `_state_ok`, clears a good state; past `_UNROLL_MAX_N` it is the
-GT test and the bound-by-bound listing, asked for an empty list.  Only
-a state the test rejects is listed.
+Each step is a thin wrapper over a core on bare diagonals, `_forward`
+or `_inverse`, which the (n,2) walk in `enumeration` runs directly.
+Every state a core returns passes `_state_ok`, one straight-line test
+per state size; past `_UNROLL_MAX_N` it is the GT test and the
+bound-by-bound listing, asked for an empty list.  Only a state the test
+rejects is listed, by `BijectionState.check_invariants`, for the error.
 """
 
 from __future__ import annotations
@@ -174,16 +175,8 @@ class BijectionState:
     def k(self) -> int:
         return len(self.u)
 
-    @property
-    def constant(self) -> int:
-        return self.n - self.k + 1
-
     def materialize(self) -> GtTriangle:
-        u, v = self.u, self.v
-        k, c = self.k, self.constant
-        rows_top_down = [(c,) * (k - m - 2) + (v[m], u[m]) for m in range(k - 1)]
-        rows_top_down.append((u[k - 1],))
-        return GtTriangle._trusted(tuple(rows_top_down))
+        return GtTriangle._trusted(_state_rows(self.n, self.u, self.v))
 
     def check_invariants(self) -> list[str]:
         """Growth conditions plus the three inequality families of
@@ -196,6 +189,14 @@ class BijectionState:
         if not _is_gt_state(n, u, v):
             bad.append("materialized triangle is not Gelfand-Tsetlin")
         return bad + _diagonal_bound_violations(n, u, v)
+
+
+def _state_rows(n: int, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The top-down rows of the state (n, u, v): row m is the constant
+    n - k + 1 repeated, then v[m] and u[m]; the bottom row is u[k-1]."""
+    k = len(u)
+    c = n - k + 1
+    return (*[(c,) * (k - m - 2) + (v[m], u[m]) for m in range(k - 1)], (u[-1],))
 
 
 def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
@@ -281,18 +282,14 @@ def extract_diagonals(t: GtTriangle) -> tuple[tuple[int, int], ...]:
     return tuple(zip(v, u[1:]))
 
 
-def forward_step(
-    state: BijectionState, b_k: int, a_k: int
-) -> tuple[BijectionState, StepRecord]:
-    """Append the next diagonal (constant, ..., constant, b_k, a_k).
-
-    Exactly one of the six rules matches; its patch is applied and the
-    grown state is returned together with the step record.  The bottom
-    entry is never modified, so it always equals a_k afterwards.
-    """
-    n, k = state.n, state.k
+def _forward(
+    n: int, u: tuple[int, ...], v: tuple[int, ...], b_k: int, a_k: int
+) -> tuple[tuple[int, ...], tuple[int, ...], Rule, int | None]:
+    """`forward_step` on bare diagonals: the grown (u, v), the rule that
+    fired (I or II at k = 1, where the step's record says BASE) and the
+    record's l.  Same checks and errors as the step."""
+    k = len(u)
     c = n - k  # constant of the grown triangle
-    u, v = state.u, state.v
     u_k, v_k = a_k, b_k
     prev_u_last = u[-1]
     if not (c <= v_k <= u_k and v_k < prev_u_last and u_k <= prev_u_last and u_k <= n):
@@ -321,27 +318,38 @@ def forward_step(
     if l is not None:  # IVb: the cell above the run, then the run
         new_v = new_v[: k - l - 1] + (v_k - l,) + (c,) * l
 
-    new_state = BijectionState._trusted(n, new_u, new_v)
-    problems = new_state.check_invariants()
-    if problems:
+    if not _state_ok(k + 1)((n, new_u, new_v)):
+        problems = BijectionState._trusted(n, new_u, new_v).check_invariants()
         raise BijectionStateError(
             f"rule {rule.value} at step {k} broke invariants: {problems}"
         )
 
-    l_rec = _trailing_run_length(new_state) if rule in _SUBTLE else None
+    l_rec = _trailing_run_length(c, new_v) if rule in _SUBTLE else None
     if rule is Rule.IVB and l_rec != l:
         raise BijectionStateError("run length disagrees with its inverse reading")
+    return new_u, new_v, rule, l_rec
+
+
+def forward_step(
+    state: BijectionState, b_k: int, a_k: int
+) -> tuple[BijectionState, StepRecord]:
+    """Append the next diagonal (constant, ..., constant, b_k, a_k).
+
+    Exactly one of the six rules matches; its patch is applied and the
+    grown state is returned together with the step record.  The bottom
+    entry is never modified, so it always equals a_k afterwards.
+    """
+    n, k = state.n, state.k
+    new_u, new_v, rule, l = _forward(n, state.u, state.v, b_k, a_k)
     tag = Rule.BASE if k == 1 else rule
-    return new_state, StepRecord(k, tag, l_rec)
+    return BijectionState._trusted(n, new_u, new_v), StepRecord(k, tag, l)
 
 
-def _trailing_run_length(state: BijectionState) -> int:
+def _trailing_run_length(c: int, v: tuple[int, ...]) -> int:
     """1 + length of the run of second-diagonal entries equal to the
-    constant, counted upward from just above the bottom; the quantity
-    the inverse classifier calls l."""
-    k = state.k - 1
-    c = state.constant
-    v = state.v
+    constant c, counted upward from just above the bottom of v; the
+    quantity the inverse classifier calls l."""
+    k = len(v)
     l = 1
     while l <= k - 1 and v[k - l - 1] == c:
         l += 1
@@ -366,23 +374,17 @@ def gog_to_gogam_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
     return out, tuple(trace)
 
 
-def inverse_step(
-    state: BijectionState,
-) -> tuple[BijectionState, tuple[int, int], StepRecord]:
-    """Strip the leftmost diagonal after undoing the rule that built it.
-
-    The rule is read off the state alone: the bottom two entries of the
-    stripped diagonal split the cases, and the tie between the subtle
-    rules is broken by comparing v[k-l] + l against the bottom entry.
-    Raises `InvalidGogamInput` when no rule can have produced the state.
-    """
-    size = state.k
+def _inverse(
+    n: int, u: tuple[int, ...], v: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], Rule, int | None]:
+    """`inverse_step` on bare diagonals: the shrunk (u, v), the recovered
+    pair, the rule undone (I or II at k = 1, where the step's record
+    says BASE) and the record's l.  Same checks and errors as the step."""
+    size = len(u)
     if size < 2:
         raise InvalidGogamInput("nothing to strip from a size-1 state")
     k = size - 1
-    n = state.n
     c = n - k  # constant of this state
-    u, v = state.u, state.v
     u_k, v_k = u[k], v[k - 1]
     l = None
     emit = (v_k, u_k)
@@ -397,7 +399,7 @@ def inverse_step(
         if all(v[i - 1] < u[i] for i in range(1, k)):
             rule = Rule.II
         else:
-            l = _trailing_run_length(state)
+            l = _trailing_run_length(c, v)
             if k - l < 1:
                 raise InvalidGogamInput("equality pair with an all-constant diagonal")
             if v[k - l - 1] + l < u_k:
@@ -414,15 +416,30 @@ def inverse_step(
     if rule is Rule.IVB:  # the run of constants it rewrote
         old_v = old_v[: k - l - 1] + (n - k + 1,) * l
 
-    shrunk = BijectionState._trusted(n, old_u, old_v)
-    problems = shrunk.check_invariants()
-    if problems:
+    if not _state_ok(k)((n, old_u, old_v)):
+        problems = BijectionState._trusted(n, old_u, old_v).check_invariants()
         raise InvalidGogamInput(f"undoing rule {rule.value} broke invariants: {problems}")
     b_k, a_k = emit
     if not (n - k <= b_k <= a_k <= n and b_k < old_u[-1] and a_k <= old_u[-1]):
         raise InvalidGogamInput(f"recovered pair ({b_k},{a_k}) is out of range")
+    return old_u, old_v, emit, rule, l  # l is set only for IIIb and IVb
+
+
+def inverse_step(
+    state: BijectionState,
+) -> tuple[BijectionState, tuple[int, int], StepRecord]:
+    """Strip the leftmost diagonal after undoing the rule that built it.
+
+    The rule is read off the state alone: the bottom two entries of the
+    stripped diagonal split the cases, and the tie between the subtle
+    rules is broken by comparing v[k-l] + l against the bottom entry.
+    Raises `InvalidGogamInput` when no rule can have produced the state.
+    """
+    n = state.n
+    old_u, old_v, pair, rule, l = _inverse(n, state.u, state.v)
+    k = len(old_u)
     tag = Rule.BASE if k == 1 else rule
-    return shrunk, emit, StepRecord(k, tag, l)  # l is set only for IIIb and IVb
+    return BijectionState._trusted(n, old_u, old_v), pair, StepRecord(k, tag, l)
 
 
 def gogam_to_gog_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:

@@ -208,7 +208,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     rules: Counter[Rule] = Counter()
     per_value: dict[int, list[int]] = {}
     for t, out, path in _n2_trapezoids(n):
-        rules.update(e.record.rule for e in path)
+        rules.update(e.tag for e in path)
         x = statistic_x11(t)
         row = per_value.setdefault(x, [0, 0, 0])
         row[0] += 1

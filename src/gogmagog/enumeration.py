@@ -30,7 +30,7 @@ from itertools import (
     accumulate, chain, combinations, combinations_with_replacement, product, repeat
 )
 from math import comb, factorial
-from operator import lt
+from operator import le, lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
@@ -43,32 +43,31 @@ from .asm import (
     validate_asm,
 )
 from .bijection import (
-    BijectionState,
     BijectionStateError,
     Rule,
-    StepRecord,
     _SUBTLE,
+    _forward,
     _gog_trapezoid,
+    _inverse,
+    _state_rows,
     covering_subtraction_map,
-    forward_step,
     gog_to_gogam_n2,
-    inverse_step,
     magog_row_statistic,
     statistic_x11,
 )
-from .schutzenberger import _involution, is_gogam, schutzenberger, schutzenberger_diagonal
+from .schutzenberger import _diagonal, _involution, is_gogam, schutzenberger, schutzenberger_diagonal
 from .tableaux import _word_route
 from .triangles import (
     Family,
     GtTriangle,
     _check_int,
     _check_size,
+    _gt_test,
     _per_size,
     _straight_line,
     format_triangle,
     inversions,
     is_gog_trapezoid_n2k,
-    is_magog,
     is_magog_trapezoid_n2k,
     is_trapezoid,
 )
@@ -465,19 +464,24 @@ def _suite_lemma1(n: int, report: Report) -> None:
             report.failures.append(f"dp != image diagonal on {_fail_payload(t)}")
 
 
+_Diagonals = tuple[_Row, _Row]  # a state's (u, v)
+
+
 class _Edge(NamedTuple):
-    """One edge of the (n,2) prefix tree: `forward_step` took ``before``
-    by ``pair`` to ``after`` with ``record``, and `inverse_step` of
-    ``after`` returned ``undone`` (state, pair, record)."""
+    """One edge of the (n,2) prefix tree: `_forward` took ``before`` by
+    ``pair`` to ``after``, and `_inverse` of ``after`` returned
+    ``undone``, (u, v, pair, tag, l).  ``tag`` and ``l`` are what the
+    public step's record holds: the rule, or BASE at k = 1."""
 
-    before: BijectionState
-    after: BijectionState
+    before: _Diagonals
+    after: _Diagonals
     pair: tuple[int, int]
-    record: StepRecord
-    undone: tuple[BijectionState, tuple[int, int], StepRecord]
+    tag: Rule
+    l: int | None
+    undone: tuple[_Row, _Row, tuple[int, int], Rule, int | None]
 
 
-_Leaf = tuple[BijectionState, list[_Edge], int]
+_Leaf = tuple[_Diagonals, list[_Edge], int]
 
 
 def _walk_n2(n: int) -> Iterator[_Leaf]:
@@ -487,40 +491,43 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     The ranges are exactly the pair sequences `extract_diagonals`
     returns: b_1 = n-1 and a_1 in [n-1, n]; for k >= 2, b_k in
     [n-k, min(b_{k-1}, a_{k-1}-1)] and a_k in [b_k, a_{k-1}].  Each edge
-    runs `forward_step` once and `inverse_step` on its result once, so
-    trapezoids that share a prefix share its steps.  Yields the leaf
-    state, the path (one list, reused: copy it to keep it) and the
-    worst edge grade on the path: 0 when every inverse returned its
-    parent state, pair and record, 1 when only a record differs, 2 when
-    a state or pair differs.  Since both steps are pure, a path of
-    grade 0 is exactly a trapezoid whose full inverse retraces it.
-    Raises `ValueError` for n < 1 at the call, before any step.
+    runs the step cores once, `_forward` and then `_inverse` on its
+    result, on bare diagonals, so trapezoids that share a prefix share
+    its steps.  Yields the leaf's (u, v), the path (one list, reused:
+    copy it to keep it) and the worst edge grade on the path: 0 when
+    every inverse returned its parent's diagonals, pair, tag and l, 1
+    when only a tag or l differs, 2 when diagonals or a pair differ.
+    Since both cores are pure, a path of grade 0 is exactly a trapezoid
+    whose full inverse retraces it.  Raises `ValueError` for n < 1 at
+    the call, before any step.
     """
     _check_size(n)
     path: list[_Edge] = []
 
-    def grow(state: BijectionState, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
-        k = state.k
+    def grow(u: _Row, v: _Row, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
+        k = len(u)
         if k == n:
-            yield state, path, grade
+            yield (u, v), path, grade
             return
         for b in range(n - k, min(b_prev, a_prev - 1) + 1):
             for a in range(b, a_prev + 1):
-                after, record = forward_step(state, b, a)
-                undone = inverse_step(after)
-                back, pair, again = undone
-                if back != state or pair != (b, a):
+                new_u, new_v, tag, l = _forward(n, u, v, b, a)
+                back_u, back_v, pair, again, l_again = _inverse(n, new_u, new_v)
+                if k == 1:  # both records say BASE; only l can differ
+                    tag = again = Rule.BASE
+                if back_u != u or back_v != v or pair != (b, a):
                     worst = 2
-                elif again != record:
+                elif again is not tag or l_again != l:
                     worst = max(grade, 1)
                 else:
                     worst = grade
-                path.append(_Edge(state, after, (b, a), record, undone))
-                yield from grow(after, b, a, worst)
+                undone = back_u, back_v, pair, again, l_again
+                path.append(_Edge((u, v), (new_u, new_v), (b, a), tag, l, undone))
+                yield from grow(new_u, new_v, b, a, worst)
                 path.pop()
 
     # b_0 = n-1 and a_0 = n give the k = 1 ranges
-    return grow(BijectionState(n, (n,), ()), n - 1, n, 0)
+    return grow((n,), (), n - 1, n, 0)
 
 
 def _n2_trapezoids(n: int) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]]]:
@@ -528,8 +535,8 @@ def _n2_trapezoids(n: int) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]
     its `_walk_n2` path (reused, as there), read off one walk.  Keeps
     the public map's postcondition that the image is a (n,2) GOGAm
     trapezoid."""
-    for leaf, path, _ in _walk_n2(n):
-        image = leaf.materialize()
+    for (u, v), path, _ in _walk_n2(n):
+        image = GtTriangle._trusted(_state_rows(n, u, v))
         if not (is_trapezoid(image, Family.GOGAM, 2) and is_gogam(image)):
             raise BijectionStateError("forward image failed the GOGAm test")
         yield _gog_trapezoid(n, [e.pair for e in path]), image, path
@@ -549,36 +556,45 @@ _RULE_KEYS = {rule: f"rule-{rule.value}" for rule in Rule}
 
 def _suite_bijection_n2(n: int, report: Report) -> None:
     """Every (n,2) Gog trapezoid through the walk, with its image checked
-    and counted.
+    on bare rows and counted.
 
-    The distinct-images count keeps one int per image, the bytes of the
-    leaf's diagonals u + v read big-endian, not the image itself.  It
-    is exact: `materialize` copies u and v verbatim and fills the rest
-    with the constant, so distinct images have distinct (u, v); the key
-    has the fixed length 2n-1 bytes, so distinct (u, v) give distinct
-    ints; and an image is kept only once it passed the GOGAm test, so
-    its entries lie in 1..n and each fits a byte.  Hence n <= 255.
+    The image, `_state_rows` of the leaf, gets the checks of
+    `is_trapezoid`, `is_gogam` and, on its involution, `is_magog`,
+    through the size's `_gt_test`, `_diagonal` and `_involution`.  The
+    distinct-images count keeps one int per image, the bytes of the
+    leaf's diagonals u + v read big-endian.  It is exact: the rows copy
+    u and v verbatim and fill the rest with the constant, so distinct
+    images have distinct (u, v); the key has the fixed length 2n-1
+    bytes, so distinct (u, v) give distinct ints; and an image is kept
+    only once it passed the GOGAm test, so its entries lie in 1..n and
+    each fits a byte.  Hence n <= 255.
     """
     if n > 255:
         raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n}")
+    gt, diagonal, involution = _gt_test(n), _diagonal(n), _involution(n)
+    pins = [(1,) * (n - m - 2) for m in range(n)]  # row m's cells left of the diagonals
+    staircase, top_down = range(1, n + 1), range(n, 0, -1)
     histogram = report.histogram
     images = set()
     leaves = 0
-    for leaf, path, grade in _walk_n2(n):
+    for (u, v), path, grade in _walk_n2(n):
         leaves += 1
         report.checks += 1
         for edge in path:
-            key = _RULE_KEYS[edge.record.rule]
+            key = _RULE_KEYS[edge.tag]
             histogram[key] = histogram.get(key, 0) + 1
-        out = leaf.materialize()
-        if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):
+        rows = _state_rows(n, u, v)
+        if not (
+            [row[:-2] for row in rows] == pins
+            and gt(rows) and all(map(le, diagonal(rows), staircase))
+        ):
             failure = "image not GOGAm"
-        elif not is_magog(schutzenberger(out)):
+        elif not (gt(image := involution(rows)) and all(map(le, [r[-1] for r in image], top_down))):
             failure = "involution image not Magog"
         elif grade:
             failure = _GRADE_FAILURES[grade]
         else:
-            images.add(int.from_bytes(bytes(leaf.u + leaf.v), "big"))
+            images.add(int.from_bytes(bytes(u + v), "big"))
             continue
         report.failures.append(f"{failure} for {_path_payload(n, path)}")
     gogs = _count_n2(Family.GOG, n)
@@ -670,9 +686,9 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
     for _, path, _ in _walk_n2(n):
         prev = None  # the rule of the edge before
         for k, e in enumerate(path, 1):
-            before, after, rule, l = e.before, e.after, e.record.rule, e.record.l
+            (u, v), (new_u, new_v), rule, l = e.before, e.after, e.tag, e.l
             if rule is Rule.BASE:  # the opening step: I lowers the corner, II keeps it
-                rule = Rule.I if after.u[0] == before.u[0] - 1 else Rule.II
+                rule = Rule.I if new_u[0] == u[0] - 1 else Rule.II
             if prev is not None:
                 report.checks += 2
                 if rule is Rule.IIIB and prev in _I_OR_II:
@@ -684,7 +700,7 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 report.checks += 1
                 # the second diagonal just below the patch must sit one
                 # above the new constant, for l cells
-                if any(before.v[k - i - 1] != before.constant for i in range(1, l + 1)):
+                if any(v[k - i - 1] != n - k + 1 for i in range(1, l + 1)):
                     report.failures.append(
                         f"IVb fired without the constant run on {_path_payload(n, path)}"
                     )
@@ -694,17 +710,17 @@ def _suite_trace_lemmas(n: int, report: Report) -> None:
                 # IVb guarantees a pair strictly below the rewritten run;
                 # IIIb only guarantees that the pair survives somewhere
                 top = k - l if rule is Rule.IVB else k
-                if not any(after.u[i] == after.v[i - 1] for i in range(1, top)):
+                if not any(new_u[i] == new_v[i - 1] for i in range(1, top)):
                     report.failures.append(
                         f"no equality pair after {rule.value} on {_path_payload(n, path)}"
                     )
             # undoing the subtle rules must also leave an equality pair behind
-            state, _, rec = e.undone
-            if rec.rule in _SUBTLE:
+            back_u, back_v, _, undone, _ = e.undone
+            if undone in _SUBTLE:
                 report.checks += 1
-                if not any(state.u[i] == state.v[i - 1] for i in range(1, state.k)):
+                if not any(back_u[i] == back_v[i - 1] for i in range(1, len(back_u))):
                     report.failures.append(
-                        f"no pair after undoing {rec.rule.value} on {_path_payload(n, path)}"
+                        f"no pair after undoing {undone.value} on {_path_payload(n, path)}"
                     )
 
 

@@ -3,7 +3,6 @@ import json
 from collections import Counter
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import chain, combinations_with_replacement, islice
 
 import pytest
@@ -13,7 +12,9 @@ from gogmagog.bijection import (
     BijectionState,
     BijectionStateError,
     Rule,
+    StepRecord,
     _gog_trapezoid,
+    _state_rows,
     extract_diagonals,
     forward_step,
     gog_to_gogam_n2,
@@ -425,25 +426,34 @@ def test_sizes_must_be_integers(call, n):
 
 def test_walk_equals_the_public_maps():
     """Every (n,2) Gog trapezoid with n <= 7: the walk's pairs are its
-    `extract_diagonals`, its leaf and records are `gog_to_gogam_n2`'s
-    image and trace, every edge's inverse returns its parent state,
-    pair and record, and `gogam_to_gog_n2` of the image gives it back.
-    `_gog_trapezoid` inverts `extract_diagonals`."""
+    `extract_diagonals`, its leaf and tags are `gog_to_gogam_n2`'s image
+    and trace, every edge is what `forward_step` and `inverse_step` give
+    on its parent (the inverse returning the parent's state, pair and
+    record), and `gogam_to_gog_n2` of the image gives the trapezoid
+    back.  `_gog_trapezoid` inverts `extract_diagonals`."""
     total = 0
     for n in range(1, 8):
-        walked = {}
-        for leaf, path, grade in _walk_n2(n):
+        walked, edges = {}, set()
+        for (u, v), path, grade in _walk_n2(n):
             assert grade == 0
-            for edge in path:
-                assert edge.undone == (edge.before, edge.pair, edge.record)
+            for k, edge in enumerate(path, 1):
+                if (edge.before, edge.pair) not in edges:
+                    edges.add((edge.before, edge.pair))
+                    before = BijectionState(n, *edge.before)
+                    after, record = forward_step(before, *edge.pair)
+                    back, pair, again = inverse_step(after)
+                    assert edge.after == (after.u, after.v)
+                    assert edge.undone == (back.u, back.v, pair, again.rule, again.l)
+                    assert record == again == StepRecord(k, edge.tag, edge.l)
+                    assert (back, pair) == (before, edge.pair)
             pairs = tuple(edge.pair for edge in path)
-            walked[pairs] = (leaf.materialize(), tuple(edge.record for edge in path))
+            walked[pairs] = (_state_rows(n, u, v), [(e.tag, e.l) for e in path])
         gogs = list(generate(FamilySpec(Family.GOG, n, k=min(2, n))))
         assert len(walked) == len(gogs)
         for t in gogs:
             out, trace = gog_to_gogam_n2(t)
             pairs = extract_diagonals(t)
-            assert walked[pairs] == (out, trace)
+            assert walked[pairs] == (out.rows, [(r.rule, r.l) for r in trace])
             assert _gog_trapezoid(n, pairs) == t
             assert gogam_to_gog_n2(out)[0] == t
         total += len(gogs)
@@ -468,8 +478,8 @@ def test_walk_visits_each_prefix_once(monkeypatch):
     for t in generate(FamilySpec(Family.GOG, 6, k=2)):
         pairs = extract_diagonals(t)
         prefixes.update(pairs[:k] for k in range(1, 6))
-    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
-    monkeypatch.setattr(enumeration, "inverse_step", _counted(calls, "inverse", inverse_step))
+    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
+    monkeypatch.setattr(enumeration, "_inverse", _counted(calls, "inverse", bijection._inverse))
     leaves = sum(1 for _ in _walk_n2(6))
     assert leaves == 1_594
     assert calls == {"forward": 1_857, "inverse": 1_857} and len(prefixes) == 1_857
@@ -480,7 +490,7 @@ def test_forward_steps_grow_each_state_once(monkeypatch):
     one for each IIIa trial that falls back to IIIb (94)."""
     calls = Counter()
     monkeypatch.setattr(bijection, "_grown", _counted(calls, "grown", bijection._grown))
-    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
+    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
     assert verify("bijection-n2", 6).ok
     assert calls == {"grown": 2_269, "forward": 2_175}
 
@@ -499,28 +509,27 @@ BROKEN_PREFIX = ((4, 5), (3, 4))
 
 
 def _corrupt_inverse(monkeypatch, corrupt):
-    """Make the walk's `inverse_step` return ``corrupt(state, pair,
-    record)`` on the child state of ``BROKEN_PREFIX`` only."""
+    """Make the walk's `_inverse` return ``corrupt(u, v, pair, rule, l)``
+    on the child state of ``BROKEN_PREFIX`` only."""
     state = BijectionState(5, (5,), ())
     for b, a in BROKEN_PREFIX:
         state, _ = forward_step(state, b, a)
-    target = state
+    target = state.u, state.v
 
-    def broken(after):
-        undone = inverse_step(after)
-        return corrupt(*undone) if after == target else undone
+    def broken(n, u, v):
+        undone = bijection._inverse(n, u, v)
+        return corrupt(*undone) if (u, v) == target else undone
 
-    monkeypatch.setattr(enumeration, "inverse_step", broken)
+    monkeypatch.setattr(enumeration, "_inverse", broken)
 
 
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
-        (lambda s, p, r: (s, (p[0], p[1] + 1), r), "round trip failed"),
-        (lambda s, p, r: (BijectionState(s.n, (s.u[0] + 1,) + s.u[1:], s.v), p, r),
-         "round trip failed"),
-        (lambda s, p, r: (s, p, replace(r, l=7)), "traces not mirrored"),
-        (lambda s, p, r: (s, p, replace(r, rule=Rule.IVB)), "traces not mirrored"),
+        (lambda u, v, p, r, l: (u, v, (p[0], p[1] + 1), r, l), "round trip failed"),
+        (lambda u, v, p, r, l: ((u[0] + 1,) + u[1:], v, p, r, l), "round trip failed"),
+        (lambda u, v, p, r, l: (u, v, p, r, 7), "traces not mirrored"),
+        (lambda u, v, p, r, l: (u, v, p, Rule.IVB, l), "traces not mirrored"),
     ],
     ids=["pair", "state", "run-length", "rule"],
 )
@@ -553,15 +562,15 @@ def test_round_trip_failure_outranks_a_record_mismatch_below(monkeypatch):
     above = state
     below, _ = forward_step(above, 2, 3)
 
-    def broken(after):
-        s, p, r = inverse_step(after)
-        if after == above:
-            return BijectionState(s.n, (s.u[0] + 1,) + s.u[1:], s.v), p, r
-        if after == below:
-            return s, p, replace(r, l=7)
-        return s, p, r
+    def broken(n, u, v):
+        back_u, back_v, p, r, l = bijection._inverse(n, u, v)
+        if (u, v) == (above.u, above.v):
+            return (back_u[0] + 1,) + back_u[1:], back_v, p, r, l
+        if (u, v) == (below.u, below.v):
+            return back_u, back_v, p, r, 7
+        return back_u, back_v, p, r, l
 
-    monkeypatch.setattr(enumeration, "inverse_step", broken)
+    monkeypatch.setattr(enumeration, "_inverse", broken)
     report = verify("bijection-n2", 5)
     gogs = list(generate(FamilySpec(Family.GOG, 5, k=2)))
     under_above = sorted(
@@ -575,18 +584,18 @@ def test_round_trip_failure_outranks_a_record_mismatch_below(monkeypatch):
 
 
 def test_inverse_lemma_reads_each_edge_inverse(monkeypatch):
-    """rule-trace-lemmas checks the state each edge's `inverse_step`
+    """rule-trace-lemmas checks the state each edge's `_inverse`
     returned: an undone IIIb or IVb step that leaves no equality pair
     fails on every trapezoid whose trace holds that step."""
 
-    def no_pair_after_subtle_undo(after):
-        s, p, r = inverse_step(after)
-        if r.rule in (Rule.IIIB, Rule.IVB):
-            s = BijectionState(s.n, (s.n + 5,) * s.k, (-1,) * (s.k - 1))
-        return s, p, r
+    def no_pair_after_subtle_undo(n, u, v):
+        back_u, back_v, p, r, l = bijection._inverse(n, u, v)
+        if r in (Rule.IIIB, Rule.IVB):
+            back_u, back_v = (n + 5,) * len(back_u), (-1,) * len(back_v)
+        return back_u, back_v, p, r, l
 
     clean = verify("rule-trace-lemmas", 6)
-    monkeypatch.setattr(enumeration, "inverse_step", no_pair_after_subtle_undo)
+    monkeypatch.setattr(enumeration, "_inverse", no_pair_after_subtle_undo)
     report = verify("rule-trace-lemmas", 6)
     want = sorted(
         f"no pair after undoing {rec.rule.value} on {_fail_payload(t)}"
@@ -676,6 +685,25 @@ def test_bijection_n2_enumerates_nothing(monkeypatch):
     assert report.ok and report.histogram["trapezoids-5"] == 219
 
 
+@pytest.mark.parametrize("suite", ["bijection-n2", "rule-trace-lemmas"])
+def test_walk_suites_stay_bare(monkeypatch, suite):
+    """The walk runs the step cores and checks leaves on bare rows: no
+    public step, state listing or per-object GOGAm test runs."""
+
+    def unreachable(*args):
+        raise AssertionError(f"{suite} must run on bare tuples")
+
+    clean = report_digest(verify(suite, 5))
+    for name in ("forward_step", "inverse_step"):
+        monkeypatch.setattr(bijection, name, unreachable)
+        monkeypatch.setattr(enumeration, name, unreachable, raising=False)
+    monkeypatch.setattr(BijectionState, "check_invariants", unreachable)
+    if suite == "bijection-n2":
+        for name in ("schutzenberger", "is_gogam", "is_trapezoid"):
+            monkeypatch.setattr(enumeration, name, unreachable)
+    assert report_digest(verify(suite, 5)) == clean
+
+
 def test_bijection_n2_refuses_sizes_past_a_byte(monkeypatch):
     # its image keys hold one byte per diagonal entry, so n <= 255
     def unreachable(n):
@@ -711,8 +739,8 @@ def test_walk_suites_make_one_sweep(monkeypatch, suite):
     def unreachable(t):
         raise AssertionError("the public map must not run")
 
-    monkeypatch.setattr(enumeration, "forward_step", _counted(calls, "forward", forward_step))
-    monkeypatch.setattr(enumeration, "inverse_step", _counted(calls, "inverse", inverse_step))
+    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
+    monkeypatch.setattr(enumeration, "_inverse", _counted(calls, "inverse", bijection._inverse))
     monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
     assert verify(suite, 6).ok
     assert calls == {"forward": 2_175, "inverse": 2_175}
