@@ -28,6 +28,8 @@ Every state a core returns passes `_state_ok`, one straight-line test
 per state size; past `_UNROLL_MAX_N` it is the GT test and the
 bound-by-bound listing, asked for an empty list.  Only a state the test
 rejects is listed, by `BijectionState.check_invariants`, for the error.
+The walk checks each leaf's image with `_image_check`, one function per
+size built from the lines of the GT test, the diagonal and the involution.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import le
 from typing import Callable, Sequence
 
-from .schutzenberger import is_gogam
+from .schutzenberger import _diagonal, _diagonal_lines, _involution, _reflections, is_gogam
 from .triangles import (
-    Family, GtTriangle, Inversion, _per_size, _straight_line, inversions, is_gog, is_trapezoid
+    Family, GtTriangle, Inversion, _gt_expression, _gt_test, _per_size, _straight_line,
+    inversions, is_gog, is_trapezoid
 )
 
 
@@ -266,6 +270,49 @@ def _state_loop(state: tuple[int, tuple[int, ...], tuple[int, ...]]) -> bool:
 
 # whether a state (n, u, v) with k = len(u) passes `check_invariants`
 _state_ok = _per_size(_state_kernel, _state_loop)
+
+
+_Diagonals = tuple[tuple[int, ...], tuple[int, ...]]  # a state's (u, v)
+
+
+def _image_kernel(n: int) -> Callable[[_Diagonals], int]:
+    """`_image_loop` for n = len(u), composed from the GT test's, the
+    diagonal's and the involution's lines: (u, v) unpacked into their
+    cells, each other cell 1, as `_state_rows` writes it at k = n."""
+    us = [f"x{m}_{n - m - 1}" for m in range(n)]
+    vs = [f"x{m}_{n - m - 2}" for m in range(n - 1)]
+    pins = [f"x{m}_{c} = " for m in range(n - 2) for c in range(n - m - 2)]
+    gt = _gt_expression(n)
+    diagonal, values = _diagonal_lines(n)
+    staircase = " and ".join(f"{d} <= {k}" for k, d in enumerate(values, 1))
+    magog = " and ".join(f"{x} <= {n - m}" for m, x in enumerate(us))
+    body = [f"    {''.join(pins)}1"] if pins else []
+    body += [
+        f"    if not ({gt}): return 1",
+        *diagonal,
+        f"    if not ({staircase}): return 1",
+        *_reflections(n),
+        f"    return 0 if {gt} and {magog} else 2",
+    ]
+    target = f"({''.join(x + ',' for x in us)}), ({''.join(x + ',' for x in vs)})"
+    return _straight_line(n, target, body, "image check")
+
+
+def _image_loop(leaf: _Diagonals) -> int:
+    """Which check a finished state (u, v), n = len(u), fails: 0 none, 1
+    GOGAm (GT, image diagonal under 1..n), 2 Magog on the involution's
+    image (GT, x[i,i] <= i)."""
+    n = len(leaf[0])
+    rows = _state_rows(n, *leaf)
+    if not (_gt_test(n)(rows) and all(map(le, _diagonal(n)(rows), range(1, n + 1)))):
+        return 1
+    image = _involution(n)(rows)
+    magog = all(map(le, [row[-1] for row in image], range(n, 0, -1)))
+    return 0 if _gt_test(n)(image) and magog else 2
+
+
+# the failure index of a finished state's image, n = len(u)
+_image_check = _per_size(_image_kernel, _image_loop)
 
 
 def extract_diagonals(t: GtTriangle) -> tuple[tuple[int, int], ...]:

@@ -30,7 +30,7 @@ from itertools import (
     accumulate, chain, combinations, combinations_with_replacement, product, repeat
 )
 from math import comb, factorial
-from operator import le, lt
+from operator import lt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
@@ -46,8 +46,10 @@ from .bijection import (
     BijectionStateError,
     Rule,
     _SUBTLE,
+    _Diagonals,
     _forward,
     _gog_trapezoid,
+    _image_check,
     _inverse,
     _state_rows,
     covering_subtraction_map,
@@ -55,14 +57,13 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .schutzenberger import _diagonal, _involution, is_gogam, schutzenberger, schutzenberger_diagonal
+from .schutzenberger import _involution, is_gogam, schutzenberger, schutzenberger_diagonal
 from .tableaux import _word_route
 from .triangles import (
     Family,
     GtTriangle,
     _check_int,
     _check_size,
-    _gt_test,
     _per_size,
     _straight_line,
     format_triangle,
@@ -464,9 +465,6 @@ def _suite_lemma1(n: int, report: Report) -> None:
             report.failures.append(f"dp != image diagonal on {_fail_payload(t)}")
 
 
-_Diagonals = tuple[_Row, _Row]  # a state's (u, v)
-
-
 class _Edge(NamedTuple):
     """One edge of the (n,2) prefix tree: `_forward` took ``before`` by
     ``pair`` to ``after``, and `_inverse` of ``after`` returned
@@ -534,12 +532,14 @@ def _n2_trapezoids(n: int) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]
     """Every (n,2) Gog trapezoid with its `gog_to_gogam_n2` image and
     its `_walk_n2` path (reused, as there), read off one walk.  Keeps
     the public map's postcondition that the image is a (n,2) GOGAm
-    trapezoid."""
-    for (u, v), path, _ in _walk_n2(n):
-        image = GtTriangle._trusted(_state_rows(n, u, v))
-        if not (is_trapezoid(image, Family.GOGAM, 2) and is_gogam(image)):
+    trapezoid, through `_image_check`."""
+    leaves = _walk_n2(n)  # refuses a bad n before a kernel is built for it
+    check = _image_check(n)
+    for leaf, path, _ in leaves:
+        if check(leaf):
             raise BijectionStateError("forward image failed the GOGAm test")
-        yield _gog_trapezoid(n, [e.pair for e in path]), image, path
+        gog = _gog_trapezoid(n, [e.pair for e in path])
+        yield gog, GtTriangle._trusted(_state_rows(n, *leaf)), path
 
 
 def _path_payload(n: int, path: list[_Edge]) -> str:
@@ -548,6 +548,7 @@ def _path_payload(n: int, path: list[_Edge]) -> str:
 
 
 _GRADE_FAILURES = (None, "traces not mirrored", "round trip failed")
+_IMAGE_FAILURES = (None, "image not GOGAm", "involution image not Magog")
 
 # histogram key of each rule, formatted once: `Rule.value` is a
 # Python-level descriptor, and the walk reads one rule per path edge
@@ -555,48 +556,37 @@ _RULE_KEYS = {rule: f"rule-{rule.value}" for rule in Rule}
 
 
 def _suite_bijection_n2(n: int, report: Report) -> None:
-    """Every (n,2) Gog trapezoid through the walk, with its image checked
-    on bare rows and counted.
+    """Every (n,2) Gog trapezoid through the walk, its image checked and
+    counted on the leaf's bare diagonals (u, v).
 
-    The image, `_state_rows` of the leaf, gets the checks of
-    `is_trapezoid`, `is_gogam` and, on its involution, `is_magog`,
-    through the size's `_gt_test`, `_diagonal` and `_involution`.  The
-    distinct-images count keeps one int per image, the bytes of the
-    leaf's diagonals u + v read big-endian.  It is exact: the rows copy
-    u and v verbatim and fill the rest with the constant, so distinct
-    images have distinct (u, v); the key has the fixed length 2n-1
-    bytes, so distinct (u, v) give distinct ints; and an image is kept
-    only once it passed the GOGAm test, so its entries lie in 1..n and
-    each fits a byte.  Hence n <= 255.
+    `_image_check` of the size gives the checks of `is_trapezoid`,
+    `is_gogam` and, on the involution's image, `is_magog`; the pinned
+    cells are its own materialization of the leaf, the constant 1.  The
+    distinct-images count keeps one int per image, the bytes of u + v
+    read big-endian.  It is exact: the image copies u and v and fills
+    the rest with 1, so distinct images have distinct (u, v); the key
+    has the fixed length 2n-1 bytes, so distinct (u, v) give distinct
+    ints; and a kept image passed the GOGAm test, so its entries lie in
+    1..n and each fits a byte.  Hence n <= 255.
     """
     if n > 255:
         raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n}")
-    gt, diagonal, involution = _gt_test(n), _diagonal(n), _involution(n)
-    pins = [(1,) * (n - m - 2) for m in range(n)]  # row m's cells left of the diagonals
-    staircase, top_down = range(1, n + 1), range(n, 0, -1)
+    check = _image_check(n)
     histogram = report.histogram
     images = set()
     leaves = 0
-    for (u, v), path, grade in _walk_n2(n):
+    for leaf, path, grade in _walk_n2(n):
         leaves += 1
         report.checks += 1
         for edge in path:
             key = _RULE_KEYS[edge.tag]
             histogram[key] = histogram.get(key, 0) + 1
-        rows = _state_rows(n, u, v)
-        if not (
-            [row[:-2] for row in rows] == pins
-            and gt(rows) and all(map(le, diagonal(rows), staircase))
-        ):
-            failure = "image not GOGAm"
-        elif not (gt(image := involution(rows)) and all(map(le, [r[-1] for r in image], top_down))):
-            failure = "involution image not Magog"
-        elif grade:
-            failure = _GRADE_FAILURES[grade]
+        failure = _IMAGE_FAILURES[check(leaf)] or _GRADE_FAILURES[grade]
+        if failure:
+            report.failures.append(f"{failure} for {_path_payload(n, path)}")
         else:
+            u, v = leaf
             images.add(int.from_bytes(bytes(u + v), "big"))
-            continue
-        report.failures.append(f"{failure} for {_path_payload(n, path)}")
     gogs = _count_n2(Family.GOG, n)
     magogs = _count_n2(Family.MAGOG, n)
     report.checks += 1
@@ -641,13 +631,16 @@ def _suite_n2k(n: int, report: Report) -> None:
 
 
 def _suite_statistics(n: int, report: Report) -> None:
-    for t, out, _ in _n2_trapezoids(n):
+    check, involution = _image_check(n), _involution(n)
+    for leaf, path, _ in _walk_n2(n):
         report.checks += 1
-        magog = schutzenberger(out)
-        if statistic_x11(out) != statistic_x11(t):
-            report.failures.append(f"bottom entry moved for {_fail_payload(t)}")
-        elif magog_row_statistic(magog) != statistic_x11(t):
-            report.failures.append(f"row statistic disagrees for {_fail_payload(t)}")
+        if check(leaf):
+            raise BijectionStateError("forward image failed the GOGAm test")
+        x11 = path[-1].pair[1] if path else 1  # the Gog trapezoid's a_{n-1}
+        if leaf[0][-1] != x11:
+            report.failures.append(f"bottom entry moved for {_path_payload(n, path)}")
+        elif magog_row_statistic(GtTriangle._trusted(involution(_state_rows(n, *leaf)))) != x11:
+            report.failures.append(f"row statistic disagrees for {_path_payload(n, path)}")
     if n <= 5:
         for t in generate(FamilySpec(Family.GOG, n)):
             report.checks += 1

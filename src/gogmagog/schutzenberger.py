@@ -13,16 +13,15 @@ that diagonal is bounded by the staircase 1, 2, ..., n, which gives an
 O(n^2) test that never constructs the image.
 
 Both schedules depend on n alone, so for n up to the shared cap
-`_UNROLL_MAX_N` each runs as one straight-line function per size
-(`_kernel` for the involution, one assignment per reflected cell;
-`_diagonal_kernel` for the diagonal, the dynamic program unrolled),
-built by `triangles._straight_line`.  Each equals its loop (`_fold`,
-`_diagonal_loop`) on every triangle, GT or not.  Past the cap the
-unrolled source would cost too much to build, and the loops run.  The
-resolvers `_involution` and `_diagonal`, made by `triangles._per_size`,
-give the function of one size on bare top-down rows and hold the one
-choice between kernel and loop, so a caller with many triangles
-resolves it once.
+`_UNROLL_MAX_N` each runs as one straight-line function per size,
+built by `triangles._straight_line` from the lines of `_reflections`
+(one assignment per reflected cell) or `_diagonal_lines` (the dynamic
+program unrolled), which `bijection._image_kernel` also reads.  Each
+equals its loop (`_fold`, `_diagonal_loop`) on every triangle, GT or
+not; past the cap the unrolled source would cost too much to build,
+and the loops run.  The resolvers `_involution` and `_diagonal`, made
+by `triangles._per_size`, give the function of one size on bare rows
+and hold the one choice between kernel and loop.
 """
 
 from __future__ import annotations
@@ -69,17 +68,11 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
-def _kernel(
-    n: int,
-) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
-    """The involution on top-down rows of size n, as one straight-line
-    function: the schedule of `schutzenberger` unrolled, one assignment
-    ``x = lo + hi - x`` per reflected cell, with lo and hi the bounds
-    `_reflect` takes over the same neighbours.
-
-    Built from integers only; cell (row r, column c) of
-    the top-down rows is the local ``x{r}_{c}``.
-    """
+def _reflections(n: int) -> list[str]:
+    """The schedule of `schutzenberger` on size n as source lines, one
+    assignment ``x = lo + hi - x`` per reflected cell, with lo and hi
+    the bounds `_reflect` takes over the same neighbours; cell (row r,
+    column c) of the top-down rows is the local ``x{r}_{c}``."""
     cell = [[f"x{r}_{c}" for c in range(n - r)] for r in range(n)]
     body = []
     for j in range(n - 1, 0, -1):
@@ -94,8 +87,13 @@ def _kernel(
                 if c <= k - 2:
                     hi = f"({below[c]} if {below[c]} < {hi} else {hi})"
                 body.append(f"    {row[c]} = {lo} + {hi} - {row[c]}")
-    body.append(f"    return {_row_tuples(n)}")
-    return _straight_line(n, _row_tuples(n), body, "schutzenberger")
+    return body
+
+
+def _kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
+    """The involution on top-down rows of size n: `_reflections`, in place."""
+    rows = _row_tuples(n)
+    return _straight_line(n, rows, [*_reflections(n), f"    return {rows}"], "schutzenberger")
 
 
 def _fold(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -124,10 +122,11 @@ def schutzenberger(t: GtTriangle) -> GtTriangle:
     return GtTriangle._trusted(_involution(len(rows))(rows))
 
 
-def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
-    """`schutzenberger_diagonal` on top-down rows of size n as one
-    straight-line function: `_diagonal_loop` unrolled, ``f{k}_{c}``
-    holding its ``f[c]`` for k and ``s`` the running suffix maximum.
+def _diagonal_lines(n: int) -> tuple[list[str], list[str]]:
+    """`_diagonal_loop` on size n unrolled into source lines over the
+    cell locals, and the names holding the diagonal's values in order:
+    ``f{k}_{c}`` holds the loop's ``f[c]`` for k and ``s`` the running
+    suffix maximum.
 
     The maximum of one step's ``f`` is never computed apart: it is the
     larger of ``f[0]`` and the next step's last suffix maximum, which
@@ -147,9 +146,13 @@ def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[in
         body.append(f"    d{k + 1} = {corner} + (f{k + 1}_0 if f{k + 1}_0 > s else s)")
     if n >= 2:
         body.append(f"    d1 = {corner} + f1_0")
-    values = "".join(f"d{k}, " for k in range(1, n))
-    body.append(f"    return {values}{corner},")
-    return _straight_line(n, _row_tuples(n), body, "diagonal")
+    return body, [*(f"d{k}" for k in range(1, n)), corner]
+
+
+def _diagonal_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[int, ...]]:
+    """`schutzenberger_diagonal` on top-down rows of size n: `_diagonal_lines`."""
+    body, names = _diagonal_lines(n)
+    return _straight_line(n, _row_tuples(n), [*body, f"    return {', '.join(names)},"], "diagonal")
 
 
 def _diagonal_loop(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

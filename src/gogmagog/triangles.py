@@ -14,15 +14,17 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Six schedules do: the GT test
-here, the involution and its diagonal in `schutzenberger`, the raw-GT
-generator in `enumeration` and the bijection state test in
-`bijection` (keyed by the state's size) up to `_UNROLL_MAX_N`, and
-the word route in `tableaux` up to the lower `_RSK_MAX_N`.  Each runs
-behind one resolver made by `_per_size`, which alone chooses between
-the kernel and the loop for a size; a kernel is built on the first call
-of its size, so importing the package builds none.  Past the cap the
-GT test is `validate_gt` itself, the state test its bound listing.
+its argument unpacked into locals.  Seven schedules do: up to
+`_UNROLL_MAX_N` the GT test here, the involution and its diagonal in
+`schutzenberger`, the raw-GT generator in `enumeration`, and in
+`bijection` the state test (keyed by the state's size) and the leaf
+image check, made of the lines of the GT test, the diagonal and the
+involution; up to the lower `_RSK_MAX_N` the word route in
+`tableaux`.  Each runs behind one resolver made by `_per_size`, which
+alone chooses between the kernel and the loop for a size; a kernel is
+built on the first call of its size, so importing the package builds
+none.  Past the cap the GT test is `validate_gt` itself, the state
+test its bound listing.
 """
 
 from __future__ import annotations
@@ -177,18 +179,18 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
 # function per size: the GT test, the involution and its diagonal, the
-# raw-GT generator, and the bijection state test, whose size is the
-# state's k.  The involution's source has (n-1)n(n+1)/6 statements,
-# the state test's O(k), the others O(n^2).  Each is built once per
-# size and process; on a 2-vCPU host under Python 3.11 a build takes,
-# at n = 6 / 7 / 12, about 0.3 / 0.3 / 0.5 ms for the state test,
-# 0.2 / 0.3 / 0.5-0.9 ms for the GT test, 0.3-0.5 / 0.4-0.6 / 1.1-1.9
-# ms for the diagonal, 0.3-0.4 / 0.35-0.5 / 0.65-1.25 ms for the
-# generator and 0.6-1.1 / 0.9-1.4 / 5-8 ms for the involution, which
-# grows as n^3 to 12-20 ms at 16 and 26-31 ms at 20.  The generator
-# nests one loop per lower row, n - 1 in all: CPython compiles at most
-# 20 statically nested blocks, which a loop per cell would pass from
-# n = 7 on.  Past the cap the loops run instead (for the GT test,
+# raw-GT generator, the bijection state test (its size is the state's
+# k) and the leaf image check.  The involution's source, which the
+# image check also holds, has (n-1)n(n+1)/6 statements, the state
+# test's O(k), the others O(n^2).  Each is built once per size and
+# process; on a 2-vCPU host under Python 3.11 a build takes, at n = 6 /
+# 7 / 12, at most 0.5 / 0.6 / 1.9 ms for the state test, the GT test,
+# the diagonal and the generator, 0.6-1.1 / 0.9-1.4 / 5-8 ms for the
+# involution, which grows as n^3 to 12-20 ms at 16 and 26-31 ms at 20,
+# and 1.1 / 1.6 / 7.7-7.9 ms for the image check.  The generator nests
+# one loop per lower row, n - 1 in all: CPython compiles at most 20
+# statically nested blocks, which a loop per cell would pass from n = 7
+# on.  Past the cap the loops run instead (for the GT test,
 # `validate_gt`; for the state test, its bound listing), so no input
 # size makes the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
@@ -230,21 +232,26 @@ def _per_size(build: Callable[[int], Callable], loop: Callable, cap: int = _UNRO
     return cache(lambda n: build(n) if n <= cap else loop)
 
 
-def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
-    """The GT test for size n as one expression: a positive top-left
-    entry, then for each row under the one above it the merged chain
-    above[0] <= row[0] <= above[1] <= ... <= row[-1] <= above[-1],
-    which is weakly increasing exactly when the two rows interlace.
-    Interlacing makes the top row weakly increasing and puts every
-    entry at or above the top-row entry of its column, so a positive
-    top-left entry makes every entry positive."""
+def _gt_expression(n: int) -> str:
+    """The GT test for size n as one expression over the cell locals: a
+    positive top-left entry, then for each row under the one above it
+    the merged chain above[0] <= row[0] <= above[1] <= ... <= row[-1]
+    <= above[-1], which is weakly increasing exactly when the two rows
+    interlace.  Interlacing makes the top row weakly increasing and
+    puts every entry at or above the top-row entry of its column, so a
+    positive top-left entry makes every entry positive."""
     tests = ["x0_0 >= 1"]
     for r in range(n - 1):
         chain = [f"x{r}_0"]
         for c in range(n - r - 1):
             chain += [f"x{r + 1}_{c}", f"x{r}_{c + 1}"]
         tests.append(" <= ".join(chain))
-    return _straight_line(n, _row_tuples(n), [f"    return {' and '.join(tests)}"], "gt test")
+    return " and ".join(tests)
+
+
+def _gt_kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
+    """The GT test on top-down rows of size n: `_gt_expression`."""
+    return _straight_line(n, _row_tuples(n), [f"    return {_gt_expression(n)}"], "gt test")
 
 
 def _gt_loop(rows: tuple[tuple[int, ...], ...]) -> bool:

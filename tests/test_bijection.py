@@ -15,6 +15,7 @@ from gogmagog.bijection import (
     Rule,
     _diagonal_bound_violations,
     _gog_trapezoid,
+    _image_loop,
     _state_loop,
     _two_diagonals,
     covering_subtraction_map,
@@ -26,7 +27,7 @@ from gogmagog.bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from gogmagog.enumeration import FamilySpec, generate
+from gogmagog.enumeration import FamilySpec, _walk_n2, generate
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import (
     _UNROLL_MAX_N, Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
@@ -496,16 +497,79 @@ class TestStateKernel:
         # `kernel` checks that the resolver gives the loop past the cap;
         # the last steps of both maps check states of those sizes
         assert kernel("state", t.n) is _state_loop
+        assert kernel("image", t.n) is _image_loop
         image, trace = gog_to_gogam_n2(t)
         assert gogam_to_gog_n2(image) == (t, trace[::-1])
         # one entry of the image's state moved by +-1 is listed in full
         n = t.n
         u, v = _two_diagonals(image)
-        entries = [*u, *v]
-        entries[data.draw(st.integers(0, 2 * n - 2))] += data.draw(st.sampled_from((-1, 1)))
-        state = BijectionState(n, entries[:n], entries[n:])
+        assert _image_loop((u, v)) == 0
+        perturbed = _perturbed((u, v), data.draw(st.integers(0, 2 * n - 2)),
+                               data.draw(st.sampled_from((-1, 1))))
+        state = BijectionState(n, *perturbed)
         gt = [] if is_valid_gt(state.materialize()) else [TestStateInvariants.NOT_GT]
         assert state.check_invariants() == gt + _bound_violations_reference(n, state.u, state.v)
+        assert _image_loop(perturbed) == _image_reference(perturbed)
+
+
+def _perturbed(leaf, i, delta):
+    """The diagonals (u, v) with entry i of u + v moved by delta."""
+    u, v = leaf
+    entries = [*u, *v]
+    entries[i] += delta
+    return tuple(entries[: len(u)]), tuple(entries[len(u) :])
+
+
+def _image_reference(leaf):
+    """`_image_check`'s index through the public predicates: 1 when the
+    state (u, v) with n = len(u) is not a GOGAm trapezoid, else 2 when
+    its involution image is not Magog, else 0."""
+    u, v = leaf
+    t = BijectionState(len(u), u, v).materialize()
+    if not (is_trapezoid(t, Family.GOGAM, 2) and is_gogam(t)):
+        return 1
+    return 0 if is_magog(schutzenberger(t)) else 2
+
+
+def _image_results(check_of_size, n_max, seed):
+    """{(loop's index, ``check_of_size(n)``'s index): count} over every
+    (n,2) walk leaf with n <= n_max and one seeded +-1 perturbation of
+    each; every leaf must pass, and the loop must equal the public
+    predicates on the perturbations."""
+    rng = random.Random(seed)
+    results = {}
+    for n in range(1, n_max + 1):
+        check = check_of_size(n)
+        for leaf, _, _ in _walk_n2(n):
+            assert check(leaf) == _image_loop(leaf) == 0
+            perturbed = _perturbed(leaf, rng.randrange(2 * n - 1), rng.choice((-1, 1)))
+            key = _image_loop(perturbed), check(perturbed)
+            assert key[0] == _image_reference(perturbed)
+            results[key] = results.get(key, 0) + 1
+    return results
+
+
+class TestImageKernel:
+    def test_matches_the_loop_on_every_leaf_and_a_perturbation_of_each(self):
+        # 14,793 leaves for n <= 7; the perturbations reach indices 0 and 1
+        assert _image_results(partial(kernel, "image"), 7, 0x1A6E) == {
+            (0, 0): 3_613, (1, 1): 11_180
+        }
+
+    def test_the_involution_side_alone_rejects_what_the_staircase_rejects(self, monkeypatch):
+        # built without its staircase line, the kernel passes a GT state
+        # that is not GOGAm to the involution, whose image is then not
+        # Magog: index 2 (never 0) wherever the loop rejects GT rows,
+        # 1 only through the GT test
+        real = bijection._straight_line
+
+        def without(n, target, body, label):
+            return real(n, target, [ln for ln in body if f"x0_{n - 1} <= {n}): " not in ln], label)
+
+        monkeypatch.setattr(bijection, "_straight_line", without)
+        assert _image_results(bijection._image_kernel, 6, 0x1A6E) == {
+            (0, 0): 378, (1, 1): 1_197, (1, 2): 283
+        }
 
 
 class TestDiagonalBounds:

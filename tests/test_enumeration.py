@@ -685,10 +685,20 @@ def test_bijection_n2_enumerates_nothing(monkeypatch):
     assert report.ok and report.histogram["trapezoids-5"] == 219
 
 
-@pytest.mark.parametrize("suite", ["bijection-n2", "rule-trace-lemmas"])
-def test_walk_suites_stay_bare(monkeypatch, suite):
-    """The walk runs the step cores and checks leaves on bare rows: no
-    public step, state listing or per-object GOGAm test runs."""
+@pytest.mark.parametrize(
+    "suite, leaf_checks",
+    [
+        ("bijection-n2", ("schutzenberger", "is_gogam", "is_trapezoid",
+                          "_gt_test", "_diagonal", "_involution", "_state_rows")),
+        ("rule-trace-lemmas", ()),
+        ("statistics", ("schutzenberger", "is_gogam", "is_trapezoid")),
+    ],
+    ids=["bijection-n2", "rule-trace-lemmas", "statistics"],
+)
+def test_walk_suites_stay_bare(monkeypatch, suite, leaf_checks):
+    """The walk runs the step cores and checks leaves on bare diagonals:
+    no public step, state listing or per-object GOGAm test runs, and
+    `bijection-n2` reads each leaf through `_image_check` alone."""
 
     def unreachable(*args):
         raise AssertionError(f"{suite} must run on bare tuples")
@@ -698,9 +708,8 @@ def test_walk_suites_stay_bare(monkeypatch, suite):
         monkeypatch.setattr(bijection, name, unreachable)
         monkeypatch.setattr(enumeration, name, unreachable, raising=False)
     monkeypatch.setattr(BijectionState, "check_invariants", unreachable)
-    if suite == "bijection-n2":
-        for name in ("schutzenberger", "is_gogam", "is_trapezoid"):
-            monkeypatch.setattr(enumeration, name, unreachable)
+    for name in leaf_checks:
+        monkeypatch.setattr(enumeration, name, unreachable, raising=False)
     assert report_digest(verify(suite, 5)) == clean
 
 
@@ -747,6 +756,8 @@ def test_walk_suites_make_one_sweep(monkeypatch, suite):
 
 
 def test_walk_images_keep_the_gogam_postcondition(monkeypatch):
-    monkeypatch.setattr(enumeration, "is_gogam", lambda t: False)
-    with pytest.raises(BijectionStateError, match="forward image failed the GOGAm test"):
-        verify("statistics", 3)
+    # both readers of leaf images run the postcondition through `_image_check`
+    monkeypatch.setattr(enumeration, "_image_check", lambda n: lambda leaf: 1)
+    for suite in ("statistics", "n2k-classes"):
+        with pytest.raises(BijectionStateError, match="forward image failed the GOGAm test"):
+            verify(suite, 3)
