@@ -22,14 +22,23 @@ patched case by case.  Rule tags are recorded at every step; the tag
 of the opening size-1 -> size-2 step is BASE (it is degenerate: only
 the two simplest rules can match there).
 
-Each step is a thin wrapper over a core on bare diagonals, `_forward`
-or `_inverse`, which the (n,2) walk in `enumeration` runs directly.
-Every state a core returns passes `_state_ok`, one straight-line test
-per state size; past `_UNROLL_MAX_N` it is the GT test and the
-bound-by-bound listing, asked for an empty list.  Only a state the test
-rejects is listed, by `BijectionState.check_invariants`, for the error.
-The walk checks each leaf's image with `_image_check`, one function per
-size built from the lines of the GT test, the diagonal and the involution.
+Each step is a thin wrapper over a step on bare diagonals, found by
+the state size k = len(u) through a resolver, `_forward_at` or
+`_inverse_at`; the (n,2) walk in `enumeration` calls the same steps,
+fetched once per tree node.  Up to `_UNROLL_MAX_N` a step is a
+straight-line kernel of its size, `_forward_kernel` or
+`_inverse_kernel`: the rule's tests, its `_SHIFT` written out as cells
+x - 1 or x + 1, and the state test of the result's size.  On every
+path a kernel does not clear (a pair out of range, a rejected state,
+forward rule IVb, the inverse's IIIb / IVb branch) it returns what the
+loop, `_forward` or `_inverse`, returns by calling it, so every error
+keeps its type and text; past the cap the loop is the step.  Every
+state a step returns passes `_state_ok`, one straight-line test per
+state size; past the cap it is the GT test and the bound-by-bound
+listing, asked for an empty list.  Only a state the test rejects is
+listed, by `BijectionState.check_invariants`, for the error.  The walk
+checks each leaf's image with `_image_check`, one function per size
+built from the lines of the GT test, the diagonal and the involution.
 """
 
 from __future__ import annotations
@@ -227,25 +236,57 @@ def _is_gt_state(n: int, u: Sequence[int], v: Sequence[int]) -> bool:
     return True
 
 
-def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ...]]], bool]:
-    """`_state_loop` for states with k = len(u), as straight-line code.
+def _cells(name: str, k: int) -> list[str]:
+    """The locals ``{name}0 .. {name}{k-1}`` a kernel unpacks a diagonal into."""
+    return [f"{name}{m}" for m in range(k)]
 
-    First `_is_gt_state` as one chained expression: u and v
-    nonincreasing, v[m-1] <= u[m], the last u and the last v at least
-    1, and from k = 3 on the constant n - k + 1 between 1 and the last
-    v.  Then `_diagonal_bound_violations` in O(k): the double-dip bound
-    holds for all i < j exactly when it holds for the largest u[0] +
-    v[i-1] - u[i] with i < j, whose running max ``top`` keeps.
-    """
-    us = [f"u{m}" for m in range(k)]
-    vs = [f"v{m}" for m in range(k - 1)]
+
+def _tuple_of(cells: list[str]) -> str:
+    """Source of the tuple of ``cells``, also usable as a target."""
+    return f"({''.join(x + ', ' for x in cells)})"
+
+
+def _unpacking(us: list[str], vs: list[str]) -> str:
+    """The target that unpacks (u, v) into the cells ``us`` and ``vs``."""
+    return f"{_tuple_of(us)}, {_tuple_of(vs)}"
+
+
+def _shifted(cells: list[str], by: int) -> list[str]:
+    """``cells`` plus ``by``, as expressions."""
+    if not by:
+        return cells
+    return [f"{x} {'+' if by > 0 else '-'} {abs(by)}" for x in cells]
+
+
+def _indented(lines: list[str], depth: int) -> list[str]:
+    """``lines`` nested ``depth`` blocks deep."""
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _state_gt(us: list[str], vs: list[str]) -> str:
+    """`_is_gt_state` on the state with cells ``us`` and ``vs``
+    (expressions over n and a kernel's locals) as one chained
+    comparison: u and v nonincreasing, v[m-1] <= u[m], the last u and
+    the last v at least 1, and from k = 3 on the constant n - k + 1
+    between 1 and the last v."""
+    k = len(us)
     gt = [" <= ".join(["1", *reversed(us)])]
     if k >= 3:
         gt.append(" <= ".join(["1", f"n - {k - 1}", *reversed(vs)]))
     elif k == 2:
-        gt.append("1 <= v0")
-    gt += [f"v{m - 1} <= u{m}" for m in range(1, k)]
-    body = [f"    if not ({' and '.join(gt)}): return False", "    if u0 > n: return False"]
+        gt.append(f"1 <= {vs[0]}")
+    gt += [f"{vs[m - 1]} <= {us[m]}" for m in range(1, k)]
+    return " and ".join(gt)
+
+
+def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ...]]], bool]:
+    """`_state_loop` for states with k = len(u), as straight-line code:
+    first `_state_gt`, then `_diagonal_bound_violations` in O(k).  The
+    double-dip bound holds for all i < j exactly when it holds for the
+    largest u[0] + v[i-1] - u[i] with i < j, whose running max ``top``
+    keeps."""
+    us, vs = _cells("u", k), _cells("v", k - 1)
+    body = [f"    if not ({_state_gt(us, vs)}): return False", "    if u0 > n: return False"]
     if k >= 2:
         body += ["    top = u0 + v0 - u1", "    if top >= n: return False"]
     for j in range(2, k):
@@ -257,8 +298,7 @@ def _state_kernel(k: int) -> Callable[[tuple[int, tuple[int, ...], tuple[int, ..
         if j < k - 1:
             body.append("    if d > top: top = d")
     body.append("    return True")
-    target = f"n, ({''.join(x + ',' for x in us)}), ({''.join(x + ',' for x in vs)})"
-    return _straight_line(k, target, body, "state test")
+    return _straight_line(k, f"n, {_unpacking(us, vs)}", body, "state test")
 
 
 def _state_loop(state: tuple[int, tuple[int, ...], tuple[int, ...]]) -> bool:
@@ -334,7 +374,9 @@ def _forward(
 ) -> tuple[tuple[int, ...], tuple[int, ...], Rule, int | None]:
     """`forward_step` on bare diagonals: the grown (u, v), the rule that
     fired (I or II at k = 1, where the step's record says BASE) and the
-    record's l.  Same checks and errors as the step."""
+    record's l.  Same checks and errors as the step.  The loop of
+    `_forward_at`: past the cap the step itself, up to it what the
+    kernel of the size calls on every path it does not clear."""
     k = len(u)
     c = n - k  # constant of the grown triangle
     u_k, v_k = a_k, b_k
@@ -377,6 +419,64 @@ def _forward(
     return new_u, new_v, rule, l_rec
 
 
+# the rules by name, for the step kernels to return
+_RULES = {rule.name: rule for rule in Rule}
+
+
+def _forward_kernel(k: int) -> Callable[..., tuple]:
+    """`_forward` for states with k = len(u), as straight-line code.
+
+    The pair's range and the rule's tests are the loop's, IIIa's trial
+    through `_state_gt`.  Each rule's `_SHIFT` is written out as cells
+    ``x - 1``, and the grown state is cleared by the state test of its
+    size, bound by name.  Rule IVb, a pair out of range and a rejected
+    state return what `_forward` returns on the same input, errors
+    included, by calling it.
+    """
+    us, vs = _cells("u", k), _cells("v", k - 1)
+    fail = "return _forward(n, u, v, b_k, a_k)"
+
+    def grown(rule: Rule, last_v: str = "b_k") -> tuple[list[str], list[str]]:
+        du, dv = _SHIFT[rule]
+        return [*_shifted(us, -du), "a_k"], [*_shifted(vs, -dv), last_v]
+
+    def kept(rule: Rule, last_v: str = "b_k") -> list[str]:
+        """The lines that build, clear and return ``rule``'s grown state."""
+        new_u, new_v = grown(rule, last_v)
+        l = "_trailing_run_length(c, new_v)" if rule is Rule.IIIB else "None"
+        return [
+            f"new_u = {_tuple_of(new_u)}; new_v = {_tuple_of(new_v)}",
+            f"if not state_ok((n, new_u, new_v)): {fail}",
+            f"return new_u, new_v, {rule.name}, {l}",
+        ]
+
+    body = [
+        f"    c = n - {k}",
+        f"    if not (c <= b_k <= a_k <= u{k - 1} and b_k < u{k - 1} and a_k <= n): {fail}",
+        "    if b_k == c:",
+        "        if a_k == c:",
+        *_indented(kept(Rule.I), 3),
+        *_indented(kept(Rule.II), 2),
+        "    if b_k == a_k:",
+        f"        if {_state_gt(*grown(Rule.IIIA))}:",
+        *_indented(kept(Rule.IIIA), 3),
+        *_indented(kept(Rule.IIIB, "c"), 2),
+    ]
+    if k == 1:
+        body += _indented(kept(Rule.IVA), 1)
+    else:  # IVb when b exceeds the last v
+        body += [f"    if b_k <= v{k - 2}:", *_indented(kept(Rule.IVA), 2), f"    {fail}"]
+    return _straight_line(
+        k, _unpacking(us, vs), body, "forward step", params="n, u, v, b_k, a_k",
+        unpacked="u, v", _forward=_forward, _trailing_run_length=_trailing_run_length,
+        state_ok=_state_ok(k + 1), **_RULES,
+    )
+
+
+# `_forward` on states with k = len(u)
+_forward_at = _per_size(_forward_kernel, _forward)
+
+
 def forward_step(
     state: BijectionState, b_k: int, a_k: int
 ) -> tuple[BijectionState, StepRecord]:
@@ -387,7 +487,7 @@ def forward_step(
     entry is never modified, so it always equals a_k afterwards.
     """
     n, k = state.n, state.k
-    new_u, new_v, rule, l = _forward(n, state.u, state.v, b_k, a_k)
+    new_u, new_v, rule, l = _forward_at(k)(n, state.u, state.v, b_k, a_k)
     tag = Rule.BASE if k == 1 else rule
     return BijectionState._trusted(n, new_u, new_v), StepRecord(k, tag, l)
 
@@ -426,7 +526,9 @@ def _inverse(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int], Rule, int | None]:
     """`inverse_step` on bare diagonals: the shrunk (u, v), the recovered
     pair, the rule undone (I or II at k = 1, where the step's record
-    says BASE) and the record's l.  Same checks and errors as the step."""
+    says BASE) and the record's l.  Same checks and errors as the step.
+    The loop of `_inverse_at`: past the cap the step itself, up to it
+    what the kernel of the size calls on every path it does not clear."""
     size = len(u)
     if size < 2:
         raise InvalidGogamInput("nothing to strip from a size-1 state")
@@ -472,6 +574,62 @@ def _inverse(
     return old_u, old_v, emit, rule, l  # l is set only for IIIb and IVb
 
 
+def _inverse_kernel(size: int) -> Callable[..., tuple]:
+    """`_inverse` for states with size = len(u), as straight-line code.
+
+    The rule's tests are the loop's.  Each rule's `_SHIFT` is written
+    out as cells ``x + 1``, the shrunk state is cleared by the state
+    test of its size, bound by name, and the pair by its range.  The
+    IIIb / IVb branch (II's test failing on an equality pair), a state
+    that matches no rule, a rejected state or pair and size 1 return
+    what `_inverse` returns on the same input, errors included, by
+    calling it.
+    """
+    us, vs = _cells("u", size), _cells("v", size - 1)
+    fail = "return _inverse(n, u, v)"
+    k = size - 1
+    names = dict(params="n, u, v", unpacked="u, v", _inverse=_inverse, **_RULES)
+    if not k:  # nothing to strip
+        return _straight_line(size, _unpacking(us, vs), [f"    {fail}"], "inverse step", **names)
+    u_k, v_k = us[k], vs[k - 1]
+
+    def undone(rule: Rule) -> list[str]:
+        """The lines that undo ``rule``, clear and return the shrunk state."""
+        du, dv = _SHIFT[rule]
+        old_u, old_v = _shifted(us[:k], du), _shifted(vs[: k - 1], dv)
+        last = old_u[-1]
+        return [
+            f"old_u = {_tuple_of(old_u)}; old_v = {_tuple_of(old_v)}",
+            f"if not state_ok((n, old_u, old_v)): {fail}",
+            f"if not (c <= {v_k} <= {u_k} <= n and {v_k} < {last} and {u_k} <= {last}): {fail}",
+            f"return old_u, old_v, ({v_k}, {u_k}), {rule.name}, None",
+        ]
+
+    ii = " and ".join([f"{v_k} < {u_k}", *(f"v{i - 1} < u{i}" for i in range(1, k))])
+    body = [
+        f"    c = n - {k}",
+        f"    if {v_k} == c:",
+        f"        if {u_k} == c:",
+        *_indented(undone(Rule.I), 3),
+        f"        if {ii}:",
+        *_indented(undone(Rule.II), 3),
+        f"        {fail}",
+        f"    if {v_k} > c:",
+        f"        if {v_k} == {u_k}:",
+        *_indented(undone(Rule.IIIA), 3),
+        f"        if {v_k} < {u_k}:",
+        *_indented(undone(Rule.IVA), 3),
+        f"    {fail}",
+    ]
+    return _straight_line(
+        size, _unpacking(us, vs), body, "inverse step", state_ok=_state_ok(k), **names
+    )
+
+
+# `_inverse` on states with size = len(u)
+_inverse_at = _per_size(_inverse_kernel, _inverse)
+
+
 def inverse_step(
     state: BijectionState,
 ) -> tuple[BijectionState, tuple[int, int], StepRecord]:
@@ -482,8 +640,8 @@ def inverse_step(
     rules is broken by comparing v[k-l] + l against the bottom entry.
     Raises `InvalidGogamInput` when no rule can have produced the state.
     """
-    n = state.n
-    old_u, old_v, pair, rule, l = _inverse(n, state.u, state.v)
+    n, u = state.n, state.u
+    old_u, old_v, pair, rule, l = _inverse_at(len(u))(n, u, state.v)
     k = len(old_u)
     tag = Rule.BASE if k == 1 else rule
     return BijectionState._trusted(n, old_u, old_v), pair, StepRecord(k, tag, l)

@@ -47,10 +47,10 @@ from .bijection import (
     Rule,
     _SUBTLE,
     _Diagonals,
-    _forward,
+    _forward_at,
     _gog_trapezoid,
     _image_check,
-    _inverse,
+    _inverse_at,
     _state_rows,
     covering_subtraction_map,
     gog_to_gogam_n2,
@@ -466,10 +466,11 @@ def _suite_lemma1(n: int, report: Report) -> None:
 
 
 class _Edge(NamedTuple):
-    """One edge of the (n,2) prefix tree: `_forward` took ``before`` by
-    ``pair`` to ``after``, and `_inverse` of ``after`` returned
-    ``undone``, (u, v, pair, tag, l).  ``tag`` and ``l`` are what the
-    public step's record holds: the rule, or BASE at k = 1."""
+    """One edge of the (n,2) prefix tree: the forward step took
+    ``before`` by ``pair`` to ``after``, and the inverse step of
+    ``after`` returned ``undone``, (u, v, pair, tag, l).  ``tag`` and
+    ``l`` are what the public step's record holds: the rule, or BASE at
+    k = 1."""
 
     before: _Diagonals
     after: _Diagonals
@@ -489,13 +490,14 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     The ranges are exactly the pair sequences `extract_diagonals`
     returns: b_1 = n-1 and a_1 in [n-1, n]; for k >= 2, b_k in
     [n-k, min(b_{k-1}, a_{k-1}-1)] and a_k in [b_k, a_{k-1}].  Each edge
-    runs the step cores once, `_forward` and then `_inverse` on its
-    result, on bare diagonals, so trapezoids that share a prefix share
-    its steps.  Yields the leaf's (u, v), the path (one list, reused:
-    copy it to keep it) and the worst edge grade on the path: 0 when
-    every inverse returned its parent's diagonals, pair, tag and l, 1
-    when only a tag or l differs, 2 when diagonals or a pair differ.
-    Since both cores are pure, a path of grade 0 is exactly a trapezoid
+    runs the steps once, forward and then inverse on its result, on
+    bare diagonals, so trapezoids that share a prefix share its steps;
+    each node fetches the steps of its size, `_forward_at` and
+    `_inverse_at`, once.  Yields the leaf's (u, v), the path (one list,
+    reused: copy it to keep it) and the worst edge grade on the path: 0
+    when every inverse returned its parent's diagonals, pair, tag and l,
+    1 when only a tag or l differs, 2 when diagonals or a pair differ.
+    Since both steps are pure, a path of grade 0 is exactly a trapezoid
     whose full inverse retraces it.  Raises `ValueError` for n < 1 at
     the call, before any step.
     """
@@ -507,10 +509,11 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
         if k == n:
             yield (u, v), path, grade
             return
+        forward, inverse = _forward_at(k), _inverse_at(k + 1)
         for b in range(n - k, min(b_prev, a_prev - 1) + 1):
             for a in range(b, a_prev + 1):
-                new_u, new_v, tag, l = _forward(n, u, v, b, a)
-                back_u, back_v, pair, again, l_again = _inverse(n, new_u, new_v)
+                new_u, new_v, tag, l = forward(n, u, v, b, a)
+                back_u, back_v, pair, again, l_again = inverse(n, new_u, new_v)
                 if k == 1:  # both records say BASE; only l can differ
                     tag = again = Rule.BASE
                 if back_u != u or back_v != v or pair != (b, a):
@@ -615,12 +618,17 @@ def _suite_n1(n: int, report: Report) -> None:
 
 
 def _suite_n2k(n: int, report: Report) -> None:
-    trapezoids = [(gog, image) for gog, image, _ in _n2_trapezoids(n)]
+    """Each class k of (n,2) Gog trapezoids, by `is_gog_trapezoid_n2k`:
+    the involutions of its images must be the Magog trapezoids that
+    `is_magog_trapezoid_n2k` selects.  Each image's involution is
+    computed once, as bare rows, and the classes compare rows."""
+    involution = _involution(n)
+    trapezoids = [(gog, involution(image.rows)) for gog, image, _ in _n2_trapezoids(n)]
     magogs = list(generate(FamilySpec(Family.MAGOG, n, k=min(2, n))))
     for k in range(1, n + 1):
-        klass = [image for gog, image in trapezoids if is_gog_trapezoid_n2k(gog, k)]
-        image_magogs = {schutzenberger(image) for image in klass}
-        target = {m for m in magogs if is_magog_trapezoid_n2k(m, k)}
+        klass = [magog for gog, magog in trapezoids if is_gog_trapezoid_n2k(gog, k)]
+        image_magogs = set(klass)
+        target = {m.rows for m in magogs if is_magog_trapezoid_n2k(m, k)}
         report.checks += 1
         if image_magogs != target:
             report.failures.append(

@@ -14,16 +14,16 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its argument unpacked into locals.  Seven schedules do: up to
+its arguments unpacked into locals.  Nine schedules do: up to
 `_UNROLL_MAX_N` the GT test here, the involution and its diagonal in
 `schutzenberger`, the raw-GT generator in `enumeration`, and in
-`bijection` the state test (keyed by the state's size) and the leaf
-image check, made of the lines of the GT test, the diagonal and the
-involution; up to the lower `_RSK_MAX_N` the word route in
-`tableaux`.  Each runs behind one resolver made by `_per_size`, which
-alone chooses between the kernel and the loop for a size; a kernel is
-built on the first call of its size, so importing the package builds
-none.  Past the cap the GT test is `validate_gt` itself, the state
+`bijection` the state test and the forward and inverse steps (keyed by
+the state's size) and the leaf image check, made of the lines of the
+GT test, the diagonal and the involution; up to the lower `_RSK_MAX_N`
+the word route in `tableaux`.  Each runs behind one resolver made by
+`_per_size`, which alone chooses between the kernel and the loop for a
+size; a kernel is built on the first call of its size, so importing
+the package builds none.  Past the cap the GT test is `validate_gt` itself, the state
 test its bound listing.
 """
 
@@ -179,18 +179,21 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
 # function per size: the GT test, the involution and its diagonal, the
-# raw-GT generator, the bijection state test (its size is the state's
-# k) and the leaf image check.  The involution's source, which the
-# image check also holds, has (n-1)n(n+1)/6 statements, the state
-# test's O(k), the others O(n^2).  Each is built once per size and
-# process; on a 2-vCPU host under Python 3.11 a build takes, at n = 6 /
-# 7 / 12, at most 0.5 / 0.6 / 1.9 ms for the state test, the GT test,
-# the diagonal and the generator, 0.6-1.1 / 0.9-1.4 / 5-8 ms for the
-# involution, which grows as n^3 to 12-20 ms at 16 and 26-31 ms at 20,
-# and 1.1 / 1.6 / 7.7-7.9 ms for the image check.  The generator nests
-# one loop per lower row, n - 1 in all: CPython compiles at most 20
-# statically nested blocks, which a loop per cell would pass from n = 7
-# on.  Past the cap the loops run instead (for the GT test,
+# raw-GT generator, the bijection state test and forward and inverse
+# steps (their size is the state's k) and the leaf image check.  The
+# involution's source, which the image check also holds, has
+# (n-1)n(n+1)/6 statements, the state test's and the steps' O(k), the
+# others O(n^2).  Each is built once per size and process; on a 2-vCPU
+# host under Python 3.11 a build takes, at n = 6 / 7 / 12, at most 0.5
+# / 0.6 / 1.9 ms for the state test, the GT test, the diagonal and the
+# generator, 0.6-1.1 / 0.9-1.4 / 5-8 ms for the involution, which grows
+# as n^3 to 12-20 ms at 16 and 26-31 ms at 20, and 1.1 / 1.6 / 7.7-7.9
+# ms for the image check.  At k = 1..12 the state test takes 0.1-0.7
+# ms, the forward step 0.6-1.5 ms and the inverse step 0.1-1.2 ms, each
+# step once more the state test of its result's size if that is new.
+# The generator nests one loop per lower row, n - 1 in all: CPython
+# compiles at most 20 statically nested blocks, which a loop per cell
+# would pass from n = 7 on.  Past the cap the loops run instead (for the GT test,
 # `validate_gt`; for the state test, its bound listing), so no input
 # size makes the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
@@ -215,13 +218,17 @@ def _row_tuples(n: int) -> str:
     return ", ".join(f"({row},)" for row in rows) + ","
 
 
-def _straight_line(n: int, target: str, body: list[str], label: str, **names: Callable) -> Callable:
+def _straight_line(
+    n: int, target: str, body: list[str], label: str,
+    params: str = "rows", unpacked: str = "rows", **names: object,
+) -> Callable:
     """Compile ``body``, source lines over the locals of the unpacking
     ``target``, into a function (a generator function if the body
-    yields) of one argument, ``rows``, of size n that first unpacks it
-    into ``target``; ``names`` are the functions the body may call."""
-    source = "\n".join(["def kernel(rows):", f"    {target} = rows", *body])
-    namespace: dict[str, Callable] = dict(names)
+    yields) of ``params``, by default one argument ``rows`` of size n,
+    that first unpacks ``unpacked`` into ``target``; ``names`` are the
+    functions and constants the body may read."""
+    source = "\n".join([f"def kernel({params}):", f"    {target} = {unpacked}", *body])
+    namespace: dict[str, object] = dict(names)
     exec(compile(source, f"<{label} kernel n={n}>", "exec"), namespace)
     return namespace["kernel"]
 

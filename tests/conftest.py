@@ -106,8 +106,10 @@ def broken_perturbations():
 # (resolver, kernel builder, loop, cap) of each size-scheduled function,
 # with the caps the build costs in `triangles` choose; the raw-GT
 # generator maps a top row to triangles, the state test maps a
-# bijection state (n, u, v) of size k = len(u), the image check a
-# finished state's (u, v) of size n = len(u), the others map rows
+# bijection state (n, u, v) of size k = len(u), the forward step takes
+# n, u, v, b, a and the inverse step n, u, v with k = len(u), the image
+# check maps a finished state's (u, v) of size n = len(u), the others
+# map rows
 SCHEDULES = {
     "gt test": (_gt_test, _gt_kernel, _gt_loop, 12),
     "involution": (_involutions._involution, _involutions._kernel, _involutions._fold, 12),
@@ -116,6 +118,8 @@ SCHEDULES = {
     "gt fill": (enumeration._gt_fill, enumeration._gt_fill_kernel, enumeration._gt_fill_loop, 12),
     "state": (bijection._state_ok, bijection._state_kernel, bijection._state_loop, 12),
     "image": (bijection._image_check, bijection._image_kernel, bijection._image_loop, 12),
+    "forward": (bijection._forward_at, bijection._forward_kernel, bijection._forward, 12),
+    "inverse": (bijection._inverse_at, bijection._inverse_kernel, bijection._inverse, 12),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from functools import partial
 from itertools import product
 
@@ -33,7 +34,7 @@ from gogmagog.triangles import (
     _UNROLL_MAX_N, Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
 )
 
-from conftest import descend, kernel, tri
+from conftest import SCHEDULES, descend, kernel, tri
 
 GOG52 = tri((1, 2, 3, 4, 5), (1, 2, 4, 5), (1, 3, 4), (1, 3), (2,))
 GOGAM52 = tri((1, 1, 1, 2, 3), (1, 1, 2, 3), (1, 1, 3), (1, 3), (2,))
@@ -570,6 +571,66 @@ class TestImageKernel:
         assert _image_results(bijection._image_kernel, 6, 0x1A6E) == {
             (0, 0): 378, (1, 1): 1_197, (1, 2): 283
         }
+
+
+def _agreed(name, *args):
+    """What schedule ``name``'s loop gives on ``args``, a result or its
+    error's type and text, once its kernel of size len(u) gives the same."""
+    outcomes = []
+    for step in (SCHEDULES[name][2], kernel(name, len(args[1]))):
+        try:
+            outcomes.append(step(*args))
+        except (BijectionStateError, InvalidGogamInput) as e:
+            outcomes.append(f"{type(e).__name__}: {e}")
+    assert outcomes[0] == outcomes[1], (name, args)
+    return outcomes[0]
+
+
+def _kind(outcome):
+    """The rule of a step's result, or the class of its error."""
+    return outcome.split(":")[0] if isinstance(outcome, str) else outcome[-2].value
+
+
+class TestStepKernels:
+    def test_match_the_loops_on_every_walk_edge_and_perturbations(self):
+        """Every distinct edge of the (n,2) walks with n <= 7: forward
+        from its parent by its pair, by the pair with b or a moved by
+        +-1, and from the parent with one cell moved by +-1; inverse of
+        its child, and of the child with one cell moved by +-1."""
+        rng = random.Random(0x29E)
+        edges = {(n, e.before, e.pair): e.after
+                 for n in range(1, 8) for _, path, _ in _walk_n2(n) for e in path}
+        kinds = Counter()
+        for (n, before, (b, a)), after in edges.items():
+            db, da = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+            moved = [_perturbed(s, rng.randrange(2 * len(s[0]) - 1), rng.choice((-1, 1)))
+                     for s in (before, after)]
+            for state, pair in ((before, (b, a)), (before, (b + db, a + da)), (moved[0], (b, a))):
+                kinds["forward", _kind(_agreed("forward", n, *state, *pair))] += 1
+            for state in (after, moved[1]):
+                kinds["inverse", _kind(_agreed("inverse", n, *state))] += 1
+        # every rule is reached both ways, and both errors
+        assert len(edges) == 16_967
+        assert kinds == {
+            ("forward", "BijectionStateError"): 19_871, ("forward", "i"): 3_191,
+            ("forward", "ii"): 11_500, ("forward", "iiia"): 3_477, ("forward", "iiib"): 1_544,
+            ("forward", "iva"): 10_957, ("forward", "ivb"): 361,
+            ("inverse", "InvalidGogamInput"): 12_751, ("inverse", "i"): 2_595,
+            ("inverse", "ii"): 7_781, ("inverse", "iiia"): 2_526, ("inverse", "iiib"): 1_007,
+            ("inverse", "iva"): 7_222, ("inverse", "ivb"): 52,
+        }
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_match_the_loops_on_drawn_states(self, data):
+        # entries in 0..n+1 and sizes up to n + 2: states past k = n and
+        # states that are not GT
+        n = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, n + 2))
+        entry = st.integers(0, n + 1)
+        u, v = (tuple(data.draw(st.lists(entry, min_size=m, max_size=m))) for m in (k, k - 1))
+        _agreed("forward", n, u, v, data.draw(entry), data.draw(entry))
+        _agreed("inverse", n, u, v)
 
 
 class TestDiagonalBounds:

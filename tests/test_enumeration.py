@@ -468,6 +468,14 @@ def _counted(calls, name, fn):
     return wrapper
 
 
+def _count_steps(monkeypatch, calls):
+    """Count the walk's forward and inverse steps in ``calls``."""
+    for name in ("forward", "inverse"):
+        resolver = getattr(bijection, f"_{name}_at")
+        monkeypatch.setattr(enumeration, f"_{name}_at",
+                            lambda k, name=name, step=resolver: _counted(calls, name, step(k)))
+
+
 def test_walk_visits_each_prefix_once(monkeypatch):
     """One forward and one inverse step per tree edge: 1,857 edges for
     the 1,594 (6,2) trapezoids, where one fold per trapezoid takes
@@ -478,8 +486,7 @@ def test_walk_visits_each_prefix_once(monkeypatch):
     for t in generate(FamilySpec(Family.GOG, 6, k=2)):
         pairs = extract_diagonals(t)
         prefixes.update(pairs[:k] for k in range(1, 6))
-    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
-    monkeypatch.setattr(enumeration, "_inverse", _counted(calls, "inverse", bijection._inverse))
+    _count_steps(monkeypatch, calls)
     leaves = sum(1 for _ in _walk_n2(6))
     assert leaves == 1_594
     assert calls == {"forward": 1_857, "inverse": 1_857} and len(prefixes) == 1_857
@@ -487,10 +494,12 @@ def test_walk_visits_each_prefix_once(monkeypatch):
 
 def test_forward_steps_grow_each_state_once(monkeypatch):
     """One `_grown` per forward step of the n <= 6 sweep (2,175), plus
-    one for each IIIa trial that falls back to IIIb (94)."""
+    one for each IIIa trial that falls back to IIIb (94), when the walk
+    runs the loop `_forward`: the kernels write the shift out."""
     calls = Counter()
     monkeypatch.setattr(bijection, "_grown", _counted(calls, "grown", bijection._grown))
-    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
+    forward = _counted(calls, "forward", bijection._forward)
+    monkeypatch.setattr(enumeration, "_forward_at", lambda k: forward)
     assert verify("bijection-n2", 6).ok
     assert calls == {"grown": 2_269, "forward": 2_175}
 
@@ -520,7 +529,7 @@ def _corrupt_inverse(monkeypatch, corrupt):
         undone = bijection._inverse(n, u, v)
         return corrupt(*undone) if (u, v) == target else undone
 
-    monkeypatch.setattr(enumeration, "_inverse", broken)
+    monkeypatch.setattr(enumeration, "_inverse_at", lambda size: broken)
 
 
 @pytest.mark.parametrize(
@@ -570,7 +579,7 @@ def test_round_trip_failure_outranks_a_record_mismatch_below(monkeypatch):
             return back_u, back_v, p, r, 7
         return back_u, back_v, p, r, l
 
-    monkeypatch.setattr(enumeration, "_inverse", broken)
+    monkeypatch.setattr(enumeration, "_inverse_at", lambda size: broken)
     report = verify("bijection-n2", 5)
     gogs = list(generate(FamilySpec(Family.GOG, 5, k=2)))
     under_above = sorted(
@@ -595,7 +604,7 @@ def test_inverse_lemma_reads_each_edge_inverse(monkeypatch):
         return back_u, back_v, p, r, l
 
     clean = verify("rule-trace-lemmas", 6)
-    monkeypatch.setattr(enumeration, "_inverse", no_pair_after_subtle_undo)
+    monkeypatch.setattr(enumeration, "_inverse_at", lambda size: no_pair_after_subtle_undo)
     report = verify("rule-trace-lemmas", 6)
     want = sorted(
         f"no pair after undoing {rec.rule.value} on {_fail_payload(t)}"
@@ -748,8 +757,7 @@ def test_walk_suites_make_one_sweep(monkeypatch, suite):
     def unreachable(t):
         raise AssertionError("the public map must not run")
 
-    monkeypatch.setattr(enumeration, "_forward", _counted(calls, "forward", bijection._forward))
-    monkeypatch.setattr(enumeration, "_inverse", _counted(calls, "inverse", bijection._inverse))
+    _count_steps(monkeypatch, calls)
     monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
     assert verify(suite, 6).ok
     assert calls == {"forward": 2_175, "inverse": 2_175}
