@@ -30,12 +30,12 @@ straight-line kernel of its size, `_forward_kernel` or
 `_inverse_kernel`: the rule's tests, its `_SHIFT` written out as cells
 x - 1 or x + 1, and the state test of the result's size.  On every
 path a kernel does not clear (a pair out of range, a rejected state,
-forward rule IVb, the inverse's IIIb / IVb branch) it returns what the
-loop, `_forward` or `_inverse`, returns by calling it, so every error
-keeps its type and text; past the cap the loop is the step.  Every
-state a step returns passes `_state_ok`, one straight-line test per
-state size; past the cap it is the GT test and the bound-by-bound
-listing, asked for an empty list.  Only a state the test rejects is
+rule IVb either way, an inverse state that matches no rule) it returns
+what the loop, `_forward` or `_inverse`, returns by calling it, so
+every error keeps its type and text; past the cap the loop is the
+step.  Every state a step returns passes `_state_ok`, one
+straight-line test per state size; past the cap it is the GT test and
+the bound-by-bound listing, asked for an empty list.  Only a state the test rejects is
 listed, by `BijectionState.check_invariants`, for the error.  The walk
 checks each leaf's image with `_image_check`, one function per size
 built from the lines of the GT test, the diagonal and the involution.
@@ -579,11 +579,13 @@ def _inverse_kernel(size: int) -> Callable[..., tuple]:
 
     The rule's tests are the loop's.  Each rule's `_SHIFT` is written
     out as cells ``x + 1``, the shrunk state is cleared by the state
-    test of its size, bound by name, and the pair by its range.  The
-    IIIb / IVb branch (II's test failing on an equality pair), a state
-    that matches no rule, a rejected state or pair and size 1 return
-    what `_inverse` returns on the same input, errors included, by
-    calling it.
+    test of its size, bound by name, and the pair by its range.  When
+    II's test fails on an equality pair, IIIb is told as the loop tells
+    it, by l = `_trailing_run_length` and v[k-1-l] + l >= u_k, and
+    undone with the pair (u_k, u_k) and that l.  IVb, a state that
+    matches no rule, a rejected state or pair and size 1 return what
+    `_inverse` returns on the same input, errors included, by calling
+    it.
     """
     us, vs = _cells("u", size), _cells("v", size - 1)
     fail = "return _inverse(n, u, v)"
@@ -593,7 +595,7 @@ def _inverse_kernel(size: int) -> Callable[..., tuple]:
         return _straight_line(size, _unpacking(us, vs), [f"    {fail}"], "inverse step", **names)
     u_k, v_k = us[k], vs[k - 1]
 
-    def undone(rule: Rule) -> list[str]:
+    def undone(rule: Rule, b_k: str = v_k, l: str = "None") -> list[str]:
         """The lines that undo ``rule``, clear and return the shrunk state."""
         du, dv = _SHIFT[rule]
         old_u, old_v = _shifted(us[:k], du), _shifted(vs[: k - 1], dv)
@@ -601,18 +603,22 @@ def _inverse_kernel(size: int) -> Callable[..., tuple]:
         return [
             f"old_u = {_tuple_of(old_u)}; old_v = {_tuple_of(old_v)}",
             f"if not state_ok((n, old_u, old_v)): {fail}",
-            f"if not (c <= {v_k} <= {u_k} <= n and {v_k} < {last} and {u_k} <= {last}): {fail}",
-            f"return old_u, old_v, ({v_k}, {u_k}), {rule.name}, None",
+            f"if not (c <= {b_k} <= {u_k} <= n and {b_k} < {last} and {u_k} <= {last}): {fail}",
+            f"return old_u, old_v, ({b_k}, {u_k}), {rule.name}, {l}",
         ]
 
-    ii = " and ".join([f"{v_k} < {u_k}", *(f"v{i - 1} < u{i}" for i in range(1, k))])
+    ii = " and ".join(f"v{i - 1} < u{i}" for i in range(1, k)) or "True"
     body = [
         f"    c = n - {k}",
         f"    if {v_k} == c:",
         f"        if {u_k} == c:",
         *_indented(undone(Rule.I), 3),
-        f"        if {ii}:",
-        *_indented(undone(Rule.II), 3),
+        f"        if {v_k} < {u_k}:",
+        f"            if {ii}:",
+        *_indented(undone(Rule.II), 4),
+        "            l = _trailing_run_length(c, v)",
+        f"            if l < {k} and v[{k - 1} - l] + l >= {u_k}:",
+        *_indented(undone(Rule.IIIB, u_k, "l"), 4),
         f"        {fail}",
         f"    if {v_k} > c:",
         f"        if {v_k} == {u_k}:",
@@ -622,7 +628,8 @@ def _inverse_kernel(size: int) -> Callable[..., tuple]:
         f"    {fail}",
     ]
     return _straight_line(
-        size, _unpacking(us, vs), body, "inverse step", state_ok=_state_ok(k), **names
+        size, _unpacking(us, vs), body, "inverse step", state_ok=_state_ok(k),
+        _trailing_run_length=_trailing_run_length, **names,
     )
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Iterator
 
@@ -205,16 +204,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     n = args.n
-    rules: Counter[Rule] = Counter()
+    rules: dict[Rule, int] = {}  # filled by the walk: each rule's count over all paths
     per_value: dict[int, list[int]] = {}
-    for t, out, path in _n2_trapezoids(n):
-        rules.update(e.tag for e in path)
+    for t, out, _ in _n2_trapezoids(n, rules):
         x = statistic_x11(t)
         row = per_value.setdefault(x, [0, 0, 0])
         row[0] += 1
         row[1] += int(statistic_x11(out) == x)
         row[2] += int(magog_row_statistic(schutzenberger(out)) == x)
-    # each rule named once, not once per path edge
     named = sorted((rule.value, times) for rule, times in rules.items())
     if args.json:
         bottom = {str(v): {"count": c, "preserved": p, "row_statistic": r}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -31,7 +32,7 @@ from itertools import (
 )
 from math import comb, factorial
 from operator import lt
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 from .asm import (
     Asm,
@@ -483,7 +484,7 @@ class _Edge(NamedTuple):
 _Leaf = tuple[_Diagonals, list[_Edge], int]
 
 
-def _walk_n2(n: int) -> Iterator[_Leaf]:
+def _walk_n2(n: int, usage: dict[Rule, int] | None = None) -> Iterator[_Leaf]:
     """Every (n,2) Gog trapezoid, as the path of its diagonal pairs
     (b_k, a_k) through their prefix tree, depth first.
 
@@ -500,16 +501,27 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
     Since both steps are pure, a path of grade 0 is exactly a trapezoid
     whose full inverse retraces it.  Raises `ValueError` for n < 1 at
     the call, before any step.
+
+    A node at k = n - 1 yields its leaves from its own loop, each child
+    (u, v) one tuple that is both the edge's ``after`` and the leaf.
+    Each node returns its leaf count, which ``usage`` adds under the
+    edge's tag once per edge: the count of tags over all paths, keyed
+    in order of first appearance (an inner edge's key goes in before
+    its subtree).
     """
     _check_size(n)
     path: list[_Edge] = []
+    tally = {} if usage is None else usage
+    new_edge = tuple.__new__  # skips the NamedTuple constructor, a Python-level call
 
-    def grow(u: _Row, v: _Row, b_prev: int, a_prev: int, grade: int) -> Iterator[_Leaf]:
+    def grow(
+        node: _Diagonals, b_prev: int, a_prev: int, grade: int
+    ) -> Generator[_Leaf, None, int]:
+        u, v = node
         k = len(u)
-        if k == n:
-            yield (u, v), path, grade
-            return
         forward, inverse = _forward_at(k), _inverse_at(k + 1)
+        last = k == n - 1
+        leaves = 0
         for b in range(n - k, min(b_prev, a_prev - 1) + 1):
             for a in range(b, a_prev + 1):
                 new_u, new_v, tag, l = forward(n, u, v, b, a)
@@ -522,21 +534,35 @@ def _walk_n2(n: int) -> Iterator[_Leaf]:
                     worst = max(grade, 1)
                 else:
                     worst = grade
+                after = new_u, new_v
                 undone = back_u, back_v, pair, again, l_again
-                path.append(_Edge((u, v), (new_u, new_v), (b, a), tag, l, undone))
-                yield from grow(new_u, new_v, b, a, worst)
+                path.append(new_edge(_Edge, (node, after, (b, a), tag, l, undone)))
+                if last:
+                    yield after, path, worst
+                    weight = 1
+                else:  # the tag's key goes in before its subtree's
+                    tally.setdefault(tag, 0)
+                    weight = yield from grow(after, b, a, worst)
+                tally[tag] = tally.get(tag, 0) + weight
+                leaves += weight
                 path.pop()
+        return leaves
 
+    if n == 1:
+        return iter([(((1,), ()), path, 0)])
     # b_0 = n-1 and a_0 = n give the k = 1 ranges
-    return grow((n,), (), n - 1, n, 0)
+    return grow(((n,), ()), n - 1, n, 0)
 
 
-def _n2_trapezoids(n: int) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]]]:
+def _n2_trapezoids(
+    n: int, usage: dict[Rule, int] | None = None
+) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]]]:
     """Every (n,2) Gog trapezoid with its `gog_to_gogam_n2` image and
-    its `_walk_n2` path (reused, as there), read off one walk.  Keeps
-    the public map's postcondition that the image is a (n,2) GOGAm
-    trapezoid, through `_image_check`."""
-    leaves = _walk_n2(n)  # refuses a bad n before a kernel is built for it
+    its `_walk_n2` path (reused, as there), read off one walk that
+    tallies its tags into ``usage``.  Keeps the public map's
+    postcondition that the image is a (n,2) GOGAm trapezoid, through
+    `_image_check`."""
+    leaves = _walk_n2(n, usage)  # refuses a bad n before a kernel is built for it
     check = _image_check(n)
     for leaf, path, _ in leaves:
         if check(leaf):
@@ -553,11 +579,6 @@ def _path_payload(n: int, path: list[_Edge]) -> str:
 _GRADE_FAILURES = (None, "traces not mirrored", "round trip failed")
 _IMAGE_FAILURES = (None, "image not GOGAm", "involution image not Magog")
 
-# histogram key of each rule, formatted once: `Rule.value` is a
-# Python-level descriptor, and the walk reads one rule per path edge
-_RULE_KEYS = {rule: f"rule-{rule.value}" for rule in Rule}
-
-
 def _suite_bijection_n2(n: int, report: Report) -> None:
     """Every (n,2) Gog trapezoid through the walk, its image checked and
     counted on the leaf's bare diagonals (u, v).
@@ -565,31 +586,34 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
     `_image_check` of the size gives the checks of `is_trapezoid`,
     `is_gogam` and, on the involution's image, `is_magog`; the pinned
     cells are its own materialization of the leaf, the constant 1.  The
-    distinct-images count keeps one int per image, the bytes of u + v
-    read big-endian.  It is exact: the image copies u and v and fills
-    the rest with 1, so distinct images have distinct (u, v); the key
-    has the fixed length 2n-1 bytes, so distinct (u, v) give distinct
-    ints; and a kept image passed the GOGAm test, so its entries lie in
-    1..n and each fits a byte.  Hence n <= 255.
+    `rule-*` counts are the walk's tally, the count of each rule over
+    all paths, new keys in order of first appearance along the walk.
+    The distinct-images count keeps one key per image, the bytes
+    of u + v.  It is exact: the image copies u and v and fills the rest
+    with 1, so distinct images have distinct (u, v); the key has the
+    fixed length 2n-1 bytes, so distinct (u, v) give distinct keys; and
+    a kept image passed the GOGAm test, so its entries lie in 1..n and
+    each fits a byte.  Hence n <= 255.
     """
     if n > 255:
         raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n}")
     check = _image_check(n)
-    histogram = report.histogram
+    usage: dict[Rule, int] = {}
     images = set()
     leaves = 0
-    for leaf, path, grade in _walk_n2(n):
+    for leaf, path, grade in _walk_n2(n, usage):
         leaves += 1
-        report.checks += 1
-        for edge in path:
-            key = _RULE_KEYS[edge.tag]
-            histogram[key] = histogram.get(key, 0) + 1
         failure = _IMAGE_FAILURES[check(leaf)] or _GRADE_FAILURES[grade]
         if failure:
             report.failures.append(f"{failure} for {_path_payload(n, path)}")
         else:
             u, v = leaf
-            images.add(int.from_bytes(bytes(u + v), "big"))
+            images.add(bytes(u + v))
+    report.checks += leaves
+    histogram = report.histogram
+    for rule, times in usage.items():
+        key = f"rule-{rule.value}"
+        histogram[key] = histogram.get(key, 0) + times
     gogs = _count_n2(Family.GOG, n)
     magogs = _count_n2(Family.MAGOG, n)
     report.checks += 1
@@ -617,18 +641,29 @@ def _suite_n1(n: int, report: Report) -> None:
             report.failures.append(f"subtraction image not GOGAm on {_fail_payload(t)}")
 
 
+def _least_class(predicate: Callable[[GtTriangle, int], bool], t: GtTriangle) -> int:
+    """The least k in 1..n with ``predicate(t, k)``, n + 1 if there is
+    none, by bisection: the classes of `is_gog_trapezoid_n2k` and of
+    `is_magog_trapezoid_n2k` are nested, class k inside class k + 1."""
+    return bisect_left(range(1, t.n + 1), True, key=partial(predicate, t)) + 1
+
+
 def _suite_n2k(n: int, report: Report) -> None:
     """Each class k of (n,2) Gog trapezoids, by `is_gog_trapezoid_n2k`:
     the involutions of its images must be the Magog trapezoids that
-    `is_magog_trapezoid_n2k` selects.  Each image's involution is
-    computed once, as bare rows, and the classes compare rows."""
+    `is_magog_trapezoid_n2k` selects.  Each trapezoid's least class is
+    found once, by `_least_class`, and class k holds those whose least
+    class is at most k.  Each image's involution is computed once, as
+    bare rows, and the classes compare rows."""
     involution = _involution(n)
-    trapezoids = [(gog, involution(image.rows)) for gog, image, _ in _n2_trapezoids(n)]
-    magogs = list(generate(FamilySpec(Family.MAGOG, n, k=min(2, n))))
+    trapezoids = [(_least_class(is_gog_trapezoid_n2k, gog), involution(image.rows))
+                  for gog, image, _ in _n2_trapezoids(n)]
+    magogs = [(_least_class(is_magog_trapezoid_n2k, m), m.rows)
+              for m in generate(FamilySpec(Family.MAGOG, n, k=min(2, n)))]
     for k in range(1, n + 1):
-        klass = [magog for gog, magog in trapezoids if is_gog_trapezoid_n2k(gog, k)]
+        klass = [magog for least, magog in trapezoids if least <= k]
         image_magogs = set(klass)
-        target = {m.rows for m in magogs if is_magog_trapezoid_n2k(m, k)}
+        target = {rows for least, rows in magogs if least <= k}
         report.checks += 1
         if image_magogs != target:
             report.failures.append(

@@ -620,6 +620,23 @@ class TestStepKernels:
             ("inverse", "iva"): 7_222, ("inverse", "ivb"): 52,
         }
 
+    def test_inverse_undoes_every_iiib_walk_edge_itself(self, monkeypatch):
+        """Built with a loop that must not run, the inverse kernels give
+        the loop's result on each of the 791 distinct IIIb children of
+        the walks with n <= 7, 129 of them with v[k-1-l] + l == u_k."""
+        loop = SCHEDULES["inverse"][2]
+        children = {(n, e.after) for n in range(1, 8) for _, path, _ in _walk_n2(n)
+                    for e in path if e.undone[3] is Rule.IIIB}
+
+        def unreachable(n, u, v):
+            raise AssertionError("the kernel must undo IIIb itself")
+
+        monkeypatch.setattr(bijection, "_inverse", unreachable)
+        kernels = {size: bijection._inverse_kernel(size) for size in range(2, 8)}
+        assert len(children) == 791
+        for n, (u, v) in children:
+            assert kernels[len(u)](n, u, v) == loop(n, u, v)
+
     @settings(max_examples=300)
     @given(st.data())
     def test_match_the_loops_on_drawn_states(self, data):

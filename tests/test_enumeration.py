@@ -3,6 +3,7 @@ import json
 from collections import Counter
 import time
 import tracemalloc
+from functools import cache
 from itertools import chain, combinations_with_replacement, islice
 
 import pytest
@@ -29,6 +30,7 @@ from gogmagog.enumeration import (
     _fail_payload,
     _generate_gogam_by_filter,
     _gt_fill_loop,
+    _least_class,
     _rows,
     _walk_n2,
     asm_number,
@@ -38,7 +40,10 @@ from gogmagog.enumeration import (
     verify,
 )
 from gogmagog.schutzenberger import is_gogam, schutzenberger
-from gogmagog.triangles import _UNROLL_MAX_N, Family, is_gog, is_magog, is_trapezoid, is_valid_gt
+from gogmagog.triangles import (
+    _UNROLL_MAX_N, Family, is_gog, is_gog_trapezoid_n2k, is_magog, is_magog_trapezoid_n2k,
+    is_trapezoid, is_valid_gt,
+)
 
 from conftest import descend, kernel, report_digest
 
@@ -504,12 +509,41 @@ def test_forward_steps_grow_each_state_once(monkeypatch):
     assert calls == {"grown": 2_269, "forward": 2_175}
 
 
+def test_inverse_kernels_call_the_loop_only_on_ivb(monkeypatch):
+    """The inverse kernels undo IIIb themselves: the n <= 6 sweep calls
+    the loop `_inverse` on its 2 IVb edges alone, not on 94 IIIb edges
+    as well."""
+    calls = Counter()
+    loop = bijection._inverse
+
+    def counted(n, u, v):
+        undone = loop(n, u, v)
+        calls[undone[3]] += 1
+        return undone
+
+    monkeypatch.setattr(bijection, "_inverse", counted)
+    # kernels built now bind the counting loop
+    monkeypatch.setattr(enumeration, "_inverse_at", cache(bijection._inverse_kernel))
+    assert verify("bijection-n2", 6).ok
+    assert calls == {Rule.IVB: 2}
+
+
+def test_walk_tally_counts_each_path_tag():
+    """The walk's tally, one weight per edge, is the per-path count of
+    tags, keyed in order of first appearance along the walk, n <= 7."""
+    for n in range(1, 8):
+        usage, want = {}, Counter()
+        for _, path, _ in _walk_n2(n, usage):
+            want.update(edge.tag for edge in path)
+        assert list(usage.items()) == list(want.items())
+
+
 def test_bijection_histogram_key_order():
     # the CLI prints the histogram in insertion order
-    assert list(verify("bijection-n2", 6).histogram) == [
+    assert list(verify("bijection-n2", 8).histogram) == [
         "trapezoids-1", "rule-base", "trapezoids-2", "rule-i", "rule-ii",
         "rule-iiia", "rule-iva", "trapezoids-3", "rule-iiib", "trapezoids-4",
-        "trapezoids-5", "rule-ivb", "trapezoids-6",
+        "trapezoids-5", "rule-ivb", "trapezoids-6", "trapezoids-7", "trapezoids-8",
     ]
 
 
@@ -761,6 +795,19 @@ def test_walk_suites_make_one_sweep(monkeypatch, suite):
     monkeypatch.setattr(enumeration, "gog_to_gogam_n2", unreachable)
     assert verify(suite, 6).ok
     assert calls == {"forward": 2_175, "inverse": 2_175}
+
+
+def test_n2k_classes_are_nested():
+    """Class k lies inside class k + 1 for both predicates on every
+    (n,2) Gog and Magog trapezoid with n <= 6, so `_least_class`
+    bisects to the least k a linear scan finds."""
+    for n in range(1, 7):
+        for family, predicate in ((Family.GOG, is_gog_trapezoid_n2k),
+                                  (Family.MAGOG, is_magog_trapezoid_n2k)):
+            for t in generate(FamilySpec(family, n, k=min(2, n))):
+                held = [predicate(t, k) for k in range(1, n + 1)]
+                assert held == sorted(held) and held[-1]
+                assert _least_class(predicate, t) == held.index(True) + 1
 
 
 def test_walk_images_keep_the_gogam_postcondition(monkeypatch):
