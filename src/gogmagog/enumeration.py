@@ -14,8 +14,12 @@ reads the same two functions, generating nothing.
 
 `verify` runs one of the named property suites up to a given size and
 returns a structured report; every suite is deterministic.  The
-`involution` and `oracle` suites run on bare top-down rows, through the
-per-size row functions of both involution routes fetched once per size.
+`involution` and `oracle` suites run one sweep per size over the GT top
+rows, `_involution_sweep` and `_oracle_sweep`: up to the cap one
+straight-line function that nests `_gt_fill_kernel`'s loops,
+`_fill_loops`, around the lines of the involution and, for the oracle,
+of the word route, each route computing on its own locals; past it
+each route's row function of the size on bare top-down rows.
 """
 
 from __future__ import annotations
@@ -58,14 +62,23 @@ from .bijection import (
     magog_row_statistic,
     statistic_x11,
 )
-from .schutzenberger import _involution, is_gogam, schutzenberger, schutzenberger_diagonal
-from .tableaux import _word_route
+from .schutzenberger import (
+    _cell_locals,
+    _involution,
+    _reflections,
+    is_gogam,
+    schutzenberger,
+    schutzenberger_diagonal,
+)
+from .tableaux import _rsk_lines, _word_route
 from .triangles import (
+    _RSK_MAX_N,
     Family,
     GtTriangle,
     _check_int,
     _check_size,
     _per_size,
+    _row_tuples,
     _straight_line,
     format_triangle,
     inversions,
@@ -155,11 +168,13 @@ def _magog_rows(k: int | None, above: _Row) -> Iterable[_Row]:
     return product(*map(range, above, [min(x, cap) + 1 for x, cap in zip(above[1:], caps)]))
 
 
-def _gt_fill_kernel(n: int) -> Callable[[_Row], Iterator[_Rows]]:
-    """``_fill_below((top,), _gt_rows)`` for a top row of size n as one
-    straight-line generator: one ``for`` per lower row over the product
-    of its interlacing intervals, the row unpacked into the locals the
-    next row's ranges read, yielding the top-down row tuples.
+def _fill_loops(n: int, named: bool) -> list[str]:
+    """The loops that fill a top row of size n, held in the locals
+    ``x0_{c}``: one ``for`` per lower row r over the product of its
+    interlacing intervals, nested r levels deep.  Row r's cells are the
+    locals ``x{r}_{c}`` the next row's ranges read: the loop's target,
+    or with ``named`` unpacked from the row tuple ``r{r}`` that the loop
+    binds (all rows but the last).
 
     One loop per row, not per cell: CPython nests at most 20 blocks
     statically, so a loop per cell fails to compile from n = 7 on, while
@@ -169,10 +184,22 @@ def _gt_fill_kernel(n: int) -> Callable[[_Row], Iterator[_Rows]]:
     for r in range(1, n):
         indent = "    " * r
         ranges = ", ".join(f"range(x{r - 1}_{c}, x{r - 1}_{c + 1} + 1)" for c in range(n - r))
+        cells = "".join(f"x{r}_{c}, " for c in range(n - r))
+        if not named:
+            body.append(f"{indent}for {cells}in product({ranges}):")
+            continue
         body.append(f"{indent}for r{r} in product({ranges}):")
         if r < n - 1:
-            body.append(f"{indent}    " + "".join(f"x{r}_{c}, " for c in range(n - r)) + f"= r{r}")
-    body.append("    " * n + "yield rows, " + "".join(f"r{r}, " for r in range(1, n)))
+            body.append(f"{indent}    {cells}= r{r}")
+    return body
+
+
+def _gt_fill_kernel(n: int) -> Callable[[_Row], Iterator[_Rows]]:
+    """``_fill_below((top,), _gt_rows)`` for a top row of size n as one
+    straight-line generator: `_fill_loops` with the rows named, yielding
+    the top-down row tuples."""
+    rows = "".join(f"r{r}, " for r in range(1, n))
+    body = [*_fill_loops(n, named=True), "    " * n + "yield rows, " + rows]
     top = "".join(f"x0_{c}, " for c in range(n))
     return _straight_line(n, top, body, "raw gt", product=product)
 
@@ -408,29 +435,121 @@ def _suite_counts(n: int, report: Report) -> None:
             )
 
 
+def _sweep(
+    n: int, per_triangle: list[str], label: str
+) -> Callable[[Iterable[_Row]], tuple[int, list]]:
+    """A sweep over every GT triangle under the top rows ``tops`` of size
+    n as one straight-line function: `_fill_loops` inside a loop over
+    ``tops``, running the kernel body lines ``per_triangle`` on each
+    triangle's cell locals.  They may append to ``failed``; the sweep
+    returns the number of triangles and ``failed``."""
+    body = ["    for " + "".join(f"x0_{c}, " for c in range(n)) + "in tops:"]
+    body += ["    " + line for line in _fill_loops(n, named=False)]
+    body += ["    " * n + line for line in [*per_triangle, "    checked += 1"]]
+    body.append("    return checked, failed")
+    return _straight_line(
+        n, "checked, failed", body, label, params="tops", unpacked="0, []", product=product
+    )
+
+
+def _equal(left: list[list[str]], right: list[list[str]]) -> str:
+    """Source that holds when every cell local of ``left`` equals the one
+    in the same place of ``right``; a local paired with itself is left
+    out."""
+    pairs = [f"{a} == {b}" for a, b in zip(chain(*left), chain(*right)) if a != b]
+    return " and ".join(pairs) or "True"
+
+
+def _involution_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list]]:
+    """`_involution_sweep_loop` on top rows of size n as one `_sweep`:
+    `_reflections` from the cells x into y, then again from y into z,
+    and a triangle is recorded when z is not x.  No line writes a
+    top-row cell, so the corner cannot move here."""
+    rows = _row_tuples(n)
+    return _sweep(n, [
+        *_reflections(n, "y"),
+        *_reflections(n, "z", "y"),
+        f"    if not ({_equal(_cell_locals(n, 'z'), _cell_locals(n))}):",
+        f"        failed.append(('involution broke', ({rows})))",
+    ], "involution sweep")
+
+
+def _involution_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[tuple[str, _Rows]]]:
+    """The involution, of the size, on every GT triangle under each of
+    ``tops``: the count, and (failure, rows) for each triangle that the
+    involution applied twice does not give back ("involution broke") or
+    whose corner x[n,n] it moves ("corner moved")."""
+    checked, failed = 0, []
+    for top in tops:
+        involution = _involution(len(top))
+        for rows in _gt_fill(len(top))(top):
+            checked += 1
+            image = involution(rows)
+            if involution(image) != rows:
+                failed.append(("involution broke", rows))
+            elif image[0][-1] != rows[0][-1]:  # the corner x[n,n]
+                failed.append(("corner moved", rows))
+    return checked, failed
+
+
+# the involution sweep over the GT triangles under top rows of size n
+_involution_sweep = _per_size(_involution_sweep_kernel, _involution_sweep_loop)
+
+
+def _oracle_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list[_Rows]]]:
+    """`_oracle_sweep_loop` on top rows of size n as one `_sweep`: the
+    word route's lines, `_rsk_lines`, and the involution's,
+    `_reflections` into the cells y, both read the untouched cells x; a
+    triangle is recorded when its tableau falls short or the summed
+    counts differ from y in a cell."""
+    runs, sums, image = _rsk_lines(n)
+    return _sweep(n, [
+        *runs,
+        *_reflections(n, "y"),
+        *sums,
+        f"    if not (m{n - 1}_{n} and {_equal(image, _cell_locals(n, 'y'))}):",
+        f"        failed.append(({_row_tuples(n)}))",
+    ], "oracle sweep")
+
+
+def _oracle_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[_Rows]]:
+    """The Bender-Knuth route against the word route, of the size, on
+    every GT triangle under each of ``tops``: the count, and the rows of
+    each triangle they disagree on; a word route that falls short (None)
+    is a disagreement like any other."""
+    checked, failed = 0, []
+    for top in tops:
+        involution, word_route = _involution(len(top)), _word_route(len(top))
+        for rows in _gt_fill(len(top))(top):
+            checked += 1
+            if involution(rows) != word_route(rows):
+                failed.append(rows)
+    return checked, failed
+
+
+# the oracle sweep over the GT triangles under top rows of size n
+_oracle_sweep = _per_size(_oracle_sweep_kernel, _oracle_sweep_loop, _RSK_MAX_N)
+
+
 def _suite_involution(n: int, report: Report) -> None:
-    involution = _involution(n)
-    for rows in _rows(FamilySpec(Family.GT, n, bound=n + 1)):
-        report.checks += 1
-        image = involution(rows)
-        if involution(image) != rows:
-            failure = "involution broke"
-        elif image[0][-1] != rows[0][-1]:  # the corner x[n,n]
-            failure = "corner moved"
-        else:
-            continue
+    """The involution on every GT triangle with entries <= n+1, through
+    `_involution_sweep` of the size."""
+    checked, failed = _involution_sweep(n)(_tops(FamilySpec(Family.GT, n, bound=n + 1)))
+    report.checks += checked
+    for failure, rows in failed:
         report.failures.append(f"{failure} on {_fail_payload(GtTriangle._trusted(rows))}")
 
 
 def _suite_oracle(n: int, report: Report) -> None:
-    """Bender-Knuth route against the word route, on bare rows; a word
-    route that falls short (None) is a disagreement like any other."""
-    involution, word_route = _involution(n), _word_route(n)
-    for rows in _rows(FamilySpec(Family.GT, n, bound=n + 1)):
-        report.checks += 1
-        if involution(rows) != word_route(rows):
-            payload = _fail_payload(GtTriangle._trusted(rows))
-            report.failures.append(f"oracle disagreement on {payload}")
+    """Bender-Knuth route against the word route on every GT triangle
+    with entries <= n+1, through `_oracle_sweep` of the size: up to
+    `_RSK_MAX_N` the two routes' lines in one frame, past it each
+    route's function of the size."""
+    checked, failed = _oracle_sweep(n)(_tops(FamilySpec(Family.GT, n, bound=n + 1)))
+    report.checks += checked
+    for rows in failed:
+        payload = _fail_payload(GtTriangle._trusted(rows))
+        report.failures.append(f"oracle disagreement on {payload}")
 
 
 def _brute_diagonal(t: GtTriangle) -> tuple[int, ...]:
@@ -556,19 +675,18 @@ def _walk_n2(n: int, usage: dict[Rule, int] | None = None) -> Iterator[_Leaf]:
 
 def _n2_trapezoids(
     n: int, usage: dict[Rule, int] | None = None
-) -> Iterator[tuple[GtTriangle, GtTriangle, list[_Edge]]]:
-    """Every (n,2) Gog trapezoid with its `gog_to_gogam_n2` image and
-    its `_walk_n2` path (reused, as there), read off one walk that
-    tallies its tags into ``usage``.  Keeps the public map's
-    postcondition that the image is a (n,2) GOGAm trapezoid, through
-    `_image_check`."""
+) -> Iterator[tuple[_Diagonals, list[_Edge]]]:
+    """Every (n,2) Gog trapezoid's `_walk_n2` leaf, the bare diagonals
+    (u, v) of its `gog_to_gogam_n2` image, with its path (reused, as
+    there), read off one walk that tallies its tags into ``usage``.
+    Keeps the public map's postcondition that the image is a (n,2)
+    GOGAm trapezoid, through `_image_check`."""
     leaves = _walk_n2(n, usage)  # refuses a bad n before a kernel is built for it
     check = _image_check(n)
     for leaf, path, _ in leaves:
         if check(leaf):
             raise BijectionStateError("forward image failed the GOGAm test")
-        gog = _gog_trapezoid(n, [e.pair for e in path])
-        yield gog, GtTriangle._trusted(_state_rows(n, *leaf)), path
+        yield leaf, path
 
 
 def _path_payload(n: int, path: list[_Edge]) -> str:
@@ -656,8 +774,9 @@ def _suite_n2k(n: int, report: Report) -> None:
     class is at most k.  Each image's involution is computed once, as
     bare rows, and the classes compare rows."""
     involution = _involution(n)
-    trapezoids = [(_least_class(is_gog_trapezoid_n2k, gog), involution(image.rows))
-                  for gog, image, _ in _n2_trapezoids(n)]
+    trapezoids = [(_least_class(is_gog_trapezoid_n2k, _gog_trapezoid(n, [e.pair for e in path])),
+                   involution(_state_rows(n, *leaf)))
+                  for leaf, path in _n2_trapezoids(n)]
     magogs = [(_least_class(is_magog_trapezoid_n2k, m), m.rows)
               for m in generate(FamilySpec(Family.MAGOG, n, k=min(2, n)))]
     for k in range(1, n + 1):
@@ -674,11 +793,9 @@ def _suite_n2k(n: int, report: Report) -> None:
 
 
 def _suite_statistics(n: int, report: Report) -> None:
-    check, involution = _image_check(n), _involution(n)
-    for leaf, path, _ in _walk_n2(n):
+    involution = _involution(n)
+    for leaf, path in _n2_trapezoids(n):
         report.checks += 1
-        if check(leaf):
-            raise BijectionStateError("forward image failed the GOGAm test")
         x11 = path[-1].pair[1] if path else 1  # the Gog trapezoid's a_{n-1}
         if leaf[0][-1] != x11:
             report.failures.append(f"bottom entry moved for {_path_payload(n, path)}")

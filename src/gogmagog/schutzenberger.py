@@ -16,7 +16,8 @@ Both schedules depend on n alone, so for n up to the shared cap
 `_UNROLL_MAX_N` each runs as one straight-line function per size,
 built by `triangles._straight_line` from the lines of `_reflections`
 (one assignment per reflected cell) or `_diagonal_lines` (the dynamic
-program unrolled), which `bijection._image_kernel` also reads.  Each
+program unrolled), which `bijection._image_kernel` also reads, as the
+sweeps of the `involution` and `oracle` suites read `_reflections`.  Each
 equals its loop (`_fold`, `_diagonal_loop`) on every triangle, GT or
 not; past the cap the unrolled source would cost too much to build,
 and the loops run.  The resolvers `_involution` and `_diagonal`, made
@@ -68,12 +69,17 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
-def _reflections(n: int) -> list[str]:
+def _reflections(n: int, out: str = "x", src: str = "x") -> list[str]:
     """The schedule of `schutzenberger` on size n as source lines, one
     assignment ``x = lo + hi - x`` per reflected cell, with lo and hi
-    the bounds `_reflect` takes over the same neighbours; cell (row r,
-    column c) of the top-down rows is the local ``x{r}_{c}``."""
-    cell = [[f"x{r}_{c}" for c in range(n - r)] for r in range(n)]
+    the bounds `_reflect` takes over the same neighbours.  Cell (row r,
+    column c) of the top-down rows is read from its local in
+    `_cell_locals` of ``src`` until its first write, which goes to
+    ``{out}{r}_{c}``, and from there after it.  Every cell below the top
+    row is written and the top row never, so the image is left in
+    `_cell_locals` of ``out``, and with ``out`` a new name the input
+    cells keep their values."""
+    cell = _cell_locals(n, src)
     body = []
     for j in range(n - 1, 0, -1):
         for k in range(1, j + 1):
@@ -86,8 +92,15 @@ def _reflections(n: int) -> list[str]:
                 hi = above[c + 1]
                 if c <= k - 2:
                     hi = f"({below[c]} if {below[c]} < {hi} else {hi})"
-                body.append(f"    {row[c]} = {lo} + {hi} - {row[c]}")
+                body.append(f"    {out}{n - k}_{c} = {lo} + {hi} - {row[c]}")
+                row[c] = f"{out}{n - k}_{c}"
     return body
+
+
+def _cell_locals(n: int, name: str = "x") -> list[list[str]]:
+    """The locals of top-down rows of size n: the top row's cells
+    ``x0_{c}``, every other cell (row r, column c) ``{name}{r}_{c}``."""
+    return [[f"{name if r else 'x'}{r}_{c}" for c in range(n - r)] for r in range(n)]
 
 
 def _kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:

@@ -18,7 +18,8 @@ tableau they build goes through the checked constructor `Ssyt(...)`.
 The route on bare top-down rows, `_word_route`, is the resolver
 `triangles._per_size` makes for it: up to `triangles._RSK_MAX_N` one
 straight-line function per size, `_rsk_kernel`, built by
-`triangles._straight_line`.  The word is a schedule of runs of equal
+`triangles._straight_line` from `_rsk_lines`, whose lines the `oracle`
+suite's sweep also runs.  The word is a schedule of runs of equal
 letters fixed by n, and a weakly increasing run row-inserts as one
 block, so the kernel inserts each run on the tableau's letter counts
 (the piecewise-linear form of row insertion; Kirillov 2001,
@@ -238,20 +239,19 @@ def _run_source(x: int, n: int, filled: set[tuple[int, int]]) -> list[str]:
     return lines
 
 
-def _rsk_kernel(
-    n: int,
-) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
-    """The word route on top-down rows of size n as one straight-line
-    function: the complement-reversed word read as runs, tableau rows
-    bottom row first, each right to left, and each run row-inserted as
-    one block by `_run_source` behind ``if d > 0:``; the triangle is
-    read off the letter counts, x[i, i-r] being the sum of m{r}_l over
-    l <= i.  Tableau row r = n-1-s reads the diagonal ``x{k}_{s-k}``,
-    k = 0..s, of the top-down rows, and ``d``, the difference of its
-    cells k-1 and k (cell s+1 read as 0), counts the written letter k.
-    None when tableau row n-1 is empty, as the public stages give it.
-    Exact on any rows, GT or not, and built from the insertion rule
-    alone."""
+def _rsk_lines(n: int) -> tuple[list[str], list[str], list[list[str]]]:
+    """The word route on size n as source lines over the cell locals
+    ``x{r}_{c}`` of the top-down rows, which no line writes: the
+    complement-reversed word read as runs, tableau rows bottom row
+    first, each right to left, and each run row-inserted as one block
+    by `_run_source` behind ``if d > 0:``.  Tableau row r = n-1-s reads
+    the diagonal ``x{k}_{s-k}``, k = 0..s, and ``d``, the difference of
+    its cells k-1 and k (cell s+1 read as 0), counts the written letter
+    k.  Returned with the lines that sum the letter counts along each
+    row, after which cell (r, c) of the image is the count named in
+    row r, column c of the third value; x[i, i-q] is the sum of m{q}_l
+    over l <= i.  The tableau falls short, as the public stages find
+    it, when ``m{n-1}_{n}``, which the sums leave alone, is 0."""
     counts = [f"m{q}_{i}" for q in range(n) for i in range(q + 1, n + 1)]
     body = ["    " + " = ".join(counts) + " = 0"]
     filled: set[tuple[int, int]] = set()
@@ -260,10 +260,21 @@ def _rsk_kernel(
             run = f"x{k - 1}_{s - k + 1} - x{k}_{s - k}" if k <= s else f"x{s}_0"
             body += [f"    d = {run}", "    if d > 0:"]
             body += ["        " + line for line in _run_source(k, n, filled)]
-    body += [f"    if not m{n - 1}_{n}:", "        return None"]
-    body += [f"    m{q}_{i} += m{q}_{i - 1}" for q in range(n) for i in range(q + 2, n + 1)]
-    rows = ("".join(f"m{q}_{i}, " for q in range(i - 1, -1, -1)) for i in range(n, 0, -1))
-    body.append("    return " + "".join(f"({row}), " for row in rows))
+    sums = [f"    m{q}_{i} += m{q}_{i - 1}" for q in range(n) for i in range(q + 2, n + 1)]
+    image = [[f"m{q}_{i}" for q in range(i - 1, -1, -1)] for i in range(n, 0, -1)]
+    return body, sums, image
+
+
+def _rsk_kernel(
+    n: int,
+) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
+    """The word route on top-down rows of size n as one straight-line
+    function, `_rsk_lines`: None when the tableau falls short, else the
+    triangle read off the summed counts.  Exact on any rows, GT or not,
+    and built from the insertion rule alone."""
+    body, sums, image = _rsk_lines(n)
+    body += [f"    if not m{n - 1}_{n}:", "        return None", *sums]
+    body.append("    return " + "".join(f"({''.join(m + ', ' for m in row)}), " for row in image))
     return _straight_line(n, _row_tuples(n), body, "rsk")
 
 

@@ -14,13 +14,16 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its arguments unpacked into locals.  Nine schedules do: up to
+its arguments unpacked into locals.  Eleven schedules do: up to
 `_UNROLL_MAX_N` the GT test here, the involution and its diagonal in
-`schutzenberger`, the raw-GT generator in `enumeration`, and in
-`bijection` the state test and the forward and inverse steps (keyed by
-the state's size) and the leaf image check, made of the lines of the
-GT test, the diagonal and the involution; up to the lower `_RSK_MAX_N`
-the word route in `tableaux`.  Each runs behind one resolver made by
+`schutzenberger`, the raw-GT generator and the `involution` suite's
+sweep (its loops around the involution's lines, twice) in
+`enumeration`, and in `bijection` the state test and the forward and
+inverse steps (keyed by the state's size) and the leaf image check,
+made of the lines of the GT test, the diagonal and the involution; up
+to the lower `_RSK_MAX_N` the word route in `tableaux` and the
+`oracle` suite's sweep, the generator's loops around the word route's
+and the involution's lines.  Each runs behind one resolver made by
 `_per_size`, which alone chooses between the kernel and the loop for a
 size; a kernel is built on the first call of its size, so importing
 the package builds none.  Past the cap the GT test is `validate_gt` itself, the state
@@ -179,8 +182,9 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 
 # Largest n whose fixed-schedule work runs as one `_straight_line`
 # function per size: the GT test, the involution and its diagonal, the
-# raw-GT generator, the bijection state test and forward and inverse
-# steps (their size is the state's k) and the leaf image check.  The
+# raw-GT generator, the `involution` suite's sweep (keyed by the top
+# row's size), the bijection state test and forward and inverse steps
+# (their size is the state's k) and the leaf image check.  The
 # involution's source, which the image check also holds, has
 # (n-1)n(n+1)/6 statements, the state test's and the steps' O(k), the
 # others O(n^2).  Each is built once per size and process; on a 2-vCPU
@@ -188,9 +192,11 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 # / 0.6 / 1.9 ms for the state test, the GT test, the diagonal and the
 # generator, 0.6-1.1 / 0.9-1.4 / 5-8 ms for the involution, which grows
 # as n^3 to 12-20 ms at 16 and 26-31 ms at 20, and 1.1 / 1.6 / 7.7-7.9
-# ms for the image check.  At k = 1..12 the state test takes 0.1-0.7
-# ms, the forward step 0.6-1.5 ms and the inverse step 0.1-1.2 ms, each
-# step once more the state test of its result's size if that is new.
+# ms for the image check, and 1.3 / 2.1 / 12-14 ms for the sweep, which
+# holds the involution twice.  At k = 1..12 the state test takes
+# 0.1-0.7 ms, the forward step 0.6-1.5 ms and the inverse step 0.1-1.2
+# ms, each step once more the state test of its result's size if that
+# is new.
 # The generator nests one loop per lower row, n - 1 in all: CPython
 # compiles at most 20 statically nested blocks, which a loop per cell
 # would pass from n = 7 on.  Past the cap the loops run instead (for the GT test,
@@ -206,7 +212,9 @@ _UNROLL_MAX_N = 12
 # build takes about 1.0-1.8 / 2.2-3.9 / 5-8.5 / 11-16 / 21-29 /
 # 157-161 ms at n = 4 / 5 / 6 / 7 / 8 / 12, so the cap is the largest n
 # that builds in under about 10 ms.  Past it the route runs the public
-# word stages, letter at a time.
+# word stages, letter at a time.  The `oracle` suite's sweep holds the
+# route's lines and the involution's, and builds in 1.2 / 2.6 / 5.2-5.9
+# ms at n = 4 / 5 / 6, so it keeps this cap.
 _RSK_MAX_N = 6
 
 

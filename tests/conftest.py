@@ -108,8 +108,9 @@ def broken_perturbations():
 # generator maps a top row to triangles, the state test maps a
 # bijection state (n, u, v) of size k = len(u), the forward step takes
 # n, u, v, b, a and the inverse step n, u, v with k = len(u), the image
-# check maps a finished state's (u, v) of size n = len(u), the others
-# map rows
+# check maps a finished state's (u, v) of size n = len(u), the two
+# sweeps map top rows of size n to a count and failure records, the
+# others map rows
 SCHEDULES = {
     "gt test": (_gt_test, _gt_kernel, _gt_loop, 12),
     "involution": (_involutions._involution, _involutions._kernel, _involutions._fold, 12),
@@ -120,6 +121,10 @@ SCHEDULES = {
     "image": (bijection._image_check, bijection._image_kernel, bijection._image_loop, 12),
     "forward": (bijection._forward_at, bijection._forward_kernel, bijection._forward, 12),
     "inverse": (bijection._inverse_at, bijection._inverse_kernel, bijection._inverse, 12),
+    "oracle sweep": (enumeration._oracle_sweep, enumeration._oracle_sweep_kernel,
+                     enumeration._oracle_sweep_loop, 6),
+    "involution sweep": (enumeration._involution_sweep, enumeration._involution_sweep_kernel,
+                         enumeration._involution_sweep_loop, 12),
 }
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import time
 import tracemalloc
 from functools import cache
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, islice, product
 
 import pytest
 
@@ -31,7 +31,9 @@ from gogmagog.enumeration import (
     _generate_gogam_by_filter,
     _gt_fill_loop,
     _least_class,
+    _oracle_sweep,
     _rows,
+    _tops,
     _walk_n2,
     asm_number,
     count,
@@ -41,17 +43,18 @@ from gogmagog.enumeration import (
 )
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import (
-    _UNROLL_MAX_N, Family, is_gog, is_gog_trapezoid_n2k, is_magog, is_magog_trapezoid_n2k,
-    is_trapezoid, is_valid_gt,
+    _RSK_MAX_N, _UNROLL_MAX_N, Family, _per_size, _row_tuples, is_gog, is_gog_trapezoid_n2k,
+    is_magog, is_magog_trapezoid_n2k, is_trapezoid, is_valid_gt,
 )
 
-from conftest import descend, kernel, report_digest
+from conftest import SCHEDULES, descend, kernel, report_digest
 
 
 _ASM = (1, 2, 7, 42, 429, 7_436, 218_348)
 _CATALAN = (1, 2, 5, 14, 42)
 _N2 = (1, 2, 7, 35, 219, 1_594, 12_935, 113_945, 1_070_324, 10_586_856, 109_259_633)
 _GOGS = (Family.GOG, Family.MAGOG)
+_GT_UNDER_N_PLUS_1 = (2, 10, 112, 2_772, 151_008)  # GT triangles of size n, entries <= n+1
 
 
 def _pin(n, k):
@@ -279,6 +282,86 @@ def test_gt_generation_past_the_cap_is_the_row_recursion():
     _check_gt_streams(_UNROLL_MAX_N + 1)
 
 
+@pytest.mark.parametrize("name", ["oracle sweep", "involution sweep"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_kernel_is_its_loop(name, n):
+    # the same count and the same failure records, top row by top row:
+    # every GT top row with entries <= n+1, as the suites read them, and
+    # up to n = 4 every top row over 0..n, in or out of order, under
+    # most of which the triangles are off GT and the oracle fails
+    sweep, loop = kernel(name, n), SCHEDULES[name][2]
+    gt = list(_tops(FamilySpec(Family.GT, n, bound=n + 1)))
+    tops = gt + list(product(range(n + 1), repeat=n)) * (n <= 4)
+    got = [sweep([top]) for top in tops]
+    assert got == [loop([top]) for top in tops]
+    assert sum(checked for checked, _ in got[:len(gt)]) == _GT_UNDER_N_PLUS_1[n - 1]
+    assert not any(failed for _, failed in got[:len(gt)])
+    if name == "oracle sweep" and n <= 4:
+        assert any(failed for _, failed in got[len(gt):])
+
+
+def _dropped(lines, index):
+    """``lines`` with line ``index`` made a no-op that keeps its name
+    bound: a reflection leaves its cell as it was (``y = x`` for ``y =
+    lo + hi - x``), and a run line ``d = ...`` inserts nothing."""
+    target, value = lines[index].split(" = ")
+    kept = "0" if target.strip() == "d" else value.rsplit(" - ", 1)[1]
+    return [*lines[:index], f"{target} = {kept}", *lines[index + 1:]]
+
+
+_REFLECTIONS_4 = 10  # (n-1)n(n+1)/6 reflected cells at n = 4
+_RUNS_4 = 10  # n(n+1)/2 runs at n = 4
+
+
+@pytest.mark.parametrize("dropped", range(_REFLECTIONS_4))
+def test_oracle_sweep_without_a_reflection_fails(monkeypatch, dropped):
+    reflections = enumeration._reflections
+    monkeypatch.setattr(enumeration, "_reflections", lambda *a: _dropped(reflections(*a), dropped))
+    checked, failed = enumeration._oracle_sweep_kernel(4)(_tops(FamilySpec(Family.GT, 4, bound=5)))
+    assert len(reflections(4, "y")) == _REFLECTIONS_4
+    assert checked == 2_772 and failed
+
+
+@pytest.mark.parametrize("dropped", range(_RUNS_4))
+def test_oracle_sweep_without_a_run_fails(monkeypatch, dropped):
+    def rsk_lines(n):
+        runs, sums, image = tableaux._rsk_lines(n)
+        at = [i for i, line in enumerate(runs) if line.startswith("    d = ")]
+        assert len(at) == _RUNS_4
+        return _dropped(runs, at[dropped]), sums, image
+
+    monkeypatch.setattr(enumeration, "_rsk_lines", rsk_lines)
+    checked, failed = enumeration._oracle_sweep_kernel(4)(_tops(FamilySpec(Family.GT, 4, bound=5)))
+    assert checked == 2_772 and failed
+
+
+@pytest.mark.parametrize("dropped", range(2 * _REFLECTIONS_4))
+def test_involution_sweep_without_a_reflection_fails(monkeypatch, dropped):
+    # a line dropped from the first application or from the second
+    calls, reflections = [], enumeration._reflections
+
+    def drop_one(*args):
+        lines = reflections(*args)
+        calls.append(len(lines))
+        at = dropped - sum(calls[:-1])
+        return _dropped(lines, at) if 0 <= at < len(lines) else lines
+
+    monkeypatch.setattr(enumeration, "_reflections", drop_one)
+    sweep = enumeration._involution_sweep_kernel(4)
+    checked, failed = sweep(_tops(FamilySpec(Family.GT, 4, bound=5)))
+    assert calls == [_REFLECTIONS_4] * 2
+    assert checked == 2_772 and {failure for failure, _ in failed} == {"involution broke"}
+
+
+@pytest.mark.parametrize("n", range(1, _RSK_MAX_N + 2))
+def test_oracle_sweep_records_a_tableau_that_falls_short(n):
+    # under an all-zero top row the only triangle is all zeros, whose
+    # tableau is empty: the word route falls short (the loop's None, past
+    # the cap), and the Bender-Knuth image, all zeros, cannot match it
+    zeros = tuple((0,) * (n - r) for r in range(n))
+    assert _oracle_sweep(n)([zeros[0]]) == (1, [zeros])
+
+
 def _widths(sizes):
     return lambda spec: spec.family is not Family.GT and spec.n in sizes and spec.k is not None
 
@@ -394,12 +477,17 @@ _FAULTY = ((1, 2, 4), (2, 3), (2,))
 
 
 def test_word_route_fault_is_a_failure_record(monkeypatch, capsys):
-    # a size-n route that returns None on one triangle alone, as a route
-    # whose tableau fell short would
-    real = tableaux._word_route
-    monkeypatch.setattr(
-        enumeration, "_word_route", lambda n: lambda r: None if r == _FAULTY else real(n)(r)
-    )
+    # the word route's lines, where the oracle sweep reads them, with a
+    # fault that empties the tableau's top row on one triangle alone, as
+    # a route whose tableau fell short would; a fresh resolver builds
+    # the sweep from them
+    def faulty(n):
+        runs, sums, image = tableaux._rsk_lines(n)
+        return [*runs, f"    if ({_row_tuples(n)}) == {_FAULTY}: m{n - 1}_{n} = 0"], sums, image
+
+    monkeypatch.setattr(enumeration, "_rsk_lines", faulty)
+    monkeypatch.setattr(enumeration, "_oracle_sweep", _per_size(
+        enumeration._oracle_sweep_kernel, enumeration._oracle_sweep_loop, _RSK_MAX_N))
     report = verify("oracle", 3)
     assert report.checks == 124
     assert report.failures == ["oracle disagreement on 3 / 1 2 4 / 2 3 / 2"]

@@ -219,7 +219,7 @@ class TestUnrolledKernel:
     def test_import_builds_no_kernel(self):
         # a fresh interpreter: importing the package and its CLI compiles
         # no kernel source, and the objects of the package that cache
-        # are exactly the nine resolvers, none holding a size yet
+        # are exactly the eleven resolvers, none holding a size yet
         probe = (
             "import builtins, sys\n"
             "compiled, real = [], builtins.compile\n"
@@ -241,7 +241,7 @@ class TestUnrolledKernel:
         )
         resolvers, kernels = ast.literal_eval(out.stdout)
         names = ["_diagonal", "_forward_at", "_gt_fill", "_gt_test", "_image_check", "_inverse_at",
-                 "_involution", "_state_ok", "_word_route"]
+                 "_involution", "_involution_sweep", "_oracle_sweep", "_state_ok", "_word_route"]
         assert resolvers == [(name, 0) for name in names]
         assert kernels == []
 
