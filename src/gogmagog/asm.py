@@ -9,11 +9,10 @@ up, are the rows of the corresponding Gog triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .triangles import (
     GtTriangle,
     ShapeError,
+    _Value,
     _format_sized_rows,
     _int_rows,
     _parse_sized_rows,
@@ -23,21 +22,20 @@ from .triangles import (
 )
 
 
-@dataclass(frozen=True)
-class Asm:
+class Asm(_Value):
     """Square matrix; ``rows[i-1]`` is row i, top to bottom."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = _int_rows(rows)
         n = len(rows)
         if n == 0:
             raise ShapeError("matrix must have at least one row")
         for idx, row in enumerate(rows):
             if len(row) != n:
                 raise ShapeError(f"row {idx + 1} has {len(row)} entries, want {n}")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:

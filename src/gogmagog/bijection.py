@@ -43,7 +43,6 @@ built from the lines of the GT test, the diagonal and the involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import le
@@ -51,7 +50,7 @@ from typing import Callable, Sequence
 
 from .schutzenberger import _diagonal, _diagonal_lines, _involution, _reflections, is_gogam
 from .triangles import (
-    Family, GtTriangle, Inversion, _gt_expression, _gt_test, _per_size, _straight_line,
+    Family, GtTriangle, Inversion, _Value, _gt_expression, _gt_test, _per_size, _straight_line,
     inversions, is_gog, is_trapezoid
 )
 
@@ -78,14 +77,16 @@ class Rule(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Value):
     """One algorithm step: the step index k, the rule fired, and, for
     rules IIIb/IVb, the run length l used by the inverse classifier."""
 
-    k: int
-    rule: Rule
-    l: int | None = None
+    __slots__ = ("k", "rule", "l")
+
+    def __init__(self, k: int, rule: Rule, l: int | None = None) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "l", l)
 
 
 Trace = tuple[StepRecord, ...]
@@ -150,8 +151,7 @@ def _diagonal_bound_violations(
     return bad
 
 
-@dataclass(frozen=True)
-class BijectionState:
+class BijectionState(_Value):
     """Partial triangle of size k = len(u) in compressed form.
 
     ``u[m]`` is the rightmost-diagonal entry m cells below the top,
@@ -159,18 +159,17 @@ class BijectionState:
     holds the constant n - k + 1.
     """
 
-    n: int
-    u: tuple[int, ...]
-    v: tuple[int, ...]
+    __slots__ = ("n", "u", "v")
 
-    def __post_init__(self) -> None:
-        u, v = tuple(self.u), tuple(self.v)
-        if not all(type(x) is int for x in (self.n, *u, *v)):  # bool is an int subclass
+    def __init__(self, n: int, u: tuple[int, ...], v: tuple[int, ...]) -> None:
+        u, v = tuple(u), tuple(v)
+        if not all(type(x) is int for x in (n, *u, *v)):  # bool is an int subclass
             raise ValueError("size and diagonal entries must be integers")
-        if self.n < 1 or not u:
+        if n < 1 or not u:
             raise ValueError("a state needs n >= 1 and a nonempty rightmost diagonal")
         if len(v) != len(u) - 1:
             raise ValueError("second diagonal must be one entry shorter")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 

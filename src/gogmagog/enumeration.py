@@ -28,13 +28,11 @@ import json
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import (
     accumulate, chain, combinations, combinations_with_replacement, product, repeat
 )
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import lt
 from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
@@ -75,6 +73,7 @@ from .triangles import (
     _RSK_MAX_N,
     Family,
     GtTriangle,
+    _Value,
     _check_int,
     _check_size,
     _per_size,
@@ -91,43 +90,45 @@ _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]  # a triangle's top-down rows
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Value):
     """What to enumerate: family, size, optional trapezoid width and,
     for raw Gelfand-Tsetlin triangles, a mandatory entry bound."""
 
-    family: Family
-    n: int
-    k: int | None = None
-    bound: int | None = None
+    __slots__ = ("family", "n", "k", "bound")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, Family):
-            raise ValueError(f"unknown family {self.family!r}")
-        _check_size(self.n)
-        for name, value in (("k", self.k), ("bound", self.bound)):
+    def __init__(
+        self, family: Family, n: int, k: int | None = None, bound: int | None = None
+    ) -> None:
+        if not isinstance(family, Family):
+            raise ValueError(f"unknown family {family!r}")
+        _check_size(n)
+        for name, value in (("k", k), ("bound", bound)):
             if value is not None:
                 _check_int(value, name)
-        if self.k is not None and not (1 <= self.k <= self.n):
-            raise ValueError(f"trapezoid width must be in 1..{self.n}")
-        if self.family is Family.GT:
-            if self.bound is None:
+        if k is not None and not (1 <= k <= n):
+            raise ValueError(f"trapezoid width must be in 1..{n}")
+        if family is Family.GT:
+            if bound is None:
                 raise ValueError("raw Gelfand-Tsetlin enumeration needs a bound")
-            if self.k is not None:
+            if k is not None:
                 raise ValueError("trapezoids are defined per family, not for raw GT")
-        elif self.bound is not None:
+        elif bound is not None:
             raise ValueError("an entry bound applies only to raw GT enumeration")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "bound", bound)
 
 
 def asm_number(n: int) -> int:
     """The product formula 1, 2, 7, 42, 429, 7436, ... evaluated exactly."""
     _check_size(n)
-    value = Fraction(1)
-    for j in range(n):
-        value *= Fraction(factorial(3 * j + 1), factorial(n + j))
-    if value.denominator != 1:
+    value, rest = divmod(
+        prod(factorial(3 * j + 1) for j in range(n)), prod(factorial(n + j) for j in range(n))
+    )
+    if rest:
         raise AssertionError("product formula must be an integer")
-    return value.numerator
+    return value
 
 
 def _fill_below(rows: _Rows, lower_rows: Callable[[_Row], Iterable[_Row]]) -> Iterator[_Rows]:
@@ -381,21 +382,31 @@ def _count_n2(family: Family, n: int) -> int:
 # --- verification suites ---------------------------------------------------
 
 
-@dataclass
-class Report:
-    suite: str
-    n: int
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
-    histogram: dict[str, int] = field(default_factory=dict)
-    millis: int = 0
+class Report(_Value):
+    """A suite's result, filled in as it runs: mutable, so unhashable."""
+
+    __slots__ = ("suite", "n", "checks", "failures", "histogram", "millis")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self, suite: str, n: int, checks: int = 0, failures: list[str] | None = None,
+        histogram: dict[str, int] | None = None, millis: int = 0,
+    ) -> None:
+        self.suite = suite
+        self.n = n
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.histogram = {} if histogram is None else histogram
+        self.millis = millis
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(dict(zip(self.__slots__, self._fields())))
 
     def render(self) -> str:
         lines = [
@@ -463,8 +474,7 @@ def _equal(left: list[list[str]], right: list[list[str]]) -> str:
 def _involution_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list]]:
     """`_involution_sweep_loop` on top rows of size n as one `_sweep`:
     `_reflections` from the cells x into y, then again from y into z,
-    and a triangle is recorded when z is not x.  No line writes a
-    top-row cell, so the corner cannot move here."""
+    and a triangle is recorded when z is not x."""
     rows = _row_tuples(n)
     return _sweep(n, [
         *_reflections(n, "y"),
@@ -477,18 +487,14 @@ def _involution_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, li
 def _involution_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[tuple[str, _Rows]]]:
     """The involution, of the size, on every GT triangle under each of
     ``tops``: the count, and (failure, rows) for each triangle that the
-    involution applied twice does not give back ("involution broke") or
-    whose corner x[n,n] it moves ("corner moved")."""
+    involution applied twice does not give back ("involution broke")."""
     checked, failed = 0, []
     for top in tops:
         involution = _involution(len(top))
         for rows in _gt_fill(len(top))(top):
             checked += 1
-            image = involution(rows)
-            if involution(image) != rows:
+            if involution(involution(rows)) != rows:
                 failed.append(("involution broke", rows))
-            elif image[0][-1] != rows[0][-1]:  # the corner x[n,n]
-                failed.append(("corner moved", rows))
     return checked, failed
 
 

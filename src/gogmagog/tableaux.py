@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
 from .triangles import (
     _RSK_MAX_N,
     GtTriangle,
+    _Value,
     _check_size,
     _int_rows,
     _per_size,
@@ -49,16 +49,15 @@ from .triangles import (
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Ssyt:
+class Ssyt(_Value):
     """French-convention semistandard tableau over the alphabet 1..n."""
 
-    rows: tuple[tuple[int, ...], ...]
-    n: int
+    __slots__ = ("rows", "n")
 
-    def __post_init__(self) -> None:
-        _check_size(self.n, "alphabet size")
-        object.__setattr__(self, "rows", _int_rows(self.rows))
+    def __init__(self, rows: tuple[tuple[int, ...], ...], n: int) -> None:
+        _check_size(n, "alphabet size")
+        object.__setattr__(self, "rows", _int_rows(rows))
+        object.__setattr__(self, "n", n)
 
 
 def validate_ssyt(s: Ssyt) -> list[str]:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple, TypeVar
@@ -53,20 +52,55 @@ class Family(Enum):
     GOGAM = "gogam"
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Value:
+    """An immutable value whose fields are the ``__slots__`` of its class,
+    in order.  It equals a value of the same class with equal fields,
+    hashes as the tuple of its fields, prints as its constructor call,
+    and is copied or pickled through that constructor, which checks the
+    fields again.  Constructors set the fields with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Value):
     """A single broken constraint, located at the 1-based cell (i, j)."""
 
-    i: int
-    j: int
-    message: str
+    __slots__ = ("i", "j", "message")
+
+    def __init__(self, i: int, j: int, message: str) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"({self.i},{self.j}): {self.message}"
 
 
-@dataclass(frozen=True)
-class GtTriangle:
+class GtTriangle(_Value):
     """Triangular integer array; ``rows`` are stored top-down.
 
     ``rows[0]`` is row n (n entries), ``rows[-1]`` is row 1 (one entry).
@@ -77,11 +111,10 @@ class GtTriangle:
     checked by `validate_gt`.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = _int_rows(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = _int_rows(rows)
         n = len(rows)
         if n == 0:
             raise ShapeError("triangle must have at least one row")
@@ -92,6 +125,7 @@ class GtTriangle:
                     f"row {want} of a size-{n} triangle must have {want} "
                     f"entries, got {len(row)}"
                 )
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "GtTriangle":

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from functools import cache
 from itertools import chain, combinations_with_replacement, islice, product
+from math import factorial
 
 import pytest
 
@@ -456,6 +457,13 @@ def test_asm_generation_matches_formula():
         assert sum(1 for _ in generate_asms(n)) == asm_number(n)
 
 
+def test_asm_number_follows_the_ratio_recurrence():
+    # A(n+1) (2n)! (2n+1)! = A(n) (3n+1)! n!, exactly, far past the counted sizes
+    for n in range(1, 41):
+        assert (asm_number(n + 1) * factorial(2 * n) * factorial(2 * n + 1)
+                == asm_number(n) * factorial(3 * n + 1) * factorial(n))
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_every_suite_passes_small(suite):
     report = verify(suite, 3)
@@ -469,7 +477,7 @@ def test_verify_rejects_empty_range():
 
 def test_report_json_shape():
     data = json.loads(verify("counts", 2).to_json())
-    assert set(data) == {"suite", "n", "checks", "failures", "histogram", "millis"}
+    assert list(data) == ["suite", "n", "checks", "failures", "histogram", "millis"]
     assert data["suite"] == "counts" and data["failures"] == []
 
 

@@ -1,9 +1,20 @@
 import ast
+import copy
+import os
+import pickle
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import gogmagog
+from gogmagog import (
+    Asm, BijectionState, Family, FamilySpec, GtTriangle, Report, Rule, ShapeError, Ssyt, StepRecord,
+    Violation
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gogmagog"
@@ -130,3 +141,71 @@ def test_docs_name_only_private_names_that_exist():
         if (scope, name) not in defined and (scope in scopes or name not in names)
     }
     assert missing == set()
+
+
+def test_import_loads_no_heavy_standard_module():
+    # `dataclasses` brings `inspect` (with `ast`, `dis`, `tokenize`) and
+    # `fractions` brings `decimal`: most of what a CLI process used to pay
+    # to import the package.  Only modules the import adds are counted,
+    # since `site` may load some of these first.
+    probe = ("import sys\nbefore = set(sys.modules)\nimport gogmagog, gogmagog.cli\n"
+             "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    added = set(ast.literal_eval(out.stdout))
+    assert "gogmagog.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"})
+
+
+VALUES = {
+    "GtTriangle(rows=((1, 2), (1,)))": GtTriangle(((1, 2), (1,))),
+    "Violation(i=1, j=2, message='3 < 4')": Violation(1, 2, "3 < 4"),
+    "Asm(rows=((0, 1), (1, 0)))": Asm(((0, 1), (1, 0))),
+    "Ssyt(rows=((1, 1, 2), (2,)), n=2)": Ssyt(((1, 1, 2), (2,)), 2),
+    "StepRecord(k=1, rule=<Rule.I: 'i'>, l=None)": StepRecord(1, Rule.I),
+    "BijectionState(n=5, u=(5, 3, 3), v=(4, 2))": BijectionState(5, (5, 3, 3), (4, 2)),
+    "FamilySpec(family=<Family.GT: 'gt'>, n=3, k=None, bound=4)": FamilySpec(Family.GT, 3, bound=4),
+    "Report(suite='counts', n=2, checks=1, failures=['x'], histogram={'gog-2': 2}, millis=5)":
+        Report("counts", 2, 1, ["x"], {"gog-2": 2}, 5),
+}
+
+
+@pytest.mark.parametrize("text", VALUES)
+def test_value_classes_behave_as_frozen_dataclasses(text):
+    value = VALUES[text]
+    names = re.findall(r"(\w+)=", text)  # the fields, in order
+    fields = tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    assert type(value)(*fields) == value
+    assert [other for other in VALUES.values() if other == value] == [value]
+    for twin in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
+        assert type(twin) is type(value) and twin == value
+    if isinstance(value, Report):
+        with pytest.raises(TypeError):
+            hash(value)
+        twin = copy.deepcopy(value)
+        twin.checks += 1
+        twin.failures.append("y")
+        assert (twin.checks, twin.failures, value.failures) == (2, ["x", "y"], ["x"])
+        return
+    assert hash(value) == hash(fields)
+    with pytest.raises(AttributeError):
+        setattr(value, names[0], None)
+    with pytest.raises(AttributeError):
+        delattr(value, names[0])
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+def test_values_compare_only_within_their_class():
+    rows = ((1,),)
+    assert GtTriangle(rows) != Asm(rows) and GtTriangle(rows) != rows
+    assert GtTriangle(rows).__eq__(Asm(rows)) is NotImplemented
+
+
+def test_copies_go_through_the_checked_constructor():
+    bad = GtTriangle._trusted(((1, 2), (1, 2)))
+    with pytest.raises(ShapeError):
+        pickle.loads(pickle.dumps(bad))
+    with pytest.raises(ShapeError):
+        copy.copy(bad)
