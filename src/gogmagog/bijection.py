@@ -37,8 +37,9 @@ step.  Every state a step returns passes `_state_ok`, one
 straight-line test per state size; past the cap it is the GT test and
 the bound-by-bound listing, asked for an empty list.  Only a state the test rejects is
 listed, by `BijectionState.check_invariants`, for the error.  The walk
-checks each leaf's image with `_image_check`, one function per size
-built from the lines of the GT test, the diagonal and the involution.
+and `gog_to_gogam_n2` check each finished image with `_image_check`,
+one function per size built from the lines of the GT test, the
+diagonal and the involution.
 """
 
 from __future__ import annotations
@@ -506,18 +507,18 @@ def gog_to_gogam_n2(t: GtTriangle) -> tuple[GtTriangle, Trace]:
     """Map a (n,2) Gog trapezoid to its (n,2) GOGAm partner.
 
     Returns the image triangle and the full rule trace (n-1 records).
-    The image is verified to be a GOGAm trapezoid before it is returned;
-    its bottom entry is a_{n-1}, which no rule modifies.
+    The image passes `_image_check`, as each leaf of the walk must,
+    before it is returned; its bottom entry is a_{n-1}, which no rule
+    modifies.
     """
     state = BijectionState(t.n, (t.n,), ())
     trace: list[StepRecord] = []
     for b_k, a_k in extract_diagonals(t):
         state, rec = forward_step(state, b_k, a_k)
         trace.append(rec)
-    out = state.materialize()
-    if not (is_trapezoid(out, Family.GOGAM, 2) and is_gogam(out)):
+    if _image_check(t.n)((state.u, state.v)):
         raise BijectionStateError("forward image failed the GOGAm test")
-    return out, tuple(trace)
+    return state.materialize(), tuple(trace)
 
 
 def _inverse(

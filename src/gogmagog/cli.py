@@ -24,13 +24,7 @@ from .asm import (
     parse_asm,
     validate_asm,
 )
-from .bijection import (
-    Rule,
-    _state_rows,
-    gog_to_gogam_n2,
-    gogam_to_gog_n2,
-    magog_row_statistic,
-)
+from .bijection import Rule, gog_to_gogam_n2, gogam_to_gog_n2, magog_row_statistic
 from .enumeration import SUITES, FamilySpec, _n2_trapezoids, count, generate, generate_asms, verify
 from .schutzenberger import is_gogam, schutzenberger
 from .tableaux import Ssyt, format_tableau, triangle_to_tableau
@@ -206,13 +200,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     n = args.n
     rules: dict[Rule, int] = {}  # filled by the walk: each rule's count over all paths
     per_value: dict[int, list[int]] = {}
-    for leaf, path in _n2_trapezoids(n, rules):
+    for leaf, path, magog in _n2_trapezoids(n, rules):
         x = path[-1].pair[1] if path else 1  # the Gog trapezoid's a_{n-1}, its bottom entry
         row = per_value.setdefault(x, [0, 0, 0])
         row[0] += 1
         row[1] += int(leaf[0][-1] == x)  # the image's bottom entry
-        image = GtTriangle._trusted(_state_rows(n, *leaf))
-        row[2] += int(magog_row_statistic(schutzenberger(image)) == x)
+        row[2] += int(magog_row_statistic(GtTriangle._trusted(magog)) == x)
     named = sorted((rule.value, times) for rule, times in rules.items())
     if args.json:
         bottom = {str(v): {"count": c, "preserved": p, "row_statistic": r}

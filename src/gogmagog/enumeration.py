@@ -471,30 +471,29 @@ def _equal(left: list[list[str]], right: list[list[str]]) -> str:
     return " and ".join(pairs) or "True"
 
 
-def _involution_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list]]:
+def _involution_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list[_Rows]]]:
     """`_involution_sweep_loop` on top rows of size n as one `_sweep`:
     `_reflections` from the cells x into y, then again from y into z,
     and a triangle is recorded when z is not x."""
-    rows = _row_tuples(n)
     return _sweep(n, [
         *_reflections(n, "y"),
         *_reflections(n, "z", "y"),
         f"    if not ({_equal(_cell_locals(n, 'z'), _cell_locals(n))}):",
-        f"        failed.append(('involution broke', ({rows})))",
+        f"        failed.append(({_row_tuples(n)}))",
     ], "involution sweep")
 
 
-def _involution_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[tuple[str, _Rows]]]:
+def _involution_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[_Rows]]:
     """The involution, of the size, on every GT triangle under each of
-    ``tops``: the count, and (failure, rows) for each triangle that the
-    involution applied twice does not give back ("involution broke")."""
+    ``tops``: the count, and the rows of each triangle that the
+    involution applied twice does not give back."""
     checked, failed = 0, []
     for top in tops:
         involution = _involution(len(top))
         for rows in _gt_fill(len(top))(top):
             checked += 1
             if involution(involution(rows)) != rows:
-                failed.append(("involution broke", rows))
+                failed.append(rows)
     return checked, failed
 
 
@@ -542,8 +541,8 @@ def _suite_involution(n: int, report: Report) -> None:
     `_involution_sweep` of the size."""
     checked, failed = _involution_sweep(n)(_tops(FamilySpec(Family.GT, n, bound=n + 1)))
     report.checks += checked
-    for failure, rows in failed:
-        report.failures.append(f"{failure} on {_fail_payload(GtTriangle._trusted(rows))}")
+    for rows in failed:
+        report.failures.append(f"involution broke on {_fail_payload(GtTriangle._trusted(rows))}")
 
 
 def _suite_oracle(n: int, report: Report) -> None:
@@ -681,18 +680,19 @@ def _walk_n2(n: int, usage: dict[Rule, int] | None = None) -> Iterator[_Leaf]:
 
 def _n2_trapezoids(
     n: int, usage: dict[Rule, int] | None = None
-) -> Iterator[tuple[_Diagonals, list[_Edge]]]:
+) -> Iterator[tuple[_Diagonals, list[_Edge], _Rows]]:
     """Every (n,2) Gog trapezoid's `_walk_n2` leaf, the bare diagonals
     (u, v) of its `gog_to_gogam_n2` image, with its path (reused, as
-    there), read off one walk that tallies its tags into ``usage``.
-    Keeps the public map's postcondition that the image is a (n,2)
-    GOGAm trapezoid, through `_image_check`."""
+    there) and the image's involution as bare rows, read off one walk
+    that tallies its tags into ``usage``.  Keeps the public map's
+    postcondition that the image is a (n,2) GOGAm trapezoid, through
+    `_image_check`."""
     leaves = _walk_n2(n, usage)  # refuses a bad n before a kernel is built for it
-    check = _image_check(n)
+    check, involution = _image_check(n), _involution(n)
     for leaf, path, _ in leaves:
         if check(leaf):
             raise BijectionStateError("forward image failed the GOGAm test")
-        yield leaf, path
+        yield leaf, path, involution(_state_rows(n, *leaf))
 
 
 def _path_payload(n: int, path: list[_Edge]) -> str:
@@ -717,10 +717,9 @@ def _suite_bijection_n2(n: int, report: Report) -> None:
     with 1, so distinct images have distinct (u, v); the key has the
     fixed length 2n-1 bytes, so distinct (u, v) give distinct keys; and
     a kept image passed the GOGAm test, so its entries lie in 1..n and
-    each fits a byte.  Hence n <= 255.
+    each fits a byte.  Hence n <= 255, which `verify` checks before the
+    first size.
     """
-    if n > 255:
-        raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n}")
     check = _image_check(n)
     usage: dict[Rule, int] = {}
     images = set()
@@ -778,11 +777,9 @@ def _suite_n2k(n: int, report: Report) -> None:
     `is_magog_trapezoid_n2k` selects.  Each trapezoid's least class is
     found once, by `_least_class`, and class k holds those whose least
     class is at most k.  Each image's involution is computed once, as
-    bare rows, and the classes compare rows."""
-    involution = _involution(n)
+    bare rows, by `_n2_trapezoids`, and the classes compare rows."""
     trapezoids = [(_least_class(is_gog_trapezoid_n2k, _gog_trapezoid(n, [e.pair for e in path])),
-                   involution(_state_rows(n, *leaf)))
-                  for leaf, path in _n2_trapezoids(n)]
+                   magog) for _, path, magog in _n2_trapezoids(n)]
     magogs = [(_least_class(is_magog_trapezoid_n2k, m), m.rows)
               for m in generate(FamilySpec(Family.MAGOG, n, k=min(2, n)))]
     for k in range(1, n + 1):
@@ -799,13 +796,12 @@ def _suite_n2k(n: int, report: Report) -> None:
 
 
 def _suite_statistics(n: int, report: Report) -> None:
-    involution = _involution(n)
-    for leaf, path in _n2_trapezoids(n):
+    for leaf, path, magog in _n2_trapezoids(n):
         report.checks += 1
         x11 = path[-1].pair[1] if path else 1  # the Gog trapezoid's a_{n-1}
         if leaf[0][-1] != x11:
             report.failures.append(f"bottom entry moved for {_path_payload(n, path)}")
-        elif magog_row_statistic(GtTriangle._trusted(involution(_state_rows(n, *leaf)))) != x11:
+        elif magog_row_statistic(GtTriangle._trusted(magog)) != x11:
             report.failures.append(f"row statistic disagrees for {_path_payload(n, path)}")
     if n <= 5:
         for t in generate(FamilySpec(Family.GOG, n)):
@@ -902,6 +898,8 @@ def verify(suite: str, n_max: int) -> Report:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     _check_size(n_max, "n_max")
+    if suite == "bijection-n2" and n_max > 255:
+        raise ValueError(f"bijection-n2 keys its images by bytes, so n <= 255, got {n_max}")
     start = time.monotonic()
     report = Report(suite, n_max)
     for n in range(1, n_max + 1):

@@ -454,7 +454,9 @@ def _rows_to_json(key: str, rows: tuple[tuple[int, ...], ...]) -> str:
 def _rows_from_json(text: str, key: str, make: Callable[..., _T]) -> _T:
     """``make(rows)`` from a JSON object holding ``key``; ``make`` checks
     that the entries are integers, and an ``n`` field must match the
-    object's size."""
+    object's size.  An entry that is a list or an object is nested too
+    deeply, whether or not the parser's own depth limit (which differs
+    between Python versions) was reached."""
     try:
         data = json.loads(text)
     except RecursionError:
@@ -462,6 +464,8 @@ def _rows_from_json(text: str, key: str, make: Callable[..., _T]) -> _T:
     rows = data.get(key) if isinstance(data, dict) else None
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         raise ShapeError(f"JSON input needs a {key!r} list of rows")
+    if any(isinstance(x, (list, dict)) for r in rows for x in r):
+        raise ShapeError("JSON input is nested too deeply")
     obj = make(rows)
     n = data.get("n", obj.n)
     if type(n) is not int or n != obj.n:

@@ -573,6 +573,14 @@ class TestImageKernel:
         }
 
 
+@pytest.mark.parametrize("index", [1, 2])
+def test_forward_map_takes_the_walks_image_check(monkeypatch, index):
+    # the public map fails as the walk does on either index of `_image_check`
+    monkeypatch.setattr(bijection, "_image_check", lambda n: lambda leaf: index)
+    with pytest.raises(BijectionStateError, match="forward image failed the GOGAm test"):
+        gog_to_gogam_n2(tri((1, 2, 3), (1, 2), (2,)))
+
+
 def _agreed(name, *args):
     """What schedule ``name``'s loop gives on ``args``, a result or its
     error's type and text, once its kernel of size len(u) gives the same."""

@@ -351,7 +351,13 @@ def test_involution_sweep_without_a_reflection_fails(monkeypatch, dropped):
     sweep = enumeration._involution_sweep_kernel(4)
     checked, failed = sweep(_tops(FamilySpec(Family.GT, 4, bound=5)))
     assert calls == [_REFLECTIONS_4] * 2
-    assert checked == 2_772 and {failure for failure, _ in failed} == {"involution broke"}
+    assert checked == 2_772 and failed
+    # the sweep records bare rows; the suite names the failure
+    monkeypatch.setattr(enumeration, "_involution_sweep", lambda n: sweep)
+    report = enumeration.Report("involution", 4)
+    enumeration._suite_involution(4, report)
+    assert report.checks == 2_772 and len(report.failures) == len(failed)
+    assert all(f.startswith("involution broke on ") for f in report.failures)
 
 
 @pytest.mark.parametrize("n", range(1, _RSK_MAX_N + 2))
@@ -853,13 +859,15 @@ def test_walk_suites_stay_bare(monkeypatch, suite, leaf_checks):
 
 
 def test_bijection_n2_refuses_sizes_past_a_byte(monkeypatch):
-    # its image keys hold one byte per diagonal entry, so n <= 255
-    def unreachable(n):
+    # its image keys hold one byte per diagonal entry, so n <= 255; the
+    # refusal comes before the first size, not after 255 sizes are walked
+    def unreachable(n, usage=None):
         raise AssertionError("the size check must come before the walk")
 
     monkeypatch.setattr(enumeration, "_walk_n2", unreachable)
-    with pytest.raises(ValueError, match="n <= 255, got 256"):
-        SUITES["bijection-n2"](256, enumeration.Report("bijection-n2", 256))
+    for n_max in (256, 300):
+        with pytest.raises(ValueError, match=f"n <= 255, got {n_max}"):
+            verify("bijection-n2", n_max)
 
 
 # --- statistics and n2k-classes read the same walk -------------------------
@@ -904,6 +912,19 @@ def test_n2k_classes_are_nested():
                 held = [predicate(t, k) for k in range(1, n + 1)]
                 assert held == sorted(held) and held[-1]
                 assert _least_class(predicate, t) == held.index(True) + 1
+
+
+def test_walk_leaves_carry_their_image_involution():
+    # each leaf's involution rows are the image's involution, through
+    # the row function and through the public map and `schutzenberger`
+    for n in range(1, 7):
+        leaves = 0
+        for leaf, path, magog in enumeration._n2_trapezoids(n):
+            leaves += 1
+            assert magog == enumeration._involution(n)(_state_rows(n, *leaf))
+            image, _ = gog_to_gogam_n2(_gog_trapezoid(n, [e.pair for e in path]))
+            assert magog == schutzenberger(image).rows
+        assert leaves == _N2[n - 1]
 
 
 def test_walk_images_keep_the_gogam_postcondition(monkeypatch):
