@@ -39,7 +39,12 @@ the bound-by-bound listing, asked for an empty list.  Only a state the test reje
 listed, by `BijectionState.check_invariants`, for the error.  The walk
 and `gog_to_gogam_n2` check each finished image with `_image_check`,
 one function per size built from the lines of the GT test, the
-diagonal and the involution.
+diagonal and the involution.  Those generators are told which cells
+the image pins to 1, every cell left of the two diagonals, and write
+them as the literal, so what the pins fix is worked out once, when the
+function is built: no pinned cell is a local, and the involution's
+reflections of pinned cells, which leave them at 1 on GT rows, are
+left out.
 """
 
 from __future__ import annotations
@@ -318,20 +323,21 @@ _Diagonals = tuple[tuple[int, ...], tuple[int, ...]]  # a state's (u, v)
 def _image_kernel(n: int) -> Callable[[_Diagonals], int]:
     """`_image_loop` for n = len(u), composed from the GT test's, the
     diagonal's and the involution's lines: (u, v) unpacked into their
-    cells, each other cell 1, as `_state_rows` writes it at k = n."""
+    cells, each other cell 1, as `_state_rows` writes it at k = n, and
+    folded into the lines as the literal.  The reflections run after
+    the GT test passes, as their fold requires."""
     us = [f"x{m}_{n - m - 1}" for m in range(n)]
     vs = [f"x{m}_{n - m - 2}" for m in range(n - 1)]
-    pins = [f"x{m}_{c} = " for m in range(n - 2) for c in range(n - m - 2)]
-    gt = _gt_expression(n)
-    diagonal, values = _diagonal_lines(n)
+    ones = frozenset(f"x{m}_{c}" for m in range(n - 2) for c in range(n - m - 2))
+    gt = _gt_expression(n, ones)
+    diagonal, values = _diagonal_lines(n, ones)
     staircase = " and ".join(f"{d} <= {k}" for k, d in enumerate(values, 1))
     magog = " and ".join(f"{x} <= {n - m}" for m, x in enumerate(us))
-    body = [f"    {''.join(pins)}1"] if pins else []
-    body += [
+    body = [
         f"    if not ({gt}): return 1",
         *diagonal,
         f"    if not ({staircase}): return 1",
-        *_reflections(n),
+        *_reflections(n, ones=ones),
         f"    return 0 if {gt} and {magog} else 2",
     ]
     target = f"({''.join(x + ',' for x in us)}), ({''.join(x + ',' for x in vs)})"

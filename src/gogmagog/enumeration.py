@@ -25,6 +25,7 @@ each route's row function of the size on bare top-down rows.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from bisect import bisect_left
 from collections import Counter
@@ -61,7 +62,6 @@ from .bijection import (
     statistic_x11,
 )
 from .schutzenberger import (
-    _cell_locals,
     _involution,
     _reflections,
     is_gogam,
@@ -74,6 +74,7 @@ from .triangles import (
     Family,
     GtTriangle,
     _Value,
+    _cell_locals,
     _check_int,
     _check_size,
     _per_size,
@@ -88,6 +89,32 @@ from .triangles import (
 
 _Row = tuple[int, ...]
 _Rows = tuple[_Row, ...]  # a triangle's top-down rows
+
+
+# Frames the package's recursions leave free under the interpreter's
+# recursion limit.  `_fill_below` recurses once per row, `_walk_n2`
+# once per diagonal pair and `_place_asm` once per cell, and each asks
+# `_check_depth` before its first frame.  So none runs a frame within
+# this many of the limit, where a frame that the interpreter pushes on
+# its own (a garbage collector callback, a finalizer,
+# `sys.unraisablehook` when either fails) would fail in turn, and on
+# Python 3.12 print `Exception ignored in sys.unraisablehook` to stderr.
+_FRAME_HEADROOM = 100
+
+
+def _check_depth(frames: int) -> None:
+    """Raise `RecursionError` when ``frames`` more frames on top of the
+    caller's stack would come within `_FRAME_HEADROOM` of the
+    interpreter's recursion limit."""
+    depth, frame = frames, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    if depth > limit - _FRAME_HEADROOM:
+        raise RecursionError(
+            f"{frames} more frames would come within {_FRAME_HEADROOM} of the recursion limit {limit}"
+        )
 
 
 class FamilySpec(_Value):
@@ -136,8 +163,11 @@ def _fill_below(rows: _Rows, lower_rows: Callable[[_Row], Iterable[_Row]]) -> It
     each lower row drawn from ``lower_rows(above)`` in the order it
     gives; lexicographic row functions give lexicographic triangles.  A
     plain recursion, so each partial triangle is freed by reference
-    counting."""
+    counting; on a top row it first asks `_check_depth` whether its n
+    frames fit."""
     above = rows[-1]
+    if len(rows) == 1:
+        _check_depth(len(above))
     if len(above) == 1:
         yield rows
         return
@@ -175,7 +205,8 @@ def _fill_loops(n: int, named: bool) -> list[str]:
     interlacing intervals, nested r levels deep.  Row r's cells are the
     locals ``x{r}_{c}`` the next row's ranges read: the loop's target,
     or with ``named`` unpacked from the row tuple ``r{r}`` that the loop
-    binds (all rows but the last).
+    binds (all rows but the last).  Without ``named`` the one-cell
+    bottom row loops over its one range, with no 1-tuple per triangle.
 
     One loop per row, not per cell: CPython nests at most 20 blocks
     statically, so a loop per cell fails to compile from n = 7 on, while
@@ -187,7 +218,8 @@ def _fill_loops(n: int, named: bool) -> list[str]:
         ranges = ", ".join(f"range(x{r - 1}_{c}, x{r - 1}_{c + 1} + 1)" for c in range(n - r))
         cells = "".join(f"x{r}_{c}, " for c in range(n - r))
         if not named:
-            body.append(f"{indent}for {cells}in product({ranges}):")
+            loop = f"x{r}_0 in {ranges}" if r == n - 1 else f"{cells}in product({ranges})"
+            body.append(f"{indent}for {loop}:")
             continue
         body.append(f"{indent}for r{r} in product({ranges}):")
         if r < n - 1:
@@ -281,6 +313,7 @@ def generate_asms(n: int) -> Iterator[Asm]:
     those two prunes are exactly the alternating-sign conditions.
     """
     _check_size(n)
+    _check_depth(n * (n + 1))  # one `_place_asm` frame per cell and per finished row
     return _place_asm(n, [0] * n, [], [0] * n, 0, 0)
 
 
@@ -634,6 +667,7 @@ def _walk_n2(n: int, usage: dict[Rule, int] | None = None) -> Iterator[_Leaf]:
     its subtree).
     """
     _check_size(n)
+    _check_depth(n - 1)  # one `grow` frame per pair
     path: list[_Edge] = []
     tally = {} if usage is None else usage
     new_edge = tuple.__new__  # skips the NamedTuple constructor, a Python-level call

@@ -20,9 +20,14 @@ program unrolled), which `bijection._image_kernel` also reads, as the
 sweeps of the `involution` and `oracle` suites read `_reflections`.  Each
 equals its loop (`_fold`, `_diagonal_loop`) on every triangle, GT or
 not; past the cap the unrolled source would cost too much to build,
-and the loops run.  The resolvers `_involution` and `_diagonal`, made
-by `triangles._per_size`, give the function of one size on bare rows
-and hold the one choice between kernel and loop.
+and the loops run.  Both line generators, like
+`triangles._gt_expression`, also take the set of cells known to hold
+1, which they write as the literal and fold at build time (the
+reflections' fold holds on GT rows only); the image check passes the
+(n,2) pins, and every other caller passes none and gets the unfolded
+lines.  The resolvers `_involution` and `_diagonal`, made by
+`triangles._per_size`, give the function of one size on bare rows and
+hold the one choice between kernel and loop.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ from __future__ import annotations
 from operator import le
 from typing import Callable
 
-from .triangles import GtTriangle, _check_int, _gt_test, _per_size, _row_tuples, _straight_line
+from .triangles import (
+    GtTriangle, _cell_locals, _check_int, _gt_test, _per_size, _row_tuples, _straight_line
+)
 
 
 def _reflect(rows: list[list[int]], k: int) -> None:
@@ -69,7 +76,9 @@ def bender_knuth(t: GtTriangle, k: int) -> GtTriangle:
     return GtTriangle._trusted(tuple(tuple(r) for r in rows))
 
 
-def _reflections(n: int, out: str = "x", src: str = "x") -> list[str]:
+def _reflections(
+    n: int, out: str = "x", src: str = "x", ones: frozenset[str] = frozenset()
+) -> list[str]:
     """The schedule of `schutzenberger` on size n as source lines, one
     assignment ``x = lo + hi - x`` per reflected cell, with lo and hi
     the bounds `_reflect` takes over the same neighbours.  Cell (row r,
@@ -78,8 +87,25 @@ def _reflections(n: int, out: str = "x", src: str = "x") -> list[str]:
     ``{out}{r}_{c}``, and from there after it.  Every cell below the top
     row is written and the top row never, so the image is left in
     `_cell_locals` of ``out``, and with ``out`` a new name the input
-    cells keep their values."""
-    cell = _cell_locals(n, src)
+    cells keep their values.
+
+    The locals named in ``ones`` hold 1 and are read as the literal.
+    The lines are then valid only on Gelfand-Tsetlin rows, where every
+    cell is at least 1, since a bound of a cell and 1 is written as the
+    cell (the larger) or 1 (the smaller), and a reflection whose bounds
+    and value are all 1 is left out: its cell keeps the literal 1 and
+    is not written."""
+    cell = _cell_locals(n, src, ones)
+
+    def bound(x: str, op: str, y: str) -> str:
+        """``x if x {op} y else y``: the larger of x and y for ">", the
+        smaller for "<"."""
+        if "1" not in (x, y):
+            return f"({x} if {x} {op} {y} else {y})"
+        if op == "<":  # neither is below 1
+            return "1"
+        return y if x == "1" else x
+
     body = []
     for j in range(n - 1, 0, -1):
         for k in range(1, j + 1):
@@ -88,19 +114,15 @@ def _reflections(n: int, out: str = "x", src: str = "x") -> list[str]:
             for c in range(k):
                 lo = above[c]
                 if c >= 1:
-                    lo = f"({below[c - 1]} if {below[c - 1]} > {lo} else {lo})"
+                    lo = bound(below[c - 1], ">", lo)
                 hi = above[c + 1]
                 if c <= k - 2:
-                    hi = f"({below[c]} if {below[c]} < {hi} else {hi})"
+                    hi = bound(below[c], "<", hi)
+                if lo == hi == row[c] == "1":
+                    continue
                 body.append(f"    {out}{n - k}_{c} = {lo} + {hi} - {row[c]}")
                 row[c] = f"{out}{n - k}_{c}"
     return body
-
-
-def _cell_locals(n: int, name: str = "x") -> list[list[str]]:
-    """The locals of top-down rows of size n: the top row's cells
-    ``x0_{c}``, every other cell (row r, column c) ``{name}{r}_{c}``."""
-    return [[f"{name if r else 'x'}{r}_{c}" for c in range(n - r)] for r in range(n)]
 
 
 def _kernel(n: int) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...]]:
@@ -135,7 +157,7 @@ def schutzenberger(t: GtTriangle) -> GtTriangle:
     return GtTriangle._trusted(_involution(len(rows))(rows))
 
 
-def _diagonal_lines(n: int) -> tuple[list[str], list[str]]:
+def _diagonal_lines(n: int, ones: frozenset[str] = frozenset()) -> tuple[list[str], list[str]]:
     """`_diagonal_loop` on size n unrolled into source lines over the
     cell locals, and the names holding the diagonal's values in order:
     ``f{k}_{c}`` holds the loop's ``f[c]`` for k and ``s`` the running
@@ -143,19 +165,25 @@ def _diagonal_lines(n: int) -> tuple[list[str], list[str]]:
 
     The maximum of one step's ``f`` is never computed apart: it is the
     larger of ``f[0]`` and the next step's last suffix maximum, which
-    covers ``f[1:]``.
+    covers ``f[1:]``.  The locals named in ``ones`` hold 1 and are read
+    as the literal; a step weight between two of them is 0 and is left
+    out.
     """
-    corner = f"x0_{n - 1}"
-    body = [
-        f"    f{n - 1}_{c - 1} = x{n - c - 1}_{c - 1} - x{n - c}_{c - 1}"
-        for c in range(1, n)
-    ]
+    cell = _cell_locals(n, ones=ones)
+
+    def weight(r: int, c: int) -> str | None:
+        above, below = cell[r][c], cell[r + 1][c]
+        return None if above == below == "1" else f"{above} - {below}"
+
+    corner = cell[0][n - 1]
+    body = [f"    f{n - 1}_{c - 1} = {weight(n - c - 1, c - 1) or 0}" for c in range(1, n)]
     for k in range(n - 2, 0, -1):
         body.append(f"    s = f{k + 1}_{k}")
         for c in range(k, 0, -1):
             if c < k:
                 body.append(f"    s = f{k + 1}_{c} if f{k + 1}_{c} > s else s")
-            body.append(f"    f{k}_{c - 1} = s + x{k - c}_{c - 1} - x{k - c + 1}_{c - 1}")
+            step = weight(k - c, c - 1)
+            body.append(f"    f{k}_{c - 1} = s" + (f" + {step}" if step else ""))
         body.append(f"    d{k + 1} = {corner} + (f{k + 1}_0 if f{k + 1}_0 > s else s)")
     if n >= 2:
         body.append(f"    d1 = {corner} + f1_0")

@@ -260,6 +260,14 @@ def _row_tuples(n: int) -> str:
     return ", ".join(f"({row},)" for row in rows) + ","
 
 
+def _cell_locals(n: int, name: str = "x", ones: frozenset[str] = frozenset()) -> list[list[str]]:
+    """The locals of top-down rows of size n: the top row's cells
+    ``x0_{c}``, every other cell (row r, column c) ``{name}{r}_{c}``; a
+    local named in ``ones`` is the literal 1 instead."""
+    cells = ([f"{name if r else 'x'}{r}_{c}" for c in range(n - r)] for r in range(n))
+    return [[("1" if x in ones else x) for x in row] for row in cells]
+
+
 def _straight_line(
     n: int, target: str, body: list[str], label: str,
     params: str = "rows", unpacked: str = "rows", **names: object,
@@ -281,19 +289,27 @@ def _per_size(build: Callable[[int], Callable], loop: Callable, cap: int = _UNRO
     return cache(lambda n: build(n) if n <= cap else loop)
 
 
-def _gt_expression(n: int) -> str:
+def _gt_expression(n: int, ones: frozenset[str] = frozenset()) -> str:
     """The GT test for size n as one expression over the cell locals: a
     positive top-left entry, then for each row under the one above it
     the merged chain above[0] <= row[0] <= above[1] <= ... <= row[-1]
     <= above[-1], which is weakly increasing exactly when the two rows
     interlace.  Interlacing makes the top row weakly increasing and
     puts every entry at or above the top-row entry of its column, so a
-    positive top-left entry makes every entry positive."""
-    tests = ["x0_0 >= 1"]
+    positive top-left entry makes every entry positive.
+
+    The cells named in ``ones`` hold 1 and are written as the literal:
+    a link ``1 <= 1`` is left out, and so is the top-left test when
+    that cell is one of them."""
+    cell = _cell_locals(n, ones=ones)
+    tests = [] if cell[0][0] == "1" else [f"{cell[0][0]} >= 1"]
     for r in range(n - 1):
-        chain = [f"x{r}_0"]
+        above, row = cell[r], cell[r + 1]
+        chain = [above[0]]
         for c in range(n - r - 1):
-            chain += [f"x{r + 1}_{c}", f"x{r}_{c + 1}"]
+            for x in (row[c], above[c + 1]):
+                if not x == chain[-1] == "1":
+                    chain.append(x)
         tests.append(" <= ".join(chain))
     return " and ".join(tests)
 

@@ -18,6 +18,7 @@ from gogmagog.bijection import (
     _gog_trapezoid,
     _image_loop,
     _state_loop,
+    _state_rows,
     _two_diagonals,
     covering_subtraction_map,
     extract_diagonals,
@@ -29,9 +30,12 @@ from gogmagog.bijection import (
     statistic_x11,
 )
 from gogmagog.enumeration import FamilySpec, _walk_n2, generate
-from gogmagog.schutzenberger import is_gogam, schutzenberger
+from gogmagog.schutzenberger import (
+    _diagonal_lines, _diagonal_loop, _fold, _reflections, is_gogam, schutzenberger
+)
 from gogmagog.triangles import (
-    _UNROLL_MAX_N, Family, GtTriangle, is_gog, is_magog, is_trapezoid, is_valid_gt
+    _UNROLL_MAX_N, Family, GtTriangle, _gt_expression, _gt_loop, is_gog, is_magog, is_trapezoid,
+    is_valid_gt,
 )
 
 from conftest import SCHEDULES, descend, kernel, tri
@@ -571,6 +575,56 @@ class TestImageKernel:
         assert _image_results(bijection._image_kernel, 6, 0x1A6E) == {
             (0, 0): 378, (1, 1): 1_197, (1, 2): 283
         }
+
+    def test_folded_gt_test_and_diagonal_equal_their_loops(self):
+        # their folds are exact on any values: every leaf with n <= 7 and
+        # one perturbation of each by +-1 or +-2, reaching entries below 1
+        rng = random.Random(0xF01D)
+        for n in range(1, 8):
+            ones = _pinned(n)
+            diagonal, values = _diagonal_lines(n, ones)
+            body = [*diagonal, f"    return {_gt_expression(n, ones)}, ({', '.join(values)},)"]
+            folded = bijection._straight_line(n, _leaf_target(n), body, "folded gt and diagonal")
+            for leaf, _, _ in _walk_n2(n):
+                delta = rng.choice((-2, -1, 1, 2))
+                for state in (leaf, _perturbed(leaf, rng.randrange(2 * n - 1), delta)):
+                    rows = _state_rows(n, *state)
+                    assert folded(state) == (_gt_loop(rows), _diagonal_loop(rows)), state
+
+    def test_folded_reflections_equal_the_fold_on_every_leaf(self):
+        # 14,793 leaves for n <= 7: with the pinned cells read as the
+        # literal 1, the reflections still give the involution of the rows
+        for n in range(1, 8):
+            ones = _pinned(n)
+            image = "".join(
+                f"({', '.join('1' if f'x{r}_{c}' in ones else f'x{r}_{c}' for c in range(n - r))},), "
+                for r in range(n)
+            )
+            body = [*_reflections(n, ones=ones), f"    return {image}"]
+            reflected = bijection._straight_line(n, _leaf_target(n), body, "folded reflections")
+            for leaf, _, _ in _walk_n2(n):
+                assert reflected(leaf) == _fold(_state_rows(n, *leaf)), leaf
+
+    def test_binds_no_pinned_cell(self):
+        # the pinned cells are literals in the kernel, never locals
+        for n in range(1, _UNROLL_MAX_N + 1):
+            code = kernel("image", n).__code__
+            assert not _pinned(n) & {*code.co_varnames, *code.co_names}, n
+        assert (len(_reflections(6)), len(_reflections(6, ones=_pinned(6)))) == (35, 25)
+
+
+def _pinned(n):
+    """The cells `_state_rows` writes as 1 at k = n: all but the last
+    two of each row."""
+    return frozenset(f"x{m}_{c}" for m in range(n) for c in range(n - m - 2))
+
+
+def _leaf_target(n):
+    """The unpacking of a leaf (u, v) into the cells of the last two
+    diagonals."""
+    us = "".join(f"x{m}_{n - m - 1}, " for m in range(n))
+    vs = "".join(f"x{m}_{n - m - 2}, " for m in range(n - 1))
+    return f"({us}), ({vs})"
 
 
 @pytest.mark.parametrize("index", [1, 2])

@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 from collections import Counter
 import time
 import tracemalloc
@@ -25,6 +26,7 @@ from gogmagog.bijection import (
 )
 from gogmagog.cli import main
 from gogmagog.enumeration import (
+    _FRAME_HEADROOM,
     FamilySpec,
     SUITES,
     _count_n2,
@@ -283,6 +285,14 @@ def test_gt_generation_past_the_cap_is_the_row_recursion():
     _check_gt_streams(_UNROLL_MAX_N + 1)
 
 
+def test_sweeps_loop_the_bottom_cell_over_its_range():
+    # no 1-tuple is built and unpacked per triangle
+    for n in range(2, _UNROLL_MAX_N + 1):
+        loops = enumeration._fill_loops(n, named=False)
+        assert loops[-1] == "    " * (n - 1) + f"for x{n - 1}_0 in range(x{n - 2}_0, x{n - 2}_1 + 1):"
+        assert all("product(" in loop for loop in loops[:-1])
+
+
 @pytest.mark.parametrize("name", ["oracle sweep", "involution sweep"])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sweep_kernel_is_its_loop(name, n):
@@ -526,6 +536,59 @@ def test_sizes_must_be_integers(call, n):
     # never coerced: a bool is not taken as 0 or 1, nor 2.0 as 2
     with pytest.raises(ValueError, match="must be an integer"):
         call(n)
+
+
+def _free_frames():
+    """Frames left under the recursion limit on top of the caller's."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
+@pytest.mark.parametrize("recursion", ["fill", "walk", "asm"])
+def test_recursions_keep_their_headroom(monkeypatch, recursion):
+    # under a lowered limit, the largest size each recursion takes reaches
+    # its deepest frame with at least `_FRAME_HEADROOM` frames free, but
+    # no more than one size more would need, and one size more is refused
+    # before the recursion's first step
+    free = []
+
+    def probed(f):
+        def probe(*args):
+            free.append(_free_frames())
+            return f(*args)
+        return probe
+
+    if recursion == "fill":
+        rows = probed(enumeration._gt_rows)
+        first = lambda n: next(enumeration._fill_below(((1,) * n,), rows))
+        step = lambda n: 1  # frames one size more adds
+    elif recursion == "walk":
+        monkeypatch.setattr(enumeration, "_forward_at", probed(enumeration._forward_at))
+        first = lambda n: next(_walk_n2(n))
+        step = lambda n: 1
+    else:  # the deepest frame builds the ASM
+        monkeypatch.setattr(enumeration, "Asm", probed(enumeration.Asm))
+        first = lambda n: next(generate_asms(n))
+        step = lambda n: 2 * (n + 1)  # n + 1 frames per row
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - _free_frames() + 400)
+    try:
+        lo, hi = 1, 400  # first(lo) runs, first(hi) is refused
+        while hi - lo > 1:
+            mid, calls = (lo + hi) // 2, len(free)
+            try:
+                first(mid)
+                lo = mid
+            except RecursionError:
+                assert len(free) == calls, mid
+                hi = mid
+        del free[:]
+        first(lo)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lo > 10 and _FRAME_HEADROOM <= min(free) <= _FRAME_HEADROOM + step(lo)
 
 
 # --- the (n,2) prefix-tree walk behind bijection-n2 and rule-trace-lemmas ---

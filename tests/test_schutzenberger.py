@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from gogmagog.schutzenberger import bender_knuth, is_gogam, schutzenberger, schutzenberger_diagonal
 from gogmagog.tableaux import schutzenberger_via_words
-from gogmagog.triangles import _UNROLL_MAX_N, GtTriangle, is_magog, is_valid_gt, parse_triangle, validate_gt
+from gogmagog.triangles import (
+    _UNROLL_MAX_N, GtTriangle, _gt_expression, is_magog, is_valid_gt, parse_triangle, validate_gt
+)
 
 from conftest import (FIXTURES, SCHEDULES, broken_perturbations, drawn_gt, drawn_perturbation,
                       gt_triangles, gt_up_to_4, kernel, perturbed, random_gt, tri)
@@ -256,6 +259,26 @@ class TestUnrolledKernel:
         cases = [*broken_perturbations(), tri((0,)), tri((-2, 0), (1,))]
         assert len(cases) == 33_976
         assert not any(gt or gogam for gt, gogam in map(_check_rows, cases))
+
+
+def _lines_digest(lines_of_size):
+    """A short digest of ``lines_of_size(n)`` for every n up to the cap."""
+    h = hashlib.sha256()
+    for n in range(1, _UNROLL_MAX_N + 1):
+        h.update("\n".join(lines_of_size(n)).encode() + b"\0")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("lines_of_size, digest", [
+    (lambda n: [_gt_expression(n)], "c71015b5d25a679d"),
+    (lambda n: [line for part in module._diagonal_lines(n) for line in part], "e23b41d11c953b01"),
+    (lambda n: [*module._reflections(n), *module._reflections(n, "y"),
+                *module._reflections(n, "z", "y")], "41d6a20df3a297f6"),
+], ids=["gt expression", "diagonal lines", "reflections"])
+def test_line_generators_fold_nothing_by_default(lines_of_size, digest):
+    # with no cells known to hold 1 the generators give the unfolded lines
+    # that every kernel but the image check is built from, pinned here
+    assert _lines_digest(lines_of_size) == digest
 
 
 _ROW_SCHEDULES = ("gt test", "involution", "diagonal")
