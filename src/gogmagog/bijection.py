@@ -340,8 +340,7 @@ def _image_kernel(n: int) -> Callable[[_Diagonals], int]:
         *_reflections(n, ones=ones),
         f"    return 0 if {gt} and {magog} else 2",
     ]
-    target = f"({''.join(x + ',' for x in us)}), ({''.join(x + ',' for x in vs)})"
-    return _straight_line(n, target, body, "image check")
+    return _straight_line(n, _unpacking(us, vs), body, "image check")
 
 
 def _image_loop(leaf: _Diagonals) -> int:

@@ -129,6 +129,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     trapezoid_map = pair in _TRAPEZOID_CONVERSIONS
     if args.trapezoid is not None and not trapezoid_map:
         raise ValueError("--trapezoid applies only to gog <-> gogam conversion")
+    if trapezoid_map and args.trapezoid != 2:
+        raise ValueError("gog <-> gogam conversion requires --trapezoid 2")
     if args.json and args.dst == "ssyt":
         raise ValueError("--json does not apply to --to ssyt")
     obj = _load(args.src, args.file)
@@ -141,8 +143,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"tableau would hold {letters} letters, over the limit of {MAX_TABLEAU_LETTERS}"
             )
-    elif args.trapezoid != 2:
-        raise ValueError("gog <-> gogam conversion requires --trapezoid 2")
     try:
         out = convert(obj)
     except ValueError as exc:  # the trapezoid maps validate their own input

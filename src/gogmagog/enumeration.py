@@ -18,8 +18,9 @@ returns a structured report; every suite is deterministic.  The
 rows, `_involution_sweep` and `_oracle_sweep`: up to the cap one
 straight-line function that nests `_gt_fill_kernel`'s loops,
 `_fill_loops`, around the lines of the involution and, for the oracle,
-of the word route, each route computing on its own locals; past it
-each route's row function of the size on bare top-down rows.
+of the word route, each route computing on its own locals; past it the
+involution's row function of the size and, for the oracle, the word
+route's public stages, on bare top-down rows.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ from .schutzenberger import (
     schutzenberger,
     schutzenberger_diagonal,
 )
-from .tableaux import _rsk_lines, _word_route
+from .tableaux import _rsk_lines, _staged_route
 from .triangles import (
-    _RSK_MAX_N,
     Family,
     GtTriangle,
     _Value,
@@ -551,19 +551,30 @@ def _oracle_sweep_kernel(n: int) -> Callable[[Iterable[_Row]], tuple[int, list[_
 
 
 def _oracle_sweep_loop(tops: Iterable[_Row]) -> tuple[int, list[_Rows]]:
-    """The Bender-Knuth route against the word route, of the size, on
-    every GT triangle under each of ``tops``: the count, and the rows of
-    each triangle they disagree on; a word route that falls short (None)
-    is a disagreement like any other."""
+    """The Bender-Knuth route of the size against the word route's
+    public stages, `_staged_route`, on every GT triangle under each of
+    ``tops``: the count, and the rows of each triangle they disagree on;
+    a word route that falls short (None) is a disagreement like any
+    other."""
     checked, failed = 0, []
     for top in tops:
-        involution, word_route = _involution(len(top)), _word_route(len(top))
+        involution = _involution(len(top))
         for rows in _gt_fill(len(top))(top):
             checked += 1
-            if involution(rows) != word_route(rows):
+            if involution(rows) != _staged_route(rows):
                 failed.append(rows)
     return checked, failed
 
+
+# Largest n whose `oracle` suite's sweep runs as one `_sweep` per size.
+# Its source holds the word route's lines, which grow about as n^4/8,
+# and the involution's: 214 / 486 / 981 / 1,791 / 3,038 lines at n = 4
+# / 5 / 6 / 7 / 8.  On a 2-vCPU host under Python 3.11 a build takes
+# 1.1-1.8 / 2.3-4.1 / 4.6-8.0 / 8.3-16 / 15-27 ms (the fastest and the
+# slowest of 45 timings a size), so the cap is the largest n that
+# builds in under 10 ms in every timing.  Past it the sweep's loop runs
+# the public word stages, letter at a time, through `_staged_route`.
+_RSK_MAX_N = 6
 
 # the oracle sweep over the GT triangles under top rows of size n
 _oracle_sweep = _per_size(_oracle_sweep_kernel, _oracle_sweep_loop, _RSK_MAX_N)
@@ -581,8 +592,8 @@ def _suite_involution(n: int, report: Report) -> None:
 def _suite_oracle(n: int, report: Report) -> None:
     """Bender-Knuth route against the word route on every GT triangle
     with entries <= n+1, through `_oracle_sweep` of the size: up to
-    `_RSK_MAX_N` the two routes' lines in one frame, past it each
-    route's function of the size."""
+    `_RSK_MAX_N` the two routes' lines in one frame, past it the
+    involution's function of the size and the public word stages."""
     checked, failed = _oracle_sweep(n)(_tops(FamilySpec(Family.GT, n, bound=n + 1)))
     report.checks += checked
     for rows in failed:

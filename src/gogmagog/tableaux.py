@@ -15,17 +15,16 @@ the tableau step by step, each checking its input; the RSK loop
 `_insert` and the letter count `_count_letters` back them.  Every
 tableau they build goes through the checked constructor `Ssyt(...)`.
 
-The route on bare top-down rows, `_word_route`, is the resolver
-`triangles._per_size` makes for it: up to `triangles._RSK_MAX_N` one
-straight-line function per size, `_rsk_kernel`, built by
-`triangles._straight_line` from `_rsk_lines`, whose lines the `oracle`
-suite's sweep also runs.  The word is a schedule of runs of equal
-letters fixed by n, and a weakly increasing run row-inserts as one
-block, so the kernel inserts each run on the tableau's letter counts
-(the piecewise-linear form of row insertion; Kirillov 2001,
-Noumi-Yamada 2004) and reads the triangle off the counts.  Past the
-cap the route is `_staged_route`, the public stages one after
-another, which is also the kernel's letter-at-a-time test reference.
+`schutzenberger_via_words` runs the stages one after another at every
+size.  `_rsk_lines` writes the same route for one size as straight-line
+source, which the `oracle` suite's sweep in `enumeration` runs: the word
+is a schedule of runs of equal letters fixed by n, and a weakly
+increasing run row-inserts as one block, so the lines insert each run
+on the tableau's letter counts (the piecewise-linear form of row
+insertion; Kirillov 2001, Noumi-Yamada 2004) and the triangle is read
+off the counts.  `_staged_route`, the stages on bare top-down rows,
+runs in the sweep's loop and is the lines' letter-at-a-time test
+reference.
 """
 
 from __future__ import annotations
@@ -33,18 +32,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import repeat
-from typing import Callable
 
-from .triangles import (
-    _RSK_MAX_N,
-    GtTriangle,
-    _Value,
-    _check_size,
-    _int_rows,
-    _per_size,
-    _row_tuples,
-    _straight_line,
-)
+from .triangles import GtTriangle, _Value, _check_size, _int_rows
 
 Word = tuple[int, ...]
 
@@ -264,19 +253,6 @@ def _rsk_lines(n: int) -> tuple[list[str], list[str], list[list[str]]]:
     return body, sums, image
 
 
-def _rsk_kernel(
-    n: int,
-) -> Callable[[tuple[tuple[int, ...], ...]], tuple[tuple[int, ...], ...] | None]:
-    """The word route on top-down rows of size n as one straight-line
-    function, `_rsk_lines`: None when the tableau falls short, else the
-    triangle read off the summed counts.  Exact on any rows, GT or not,
-    and built from the insertion rule alone."""
-    body, sums, image = _rsk_lines(n)
-    body += [f"    if not m{n - 1}_{n}:", "        return None", *sums]
-    body.append("    return " + "".join(f"({''.join(m + ', ' for m in row)}), " for row in image))
-    return _straight_line(n, _row_tuples(n), body, "rsk")
-
-
 def _insertion_tableau(t: GtTriangle) -> Ssyt:
     """The word route's public stages, one after another: the insertion
     tableau of the complement-reversed reading word of t's tableau.  The
@@ -297,28 +273,18 @@ def _staged_route(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], .
     return _count_letters(tableau, n) if len(tableau) == n else None
 
 
-# the word route on top-down rows of size n, None where it falls short
-_word_route = _per_size(_rsk_kernel, _staged_route, _RSK_MAX_N)
-
-
 def schutzenberger_via_words(t: GtTriangle) -> GtTriangle:
     """Involution image computed through the word pipeline.
 
     triangle -> tableau -> reading word -> complement-reverse -> RSK
     insertion tableau -> triangle.
 
-    Runs as `_word_route` of the size: up to `_RSK_MAX_N` all of it
-    fused in `_rsk_kernel`, on letter counts and without a letter
-    check.  No stage touches a Bender-Knuth reflection.  When the
-    route falls short (fewer than n tableau rows, on a triangle that is
-    not GT), the public stages run one after another, and
-    `tableau_to_triangle` raises.
+    Every stage checks its input, apart from the insertion, whose
+    letters `complement_reverse` has checked, and no stage touches a
+    Bender-Knuth reflection.  When the tableau falls short (fewer than n
+    rows, on a triangle that is not GT), `tableau_to_triangle` raises.
     """
-    rows = t.rows
-    image = _word_route(len(rows))(rows)
-    if image is None:
-        return tableau_to_triangle(_insertion_tableau(t))
-    return GtTriangle._trusted(image)
+    return tableau_to_triangle(_insertion_tableau(t))
 
 
 def format_tableau(s: Ssyt) -> str:

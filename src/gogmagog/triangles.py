@@ -14,16 +14,16 @@ plane partitions); trapezoids pin everything far from the right edge.
 
 Fixed-schedule work on triangles of one size can run as straight-line
 functions: `_straight_line` compiles one from generated source, with
-its arguments unpacked into locals.  Eleven schedules do: up to
+its arguments unpacked into locals.  Ten schedules do: up to
 `_UNROLL_MAX_N` the GT test here, the involution and its diagonal in
 `schutzenberger`, the raw-GT generator and the `involution` suite's
 sweep (its loops around the involution's lines, twice) in
 `enumeration`, and in `bijection` the state test and the forward and
 inverse steps (keyed by the state's size) and the leaf image check,
 made of the lines of the GT test, the diagonal and the involution; up
-to the lower `_RSK_MAX_N` the word route in `tableaux` and the
-`oracle` suite's sweep, the generator's loops around the word route's
-and the involution's lines.  Each runs behind one resolver made by
+to the lower `enumeration._RSK_MAX_N` the `oracle` suite's sweep, the
+generator's loops around the lines of the word route in `tableaux`
+and of the involution.  Each runs behind one resolver made by
 `_per_size`, which alone chooses between the kernel and the loop for a
 size; a kernel is built on the first call of its size, so importing
 the package builds none.  Past the cap the GT test is `validate_gt` itself, the state
@@ -237,19 +237,6 @@ def validate_gt(t: GtTriangle) -> list[Violation]:
 # `validate_gt`; for the state test, its bound listing), so no input
 # size makes the build cost or the code size unbounded.
 _UNROLL_MAX_N = 12
-
-# Largest n whose word route runs as one `_straight_line` function per
-# size, `tableaux._rsk_kernel`: reading the word as runs of equal
-# letters, row-inserting each run as a block on letter counts, and
-# reading the triangle off the counts.  Its source grows about as
-# n^4/8 cells (939 lines at n = 6, 1,727 at 7); on the same host a
-# build takes about 1.0-1.8 / 2.2-3.9 / 5-8.5 / 11-16 / 21-29 /
-# 157-161 ms at n = 4 / 5 / 6 / 7 / 8 / 12, so the cap is the largest n
-# that builds in under about 10 ms.  Past it the route runs the public
-# word stages, letter at a time.  The `oracle` suite's sweep holds the
-# route's lines and the involution's, and builds in 1.2 / 2.6 / 5.2-5.9
-# ms at n = 4 / 5 / 6, so it keeps this cap.
-_RSK_MAX_N = 6
 
 
 def _row_tuples(n: int) -> str:

@@ -115,7 +115,6 @@ SCHEDULES = {
     "gt test": (_gt_test, _gt_kernel, _gt_loop, 12),
     "involution": (_involutions._involution, _involutions._kernel, _involutions._fold, 12),
     "diagonal": (_involutions._diagonal, _involutions._diagonal_kernel, _involutions._diagonal_loop, 12),
-    "word route": (tableaux._word_route, tableaux._rsk_kernel, tableaux._staged_route, 6),
     "gt fill": (enumeration._gt_fill, enumeration._gt_fill_kernel, enumeration._gt_fill_loop, 12),
     "state": (bijection._state_ok, bijection._state_kernel, bijection._state_loop, 12),
     "image": (bijection._image_check, bijection._image_kernel, bijection._image_loop, 12),
@@ -138,7 +137,7 @@ def kernel(name, n):
     return build(n) if n <= cap else loop
 
 
-def composed_word_route(t):
+def composed_stages(t):
     """The word route as the composition of its public stages, each
     stage checking its own input."""
     n = t.n

@@ -171,6 +171,19 @@ def test_convert_needs_trapezoid_flag(capsys):
     assert (code, out, err) == (2, "", "gog <-> gogam conversion requires --trapezoid 2\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--from", "gog", "--to", "gogam", "missing.txt"),
+    ("--from", "gog", "--to", "gogam", "--trapezoid", "3", "-"),
+], ids=["missing-file", "malformed-stdin"])
+def test_convert_checks_the_trapezoid_flag_before_reading(capsys, monkeypatch, tmp_path, argv):
+    # the flag is refused before the input is read, so the reader's
+    # error (no such file; two rows where the size line says 3) never shows
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n1 2 3\n1 2\n"))
+    code, out, err = run(capsys, "convert", *argv)
+    assert (code, out, err) == (2, "", "gog <-> gogam conversion requires --trapezoid 2\n")
+
+
 def test_convert_unsupported_pair(capsys):
     code, out, err = run(
         capsys, "convert", "--from", "magog", "--to", "asm", str(FIXTURES / "gog_52.txt")

@@ -27,6 +27,7 @@ from gogmagog.bijection import (
 from gogmagog.cli import main
 from gogmagog.enumeration import (
     _FRAME_HEADROOM,
+    _RSK_MAX_N,
     FamilySpec,
     SUITES,
     _count_n2,
@@ -46,7 +47,7 @@ from gogmagog.enumeration import (
 )
 from gogmagog.schutzenberger import is_gogam, schutzenberger
 from gogmagog.triangles import (
-    _RSK_MAX_N, _UNROLL_MAX_N, Family, _per_size, _row_tuples, is_gog, is_gog_trapezoid_n2k,
+    _UNROLL_MAX_N, Family, _per_size, _row_tuples, is_gog, is_gog_trapezoid_n2k,
     is_magog, is_magog_trapezoid_n2k, is_trapezoid, is_valid_gt,
 )
 

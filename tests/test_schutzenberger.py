@@ -220,15 +220,19 @@ class TestInPlaceReflections:
 
 class TestUnrolledKernel:
     def test_import_builds_no_kernel(self):
-        # a fresh interpreter: importing the package and its CLI compiles
-        # no kernel source, and the objects of the package that cache
-        # are exactly the eleven resolvers, none holding a size yet
+        # a fresh interpreter: importing the package and its CLI, and then
+        # running the public word route on one GT triangle of each n <= 6,
+        # compiles no kernel source, and the objects of the package that
+        # cache are exactly the ten resolvers, none holding a size yet
         probe = (
             "import builtins, sys\n"
             "compiled, real = [], builtins.compile\n"
             "builtins.compile = lambda source, name, *a, **k: "
             "(compiled.append(str(name)), real(source, name, *a, **k))[1]\n"
             "import gogmagog, gogmagog.cli\n"
+            "for n in range(1, 7):\n"
+            "    gogmagog.schutzenberger_via_words(\n"
+            "        gogmagog.GtTriangle(tuple((1,) * (n - r) for r in range(n))))\n"
             "found = {id(f): (k, f.cache_info().currsize)\n"
             "    for name, m in list(sys.modules.items()) if name.startswith('gogmagog')\n"
             "    for k, f in vars(m).items() if hasattr(f, 'cache_info')}\n"
@@ -244,7 +248,7 @@ class TestUnrolledKernel:
         )
         resolvers, kernels = ast.literal_eval(out.stdout)
         names = ["_diagonal", "_forward_at", "_gt_fill", "_gt_test", "_image_check", "_inverse_at",
-                 "_involution", "_involution_sweep", "_oracle_sweep", "_state_ok", "_word_route"]
+                 "_involution", "_involution_sweep", "_oracle_sweep", "_state_ok"]
         assert resolvers == [(name, 0) for name in names]
         assert kernels == []
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gogmagog.enumeration as enumeration
 import gogmagog.tableaux as module
 from gogmagog.tableaux import (
     Ssyt,
@@ -19,11 +20,12 @@ from gogmagog.tableaux import (
     triangle_to_tableau,
     validate_ssyt,
 )
+from gogmagog.enumeration import _RSK_MAX_N
 from gogmagog.schutzenberger import _fold, _involution, schutzenberger
-from gogmagog.triangles import _RSK_MAX_N, _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
+from gogmagog.triangles import _UNROLL_MAX_N, GtTriangle, ShapeError, is_valid_gt
 
-from conftest import (SCHEDULES, broken_perturbations, composed_word_route, drawn_gt,
-                      drawn_perturbation, gt_perturbations, gt_triangles, gt_up_to_4, kernel,
+from conftest import (SCHEDULES, broken_perturbations, composed_stages, drawn_gt,
+                      drawn_perturbation, gt_perturbations, gt_triangles, gt_up_to_4,
                       outcome, random_gt, tri)
 
 GT5 = tri((1, 2, 2, 3, 6), (1, 2, 2, 5), (2, 2, 4), (2, 4), (3,))
@@ -274,36 +276,21 @@ class TestWordOracle:
             assert schutzenberger_via_words(schutzenberger_via_words(t)) == t
 
 
-# outcomes: top-down rows, None where a route falls short, or its error's text
-Routes = namedtuple("Routes", "kernel resolved staged public composed ran_stage")
-
-
-def _stage(*args):
-    raise ValueError("a public stage ran")
+# outcomes: top-down rows, None where the staged route falls short, or an error's text
+Routes = namedtuple("Routes", "staged public composed")
 
 
 def _routes(triangles):
-    """`Routes` of each of ``triangles``, each route run once: the size's
-    `kernel("word route", n)`, built apart from the resolver's
-    `_word_route(n)`, `_staged_route`, `schutzenberger_via_words` (first
-    with every public stage patched to fail), `composed_word_route`, and
-    whether the public route ran a stage.  All give the staged rows, or
-    None exactly where the composed stages raise for a short tableau, and
-    only there, up to `_RSK_MAX_N`, does a stage run."""
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("triangle_to_tableau", "reading_word", "complement_reverse",
-                     "rsk_insertion_tableau", "tableau_to_triangle", "_insertion_tableau"):
-            patch.setattr(module, name, _stage)
-        stageless = [outcome(schutzenberger_via_words, t) for t in triangles]
-    for t, public in zip(triangles, stageless):
-        ran = public == "ValueError: a public stage ran"
-        r = Routes(kernel("word route", t.n)(t.rows), module._word_route(t.n)(t.rows),
-                   module._staged_route(t.rows),
-                   outcome(schutzenberger_via_words, t) if ran else public,
-                   outcome(composed_word_route, t), ran)
+    """`Routes` of each of ``triangles``, each route run once:
+    `_staged_route`, `schutzenberger_via_words` and `composed_stages`.
+    The public route gives the composed stages' rows or error text, and
+    the staged route their rows, or None exactly where they raise for a
+    short tableau."""
+    for t in triangles:
+        r = Routes(module._staged_route(t.rows), outcome(schutzenberger_via_words, t),
+                   outcome(composed_stages, t))
         short = bool(re.fullmatch(r"ValueError: tableau has \d+ rows, needs \d+", str(r.composed)))
-        assert r.kernel == r.resolved == r.staged == (None if short else r.composed), t
-        assert r.public == r.composed and ran == (short or t.n > _RSK_MAX_N), t
+        assert r.staged == (None if short else r.composed) and r.public == r.composed, t
         yield r
 
 
@@ -314,8 +301,9 @@ def routes(inputs):
 
 
 class TestWordKernels:
-    """The word route's per-size straight-line function against its loop,
-    the staged route through the public stages."""
+    """The staged route, which the `oracle` sweep's loop runs and the
+    tests of its fused lines take as their reference, against the
+    public route and the composed stages."""
 
     def test_gt_triangles(self):
         # never short on GT: the involution
@@ -327,7 +315,7 @@ class TestWordKernels:
         assert sum(r.staged is None for r in routes("broken")) == 4_987
 
     @settings(max_examples=100)
-    @given(drawn_gt(n_max=_RSK_MAX_N), st.data())
+    @given(drawn_gt(), st.data())
     def test_drawn_triangles(self, t, data):
         r, _ = _routes([t, drawn_perturbation(data, t)])
         assert r.staged is not None
@@ -341,16 +329,10 @@ def test_word_route_off_gt_matches_the_composed_route():
 
 
 def test_word_route_falls_short_exactly_where_the_public_route_raises():
-    # `_routes` checks the broken ones (a stage runs only there); GT ones are never short
-    assert sum(r.ran_stage for r in routes("broken")) == 4_987
+    # `_routes` checks the broken ones; GT ones are never short
+    assert sum(isinstance(r.public, str) for r in routes("broken")) == 4_987
     for p in (p for _, p in gt_perturbations() if is_valid_gt(p)):
-        assert module._word_route(p.n)(p.rows) == schutzenberger_via_words(p).rows
-
-
-def test_word_route_on_gt_runs_no_composed_stage():
-    # `_routes` first runs the public route with every stage patched to fail
-    assert not any(r.ran_stage for r in routes("gt"))
-    assert len(routes("gt")) == 2_896
+        assert module._staged_route(p.rows) == schutzenberger_via_words(p).rows
 
 
 def test_row_functions_give_the_public_rows_on_gt():
@@ -363,21 +345,10 @@ def test_row_functions_give_the_public_rows_on_gt():
 @settings(max_examples=40)
 @given(drawn_gt(n_min=_RSK_MAX_N + 1, n_max=16))
 def test_loops_past_the_cap_on_drawn_triangles(t):
-    # past the RSK cap the route is the staged route, which `kernel` checks
+    # past the `oracle` sweep's cap the word route runs only as its stages
     (r,) = _routes([t])
     assert schutzenberger_via_words(GtTriangle(r.public)) == t
     assert tableau_to_triangle(triangle_to_tableau(t)) == t
-
-
-@pytest.mark.parametrize("n", range(_RSK_MAX_N + 1, _UNROLL_MAX_N + 1))
-@settings(max_examples=5)
-@given(data=st.data())
-def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
-    """Past `_RSK_MAX_N` the route is the staged route, with no
-    `_rsk_kernel` (`kernel` checks it), on GT rows and a perturbation."""
-    t = data.draw(drawn_gt(n_min=n, n_max=n))
-    r, _ = _routes([t, drawn_perturbation(data, t)])
-    assert r.kernel == _involution(n)(t.rows)
 
 
 @settings(max_examples=40)
@@ -385,22 +356,26 @@ def test_word_route_past_the_rsk_cap_reaches_no_rsk_kernel(n, data):
 def test_row_functions_past_the_cap_are_the_loops(t):
     for name, (resolver, _, loop, _) in SCHEDULES.items():
         assert resolver(t.n) is loop, name
-    assert _involution(t.n)(t.rows) == module._word_route(t.n)(t.rows) == _fold(t.rows)
+    assert _involution(t.n)(t.rows) == module._staged_route(t.rows) == _fold(t.rows)
 
 
-def _rsk_source_lines(n):
-    """How many source lines `_rsk_kernel` compiles for size n."""
+def _sweep_source_lines(n):
+    """How many source lines `enumeration._oracle_sweep_kernel` compiles for size n."""
     lines = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "_straight_line", lambda n, target, body, label: lines.append(len(body)))
-        module._rsk_kernel(n)
+        patch.setattr(enumeration, "_straight_line", lambda n, target, body, label, **names:
+                      lines.append(len(body)))
+        enumeration._oracle_sweep_kernel(n)
     return lines[0]
 
 
 def test_rsk_cap_is_the_largest_size_with_a_short_build():
-    # a build compiles about 7.5 us a source line on a 2-vCPU host under
-    # Python 3.11, so a build of about 10 ms is about 1,300 lines
-    assert _rsk_source_lines(_RSK_MAX_N) <= 1_300 < _rsk_source_lines(_RSK_MAX_N + 1)
+    # `_RSK_MAX_N` bounds the word route's lines through the `oracle`
+    # sweep, the one schedule that holds them.  On a 2-vCPU host under
+    # Python 3.11 the sweep's build compiles about 5 us a source line in
+    # the median timing and up to about 8 us in the slowest, so a build
+    # that stays under 10 ms is at most about 1,250 lines
+    assert _sweep_source_lines(_RSK_MAX_N) <= 1_250 < _sweep_source_lines(_RSK_MAX_N + 1)
 
 
 def test_staged_route_checks_its_word_once(monkeypatch):
